@@ -169,8 +169,7 @@ def cmd_eval(args) -> int:
 
 def cmd_render(args) -> int:
     from .dataset import read_dataset
-    from .geometry import Pose2
-    from .model import BLANK, decode, initial_state, load_checkpoint, step
+    from .model import load_checkpoint, unroll
     from .render import frame_panel, hidden_tiles, write_ppm
     from .tensor import no_grad
     from .training import ShowBlankSchedule
@@ -190,18 +189,12 @@ def cmd_render(args) -> int:
         raise ValueError("truth overlay requested but the sequence carries no ground truth")
     with_truth = batch.truth_occ is not None
     os.makedirs(args.out, exist_ok=True)
-    identity = Pose2.identity()
     written = 0
     with no_grad():
-        h = initial_state(model)
-        for f in range(batch.frames):
-            ego = batch.rel_transforms[f] if model.config.use_stm else identity
-            x = batch.observations[f] if schedule.is_shown(f) else BLANK
-            h = step(model, h, x, ego)
-            pred = decode(model, h).data[0, 0]
+        for f, (h, pred) in enumerate(unroll(model, batch, schedule)):
             panel = frame_panel(
                 batch.observations[f],
-                pred,
+                pred.data[0, 0],
                 truth=batch.truth_occ[f] if with_truth else None,
                 threshold=args.threshold,
                 scale=args.scale,

@@ -19,7 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GridSpec, ObservationGrid, Pose2, encode_observation, se2_relative
+from .geometry import (
+    GridSpec,
+    ObservationGrid,
+    Pose2,
+    encode_observation,
+    json_field,
+    se2_relative,
+)
 from .simulator import SequenceBatch
 
 __all__ = [
@@ -191,20 +198,36 @@ class DatasetManifest:
 
     @classmethod
     def load(cls, dirpath) -> "DatasetManifest":
-        with open(os.path.join(dirpath, MANIFEST_NAME)) as fh:
-            doc = json.load(fh)
-        grid = GridSpec(
-            size_cells=doc["grid"]["size_cells"], cell_size=doc["grid"]["cell_size"]
-        )
+        path = os.path.join(dirpath, MANIFEST_NAME)
+        with open(path) as fh:
+            try:
+                return cls._from_doc(json.load(fh))
+            except ValueError as exc:
+                raise ValueError(f"manifest {path}: {exc}") from exc
+
+    @classmethod
+    def _from_doc(cls, doc) -> "DatasetManifest":
+        if not isinstance(doc, dict):
+            raise ValueError("manifest is not a JSON object")
+        g = json_field(doc, "grid", dict)
+        files = json_field(doc, "files", list)
+        counts = json_field(doc, "frame_counts", list)
+        if not all(isinstance(n, str) for n in files):
+            raise ValueError("files must be a list of file names")
+        if not all(isinstance(n, int) and not isinstance(n, bool) for n in counts):
+            raise ValueError("frame_counts must be a list of integers")
         manifest = cls(
-            grid=grid,
-            frame_rate=doc["frame_rate"],
-            files=tuple(doc["files"]),
-            frame_counts=tuple(doc["frame_counts"]),
-            provenance=doc["provenance"],
-            seed=doc.get("seed"),
+            grid=GridSpec(
+                size_cells=json_field(g, "size_cells", int),
+                cell_size=json_field(g, "cell_size", (int, float)),
+            ),
+            frame_rate=json_field(doc, "frame_rate", (int, float)),
+            files=tuple(files),
+            frame_counts=tuple(counts),
+            provenance=json_field(doc, "provenance", str),
+            seed=None if doc.get("seed") is None else json_field(doc, "seed", int),
         )
-        if doc["sequence_count"] != manifest.sequence_count:
+        if json_field(doc, "sequence_count", int) != manifest.sequence_count:
             raise ValueError("manifest sequence_count disagrees with its file list")
         return manifest
 

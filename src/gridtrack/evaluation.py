@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import predictable_mask
 from .model import Model, rollout
 from .tensor import no_grad
+from .training import ShowBlankSchedule, target_mask
 
 __all__ = [
     "HorizonCurve",
@@ -83,19 +83,6 @@ class HorizonCurve:
         return "\n".join(lines)
 
 
-def _frame_mask(batch, schedule, f: int, moving: bool) -> np.ndarray:
-    vis = batch.observations[f].vis.astype(bool)
-    if moving:
-        off = schedule.blank_offset(f)
-        if off is not None:
-            last_shown = f - off
-            pm = predictable_mask(
-                list(batch.rel_transforms[last_shown + 1 : f + 1]), batch.spec
-            )
-            vis = vis & pm.mask.astype(bool)
-    return vis
-
-
 def pooled_counts(preds, batch, schedule, threshold: float, counts: dict | None = None) -> dict:
     """Accumulate per-offset (tp, fp, fn, scored) from one sequence's
     per-frame prediction grids (arrays of probabilities, shape M×M)."""
@@ -106,7 +93,7 @@ def pooled_counts(preds, batch, schedule, threshold: float, counts: dict | None 
         off = schedule.blank_offset(f)
         if off is None:
             continue
-        mask = _frame_mask(batch, schedule, f, moving)
+        mask = target_mask([batch], schedule, f, moving)[0]
         occ = batch.observations[f].occ.astype(bool)
         hot = np.asarray(preds[f]) >= threshold
         c = counts[off]
@@ -129,10 +116,9 @@ def f1_horizon(model: Model, dataset, schedule, threshold: float = 0.5) -> Horiz
     if schedule.blank == 0:
         raise ValueError("schedule blanks no frames; there is no horizon to score")
     counts = None
-    ignore = not model.config.use_stm
     with no_grad():
         for batch in dataset:
-            preds = rollout(model, batch, schedule, ignore_egomotion=ignore)
+            preds = rollout(model, batch, schedule)
             grids = [p.data[0, 0] for p in preds]
             counts = pooled_counts(grids, batch, schedule, threshold, counts)
     return HorizonCurve.from_counts(counts)
@@ -153,14 +139,11 @@ def occlusion_track_error(
     scored at every frame (plain visible-tracking error). Returns
     (frame, error) pairs.
     """
-    from .training import ShowBlankSchedule
-
     batch = scenario.batch
     spec = batch.spec
     sched = ShowBlankSchedule(total_frames=batch.frames, show=batch.frames, blank=0)
-    ignore = not model.config.use_stm
     with no_grad():
-        preds = rollout(model, batch, sched, ignore_egomotion=ignore)
+        preds = rollout(model, batch, sched)
     frames = scenario.occluded_frames or tuple(range(batch.frames))
     c, cs = spec.center, spec.cell_size
     ii, jj = np.meshgrid(np.arange(spec.size_cells), np.arange(spec.size_cells), indexing="ij")

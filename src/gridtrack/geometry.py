@@ -28,6 +28,7 @@ __all__ = [
     "se2_apply",
     "encode_observation",
     "predictable_mask",
+    "json_field",
 ]
 
 NO_RETURN = math.inf  # range value for a beam that hit nothing
@@ -160,6 +161,16 @@ class GridSpec:
 
     def in_grid(self, i: int, j: int) -> bool:
         return 0 <= i < self.size_cells and 0 <= j < self.size_cells
+
+
+def json_field(doc: dict, key: str, kind):
+    """``doc[key]`` from a decoded JSON object, checked to be an instance of
+    ``kind`` (a type or tuple of types; a bool never counts as a number).
+    Raises ValueError when the key is missing or has another type."""
+    value = doc.get(key)
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"key {key!r} is missing or has the wrong type: {value!r}")
+    return value
 
 
 def _check_binary(name: str, arr: np.ndarray, m: int) -> np.ndarray:

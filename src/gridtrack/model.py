@@ -16,6 +16,13 @@ Variants:
     GRU3DilConvBias_16/_48 as above plus a static per-cell bias grid over
                            all 48 hidden maps
 
+A ModelConfig stores only the variant name, the egomotion switch and the
+grid; the layer stack, decoder input and static bias are read from the
+variant table above. Every multi-frame run (training loss, evaluation,
+rendering) goes through one unroll: ``unroll`` yields the state and the
+prediction per frame, ``rollout`` collects the predictions, and models
+without egomotion compensation never warp their state.
+
 Parameter declaration order (checkpoints depend on it): for each layer
 bottom-up, its convolutions in update/reset/candidate order (kernel then
 bias; a plain recurrent layer has one convolution), then the static bias
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GridSpec, ObservationGrid, Pose2
+from .geometry import GridSpec, ObservationGrid, Pose2, json_field
 from .tensor import (
     ConvParams,
     Tensor,
@@ -52,6 +59,7 @@ __all__ = [
     "initial_state",
     "step",
     "decode",
+    "unroll",
     "rollout",
     "save_checkpoint",
     "load_checkpoint",
@@ -92,38 +100,33 @@ def variant_names() -> tuple:
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """A variant name, whether egomotion compensation warps the recurrent
+    state, and the grid. The layer stack, the decoder input and the static
+    bias follow from the variant name."""
+
     variant: str
     use_stm: bool
     grid: GridSpec
-    layers: tuple
-    decode_full_state: bool
-    static_bias: bool
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        layers, full, bias = _VARIANTS[self.variant]
-        object.__setattr__(self, "layers", tuple(tuple(l) for l in self.layers))
-        if self.layers != layers:
-            raise ValueError(f"layers {self.layers} do not match variant {self.variant}")
-        if self.decode_full_state != full:
-            raise ValueError("decode_full_state must be set iff the variant suffix is 48")
-        if self.static_bias != bias:
-            raise ValueError('static_bias must be set iff the variant contains "Bias"')
 
     @classmethod
     def for_variant(cls, variant: str, grid: GridSpec, use_stm: bool = False) -> "ModelConfig":
-        if variant not in _VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
-        layers, full, bias = _VARIANTS[variant]
-        return cls(
-            variant=variant,
-            use_stm=use_stm,
-            grid=grid,
-            layers=layers,
-            decode_full_state=full,
-            static_bias=bias,
-        )
+        return cls(variant=variant, use_stm=use_stm, grid=grid)
+
+    @property
+    def layers(self) -> tuple:
+        return _VARIANTS[self.variant][0]
+
+    @property
+    def decode_full_state(self) -> bool:
+        return _VARIANTS[self.variant][1]
+
+    @property
+    def static_bias(self) -> bool:
+        return _VARIANTS[self.variant][2]
 
     @property
     def is_gated(self) -> bool:
@@ -242,15 +245,6 @@ def initial_state(model: Model, batch_size: int = 1) -> HiddenState:
     return HiddenState(layers=tuple(layers))
 
 
-def _gru_step_with_bias(h_prev: Tensor, x: Tensor, gates, bias: Tensor) -> Tensor:
-    wz, wr, wh = gates
-    xh = concat_channels([x, h_prev])
-    z = (conv2d(xh, wz) + bias).sigmoid()
-    r = (conv2d(xh, wr) + bias).sigmoid()
-    cand = (conv2d(concat_channels([x, r * h_prev]), wh) + bias).tanh()
-    return z * h_prev + (1.0 - z) * cand
-
-
 def _step_planes(model: Model, h_prev: HiddenState, x: Tensor, egomotion: Pose2) -> HiddenState:
     cfg = model.config
     identity = egomotion.is_identity(1e-12)
@@ -264,10 +258,7 @@ def _step_planes(model: Model, h_prev: HiddenState, x: Tensor, egomotion: Pose2)
     for i, _ in enumerate(cfg.layers):
         bias = model.bias_grids[i] if model.bias_grids else None
         if cfg.is_gated:
-            if bias is None:
-                h = conv_gru_step(prev[i], inp, model.cells[i])
-            else:
-                h = _gru_step_with_bias(prev[i], inp, model.cells[i], bias)
+            h = conv_gru_step(prev[i], inp, model.cells[i], bias)
         else:
             pre = conv2d(concat_channels([inp, prev[i]]), model.cells[i])
             if bias is not None:
@@ -313,14 +304,16 @@ def decode(model: Model, h: HiddenState) -> Tensor:
     return conv2d(inp, model.decoder).sigmoid()
 
 
-def rollout(model: Model, batches, schedule, ignore_egomotion: bool = False) -> list:
+def unroll(model: Model, batches, schedule):
     """Run step/decode over full sequences, feeding BLANK at frames the
-    schedule hides while still applying each frame's egomotion transform.
+    schedule hides, and yield (HiddenState, prediction) per frame, the
+    prediction a (B,1,M,M) Tensor.
 
     ``batches`` is one SequenceBatch or a list sharing one transform chain
-    (they are stacked into a minibatch). Returns one (B,1,M,M) prediction
-    Tensor per frame. ``ignore_egomotion`` runs the no-compensation baseline:
-    the state is never warped even though the sensor moves.
+    (they are stacked into a minibatch). With egomotion compensation the
+    state is warped by each frame's transform, shown or blank; a model
+    without it runs as the no-warp baseline, never warping its state even
+    though the sensor moves (``train`` allows that only as an ablation).
     """
     if hasattr(batches, "observations"):
         batches = [batches]
@@ -341,16 +334,19 @@ def rollout(model: Model, batches, schedule, ignore_egomotion: bool = False) -> 
     m = model.config.grid.size_cells
     dt = default_dtype()
     h = initial_state(model, batch_size=len(batches))
-    preds = []
     for f in range(frames):
         if schedule.is_shown(f):
             x = Tensor(np.stack([b.observations[f].planes(dt) for b in batches]))
         else:
             x = Tensor(np.zeros((len(batches), 2, m, m)))
-        ego = Pose2.identity() if ignore_egomotion else chain[f]
+        ego = chain[f] if model.config.use_stm else Pose2.identity()
         h = _step_planes(model, h, x, ego)
-        preds.append(decode(model, h))
-    return preds
+        yield h, decode(model, h)
+
+
+def rollout(model: Model, batches, schedule) -> list:
+    """The per-frame predictions of :func:`unroll`, as a list."""
+    return [pred for _, pred in unroll(model, batches, schedule)]
 
 
 # ------------------------------------------------------------ checkpoints
@@ -359,9 +355,9 @@ _MAGIC = b"DTCK"
 _VERSION = 1
 
 
-def _config_json(config: ModelConfig) -> bytes:
+def _config_doc(config: ModelConfig) -> dict:
     g = config.grid
-    doc = {
+    return {
         "variant": config.variant,
         "use_stm": config.use_stm,
         "grid": {"size_cells": g.size_cells, "cell_size": g.cell_size, "max_range": g.max_range},
@@ -369,7 +365,38 @@ def _config_json(config: ModelConfig) -> bytes:
         "decode_full_state": config.decode_full_state,
         "static_bias": config.static_bias,
     }
-    return json.dumps(doc, sort_keys=True).encode("utf-8")
+
+
+def _config_json(config: ModelConfig) -> bytes:
+    return json.dumps(_config_doc(config), sort_keys=True).encode("utf-8")
+
+
+def _config_from_json(raw: bytes) -> ModelConfig:
+    """Inverse of _config_json. The keys the variant determines must agree
+    with it, since the file comes from outside the program."""
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError("config is not a JSON object")
+    g = json_field(doc, "grid", dict)
+    config = ModelConfig(
+        variant=json_field(doc, "variant", str),
+        use_stm=json_field(doc, "use_stm", bool),
+        grid=GridSpec(
+            size_cells=json_field(g, "size_cells", int),
+            cell_size=json_field(g, "cell_size", (int, float)),
+            max_range=json_field(g, "max_range", (int, float)),
+        ),
+    )
+    expected = _config_doc(config)
+    for key in ("layers", "decode_full_state", "static_bias"):
+        if doc.get(key) != expected[key]:
+            raise ValueError(
+                f"config {key} {doc.get(key)!r} does not match variant {config.variant}"
+            )
+    return config
 
 
 def save_checkpoint(model: Model, path) -> None:
@@ -397,6 +424,13 @@ def save_checkpoint(model: Model, path) -> None:
 def load_checkpoint(path) -> Model:
     with open(path, "rb") as fh:
         blob = fh.read()
+    try:
+        return _decode_checkpoint(blob)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from exc
+
+
+def _decode_checkpoint(blob: bytes) -> Model:
     if len(blob) < 24 or blob[:4] != _MAGIC:
         raise ValueError("not a model checkpoint")
     payload, digest = blob[:-8], blob[-8:]
@@ -406,21 +440,12 @@ def load_checkpoint(path) -> Model:
     if version != _VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     off = 12
-    doc = json.loads(payload[off : off + cfg_len].decode("utf-8"))
+    if off + cfg_len + 8 > len(payload):
+        raise ValueError("checkpoint is truncated")
+    config = _config_from_json(payload[off : off + cfg_len])
     off += cfg_len
     (count,) = struct.unpack_from("<Q", payload, off)
     off += 8
-    g = doc["grid"]
-    config = ModelConfig(
-        variant=doc["variant"],
-        use_stm=doc["use_stm"],
-        grid=GridSpec(
-            size_cells=g["size_cells"], cell_size=g["cell_size"], max_range=g["max_range"]
-        ),
-        layers=tuple(tuple(l) for l in doc["layers"]),
-        decode_full_state=doc["decode_full_state"],
-        static_bias=doc["static_bias"],
-    )
     model = build(config, seed=0)
     params = model.parameters()
     if count != sum(int(np.prod(t.shape)) for t in params):

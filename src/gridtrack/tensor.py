@@ -378,13 +378,19 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     return out
 
 
-def conv_gru_step(h_prev: Tensor, x: Tensor, gates: tuple[ConvParams, ConvParams, ConvParams]) -> Tensor:
+def conv_gru_step(
+    h_prev: Tensor,
+    x: Tensor,
+    gates: tuple[ConvParams, ConvParams, ConvParams],
+    bias: Tensor | None = None,
+) -> Tensor:
     """One convolutional gated recurrent update.
 
-    With (wz, wr, wh) = gates and [a, b] channel concatenation:
-        z = sigmoid(conv([x, h], wz))
-        r = sigmoid(conv([x, h], wr))
-        h~ = tanh(conv([x, r*h], wh))
+    With (wz, wr, wh) = gates, [a, b] channel concatenation and b the
+    optional static bias (zero when None), broadcast over the batch:
+        z = sigmoid(conv([x, h], wz) + b)
+        r = sigmoid(conv([x, h], wr) + b)
+        h~ = tanh(conv([x, r*h], wh) + b)
         h  = z*h + (1-z)*h~
     so a saturated update gate (z=1) preserves the previous state exactly.
     """
@@ -397,10 +403,15 @@ def conv_gru_step(h_prev: Tensor, x: Tensor, gates: tuple[ConvParams, ConvParams
             raise ValueError(
                 f"gate expects {w.in_channels} input channels, got {x.data.shape[1] + hc}"
             )
+
+    def gate(inp: Tensor, w: ConvParams) -> Tensor:
+        pre = conv2d(inp, w)
+        return pre if bias is None else pre + bias
+
     xh = concat_channels([x, h_prev])
-    z = conv2d(xh, wz).sigmoid()
-    r = conv2d(xh, wr).sigmoid()
-    cand = conv2d(concat_channels([x, r * h_prev]), wh).tanh()
+    z = gate(xh, wz).sigmoid()
+    r = gate(xh, wr).sigmoid()
+    cand = gate(concat_channels([x, r * h_prev]), wh).tanh()
     return z * h_prev + (1.0 - z) * cand
 
 

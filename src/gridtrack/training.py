@@ -21,6 +21,7 @@ from .tensor import Tensor, default_dtype, masked_bce
 
 __all__ = [
     "ShowBlankSchedule",
+    "target_mask",
     "TrainConfig",
     "TrainResult",
     "sequence_loss",
@@ -60,6 +61,19 @@ class ShowBlankSchedule:
         return range(1, self.blank + 1)
 
 
+def target_mask(batches, schedule: ShowBlankSchedule, frame: int, moving: bool) -> np.ndarray:
+    """Boolean (B, M, M) mask of the cells scored at ``frame``: each
+    sequence's visibility, intersected with the region predictable from the
+    last shown frame when ``moving`` and the frame is blanked. ``batches``
+    share one transform chain."""
+    vis = np.stack([b.observations[frame].vis for b in batches]).astype(bool)
+    off = schedule.blank_offset(frame)
+    if moving and off is not None:
+        chain = batches[0].rel_transforms[frame - off + 1 : frame + 1]
+        vis &= predictable_mask(list(chain), batches[0].spec).mask.astype(bool)
+    return vis
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     schedule: ShowBlankSchedule
@@ -85,49 +99,6 @@ class TrainConfig:
         if self.checkpoint_every > 0 and not self.checkpoint_dir:
             raise ValueError("periodic checkpoints need a checkpoint_dir")
 
-    @classmethod
-    def from_file(cls, path, total_frames: int) -> "TrainConfig":
-        """Parse a declarative key=value file (one pair per line, # comments).
-        Recognized keys are the config fields, with the schedule given as
-        show and blank."""
-        values = {}
-        with open(path) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"bad config line: {line!r}")
-                key, raw = (s.strip() for s in line.split("=", 1))
-                values[key] = raw
-        def take(key, conv, default):
-            return conv(values.pop(key)) if key in values else default
-        def boolean(raw):
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(f"bad boolean {raw!r}")
-        schedule = ShowBlankSchedule(
-            total_frames=total_frames,
-            show=take("show", int, 10),
-            blank=take("blank", int, 10),
-        )
-        cfg = cls(
-            schedule=schedule,
-            learning_rate=take("learning_rate", float, 1e-3),
-            optimizer=take("optimizer", str, "adam"),
-            batch_size=take("batch_size", int, 1),
-            max_steps=take("max_steps", int, 100),
-            seed=take("seed", int, 0),
-            moving_sensor=take("moving_sensor", boolean, False),
-            baseline_override=take("baseline_override", boolean, False),
-            plateau_patience=take("plateau_patience", int, 500),
-        )
-        if values:
-            raise ValueError(f"unknown config keys: {sorted(values)}")
-        return cfg
-
 
 @dataclass
 class TrainResult:
@@ -135,26 +106,6 @@ class TrainResult:
     losses: list
     stop_reason: str
     steps: int
-
-
-def _frame_masks(batches, schedule: ShowBlankSchedule, moving: bool, dtype):
-    """Per-frame (B,1,M,M) target masks: visibility, intersected with the
-    predictable region when the sensor moves during a blank run."""
-    frames = batches[0].frames
-    spec = batches[0].spec
-    chain = batches[0].rel_transforms
-    masks = []
-    for f in range(frames):
-        vis = np.stack([b.observations[f].vis for b in batches]).astype(dtype)
-        vis = vis[:, None]
-        if moving:
-            off = schedule.blank_offset(f)
-            if off is not None:
-                last_shown = f - off
-                pm = predictable_mask(list(chain[last_shown + 1 : f + 1]), spec)
-                vis = vis * pm.mask.astype(dtype)[None, None]
-        masks.append(vis)
-    return masks
 
 
 def sequence_loss(model: Model, batches, schedule: ShowBlankSchedule, moving: bool) -> Tensor:
@@ -165,16 +116,13 @@ def sequence_loss(model: Model, batches, schedule: ShowBlankSchedule, moving: bo
     if hasattr(batches, "observations"):
         batches = [batches]
     batches = list(batches)
-    # a model without egomotion compensation runs as the no-warp baseline;
-    # train() gatekeeps whether that pairing was intended
-    preds = rollout(model, batches, schedule, ignore_egomotion=not model.config.use_stm)
+    preds = rollout(model, batches, schedule)
     dtype = default_dtype()
-    masks = _frame_masks(batches, schedule, moving, dtype)
     total = None
     total_cells = 0.0
     for f, pred in enumerate(preds):
         occ = np.stack([b.observations[f].occ for b in batches]).astype(dtype)[:, None]
-        mask = masks[f]
+        mask = target_mask(batches, schedule, f, moving).astype(dtype)[:, None]
         n = float(mask.sum())
         term = masked_bce(pred, Tensor(occ), Tensor(mask))
         if n > 0.0:

@@ -1,5 +1,6 @@
 """Sequence codec round trips, manifest integrity, and the scan importer."""
 
+import json
 import struct
 
 import numpy as np
@@ -257,6 +258,52 @@ def test_manifest_validation():
         DatasetManifest(**{**good, "files": (), "frame_counts": ()})
     with pytest.raises(ValueError, match="frame_rate"):
         DatasetManifest(**{**good, "frame_rate": 0.0})
+
+
+def _drop(*keys):
+    def edit(doc):
+        inner = doc
+        for k in keys[:-1]:
+            inner = inner[k]
+        del inner[keys[-1]]
+        return doc
+
+    return edit
+
+
+def _set(key, value):
+    def edit(doc):
+        doc[key] = value
+        return doc
+
+    return edit
+
+
+MANIFEST_EDITS = {
+    "no-grid": _drop("grid"),
+    "no-size_cells": _drop("grid", "size_cells"),
+    "no-cell_size": _drop("grid", "cell_size"),
+    "no-frame_rate": _drop("frame_rate"),
+    "no-sequence_count": _drop("sequence_count"),
+    "no-files": _drop("files"),
+    "no-frame_counts": _drop("frame_counts"),
+    "no-provenance": _drop("provenance"),
+    "grid-not-object": _set("grid", 15),
+    "frame_rate-string": _set("frame_rate", "8"),
+    "file-not-string": _set("files", [7]),
+    "frame_count-string": _set("frame_counts", ["6"]),
+    "seed-string": _set("seed", "0"),
+    "top-level-list": lambda doc: [doc],
+}
+
+
+@pytest.mark.parametrize("edit", MANIFEST_EDITS.values(), ids=MANIFEST_EDITS.keys())
+def test_manifest_load_rejects_malformed_keys(tmp_path, edit):
+    make_dataset(tmp_path, n=1)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ValueError, match="manifest.json"):
+        DatasetManifest.load(tmp_path)
 
 
 def test_write_dataset_rejects_mixed_grids(tmp_path):

@@ -1,6 +1,11 @@
 """Model assembly checks: parameter accounting against closed-form counts,
 deterministic builds, state warping, decoding, rollouts, and checkpoints."""
 
+import dataclasses
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,6 +14,7 @@ from gridtrack.model import (
     BLANK,
     HiddenState,
     ModelConfig,
+    _config_json,
     build,
     decode,
     initial_state,
@@ -66,42 +72,30 @@ def random_obs(rng, m):
 
 def test_config_for_variant_fills_table():
     cfg = ModelConfig.for_variant("GRU3DilConv_48", GRID21)
+    assert [f.name for f in dataclasses.fields(cfg)] == ["variant", "use_stm", "grid"]
     assert cfg.layers == ((16, 3, 1), (16, 3, 2), (16, 3, 4))
     assert cfg.decode_full_state
     assert not cfg.static_bias
     assert cfg.decoder_in == 48
 
 
-def test_config_rejects_inconsistencies():
+def test_config_rejects_inconsistencies(tmp_path):
     with pytest.raises(ValueError):
         ModelConfig.for_variant("GRU9_THICC", GRID21)
     with pytest.raises(ValueError):
-        ModelConfig(
-            variant="GRU3DilConv_16",
-            use_stm=False,
-            grid=GRID21,
-            layers=((16, 3, 1),),
-            decode_full_state=False,
-            static_bias=False,
-        )
-    with pytest.raises(ValueError):
-        ModelConfig(
-            variant="GRU3DilConv_16",
-            use_stm=False,
-            grid=GRID21,
-            layers=((16, 3, 1), (16, 3, 2), (16, 3, 4)),
-            decode_full_state=True,
-            static_bias=False,
-        )
-    with pytest.raises(ValueError):
-        ModelConfig(
-            variant="GRU3DilConv_16",
-            use_stm=False,
-            grid=GRID21,
-            layers=((16, 3, 1), (16, 3, 2), (16, 3, 4)),
-            decode_full_state=False,
-            static_bias=True,
-        )
+        ModelConfig(variant="GRU9_THICC", use_stm=False, grid=GRID21)
+    # a config can only disagree with its variant table inside a checkpoint
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build(ModelConfig.for_variant("GRU3DilConv_16", GRID9), seed=0), path)
+    bad = tmp_path / "bad.ckpt"
+    for key, value in [
+        ("layers", [[16, 3, 1]]),
+        ("decode_full_state", True),
+        ("static_bias", True),
+    ]:
+        rewrite_config(path, bad, lambda doc: {**doc, key: value})
+        with pytest.raises(ValueError, match=f"bad.ckpt: config {key} .* does not match"):
+            load_checkpoint(bad)
 
 
 def test_dense_variant_matches_dilated_spans():
@@ -463,3 +457,117 @@ def test_checkpoint_rejects_corruption(tmp_path):
     junk.write_bytes(b"NOPE" + path.read_bytes()[4:])
     with pytest.raises(ValueError):
         load_checkpoint(junk)
+    # config intact but the parameter count cut short, checksum rebuilt
+    good = path.read_bytes()
+    (cfg_len,) = struct.unpack_from("<I", good, 8)
+    short = good[: 12 + cfg_len + 4]
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(short + hashlib.sha256(short).digest()[:8])
+    with pytest.raises(ValueError, match="truncated"):
+        load_checkpoint(cut)
+
+
+# The config JSON of every variant, recorded when ModelConfig still stored
+# the layer table, decoder input and static bias itself: deriving them from
+# the variant name must leave checkpoint format version 1 byte for byte.
+@pytest.mark.parametrize(
+    "variant, use_stm, expected",
+    [
+        ("GRU3DilConvBias_16", False, b'{"decode_full_state": false, "grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}'
+         b', "layers": [[16, 3, 1], [16, 3, 2], [16, 3, 4]], "static_bias": true, "use_stm": false, "variant": "GRU3DilConvBias_16"}'),
+        ("GRU3DilConvBias_16", True, b'{"decode_full_state": false, "grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}'
+         b', "layers": [[16, 3, 1], [16, 3, 2], [16, 3, 4]], "static_bias": true, "use_stm": true, "variant": "GRU3DilConvBias_16"}'),
+        ("GRU3DilConvBias_48", False, b'{"decode_full_state": true, "grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}'
+         b', "layers": [[16, 3, 1], [16, 3, 2], [16, 3, 4]], "static_bias": true, "use_stm": false, "variant": "GRU3DilConvBias_48"}'),
+        ("GRU3DilConvBias_48", True, b'{"decode_full_state": true, "grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}'
+         b', "layers": [[16, 3, 1], [16, 3, 2], [16, 3, 4]], "static_bias": true, "use_stm": true, "variant": "GRU3DilConvBias_48"}'),
+        ("GRU3DilConv_16", False, b'{"decode_full_state": false, "grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}'
+         b', "layers": [[16, 3, 1], [16, 3, 2], [16, 3, 4]], "static_bias": false, "use_stm": false, "variant": "GRU3DilConv_16"}'),
+        ("GRU3DilConv_16", True, b'{"decode_full_state": false, "grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}'
+         b', "layers": [[16, 3, 1], [16, 3, 2], [16, 3, 4]], "static_bias": false, "use_stm": true, "variant": "GRU3DilConv_16"}'),
+        ("GRU3DilConv_48", False, b'{"decode_full_state": true, "grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}'
+         b', "layers": [[16, 3, 1], [16, 3, 2], [16, 3, 4]], "static_bias": false, "use_stm": false, "variant": "GRU3DilConv_48"}'),
+        ("GRU3DilConv_48", True, b'{"decode_full_state": true, "grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}'
+         b', "layers": [[16, 3, 1], [16, 3, 2], [16, 3, 4]], "static_bias": false, "use_stm": true, "variant": "GRU3DilConv_48"}'),
+        ("GRU3_16", False, b'{"decode_full_state": false, "grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}'
+         b', "layers": [[16, 3, 1], [16, 5, 1], [16, 9, 1]], "static_bias": false, "use_stm": false, "variant": "GRU3_16"}'),
+        ("GRU3_16", True, b'{"decode_full_state": false, "grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}'
+         b', "layers": [[16, 3, 1], [16, 5, 1], [16, 9, 1]], "static_bias": false, "use_stm": true, "variant": "GRU3_16"}'),
+        ("RNN16", False, b'{"decode_full_state": false, "grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}'
+         b', "layers": [[16, 3, 1]], "static_bias": false, "use_stm": false, "variant": "RNN16"}'),
+        ("RNN16", True, b'{"decode_full_state": false, "grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}'
+         b', "layers": [[16, 3, 1]], "static_bias": false, "use_stm": true, "variant": "RNN16"}'),
+        ("RNN48", False, b'{"decode_full_state": true, "grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}'
+         b', "layers": [[48, 3, 1]], "static_bias": false, "use_stm": false, "variant": "RNN48"}'),
+        ("RNN48", True, b'{"decode_full_state": true, "grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}'
+         b', "layers": [[48, 3, 1]], "static_bias": false, "use_stm": true, "variant": "RNN48"}'),
+    ],
+)
+def test_config_json_format_pinned(variant, use_stm, expected):
+    config = ModelConfig.for_variant(variant, GRID21, use_stm=use_stm)
+    assert _config_json(config) == expected
+
+
+def rewrite_config(src, dst, edit):
+    """Copy a checkpoint with its config JSON replaced by ``edit(doc)``,
+    with the length field and checksum rebuilt so only the config is bad."""
+    payload = src.read_bytes()[:-8]
+    version, cfg_len = struct.unpack_from("<II", payload, 4)
+    doc = json.loads(payload[12 : 12 + cfg_len])
+    cfg = json.dumps(edit(doc), sort_keys=True).encode("utf-8")
+    payload = payload[:4] + struct.pack("<II", version, len(cfg)) + cfg + payload[12 + cfg_len :]
+    dst.write_bytes(payload + hashlib.sha256(payload).digest()[:8])
+
+
+def _without(key):
+    def edit(doc):
+        del doc[key]
+        return doc
+
+    return edit
+
+
+def _with(key, value):
+    def edit(doc):
+        doc[key] = value
+        return doc
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _without("use_stm"),
+        _without("variant"),
+        _with("grid", 5),
+        _with("grid", {"size_cells": "21", "cell_size": 0.5, "max_range": 10.5}),
+        _with("variant", ["GRU3DilConv_16"]),
+        _with("variant", "GRU9_THICC"),
+        lambda doc: [doc],
+        _without("static_bias"),
+    ],
+    ids=[
+        "missing-use_stm",
+        "missing-variant",
+        "grid-not-object",
+        "size_cells-string",
+        "variant-list",
+        "variant-unknown",
+        "top-level-list",
+        "static_bias-missing",
+    ],
+)
+def test_checkpoint_rejects_malformed_config(tmp_path, edit):
+    """A well-checksummed checkpoint whose config JSON is malformed is
+    rejected with a ValueError naming the file."""
+    model = build(ModelConfig.for_variant("GRU3DilConv_16", GRID9), seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    same = tmp_path / "same.ckpt"
+    rewrite_config(path, same, lambda doc: doc)
+    assert same.read_bytes() == path.read_bytes()
+    bad = tmp_path / "bad.ckpt"
+    rewrite_config(path, bad, edit)
+    with pytest.raises(ValueError, match="bad.ckpt"):
+        load_checkpoint(bad)

@@ -16,6 +16,7 @@ from gridtrack.tensor import (
     ConvParams,
     Tensor,
     bilinear_sample,
+    concat_channels,
     conv2d,
     conv_gru_step,
     default_dtype,
@@ -301,6 +302,43 @@ def test_gru_rejects_shape_mismatch():
     x = Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32))
     with pytest.raises(ValueError):
         conv_gru_step(h, x, gates)
+
+
+def gru_step_unbiased(h_prev, x, gates):
+    wz, wr, wh = gates
+    xh = concat_channels([x, h_prev])
+    z = conv2d(xh, wz).sigmoid()
+    r = conv2d(xh, wr).sigmoid()
+    cand = conv2d(concat_channels([x, r * h_prev]), wh).tanh()
+    return z * h_prev + (1.0 - z) * cand
+
+
+def gru_step_with_bias(h_prev, x, gates, bias):
+    wz, wr, wh = gates
+    xh = concat_channels([x, h_prev])
+    z = (conv2d(xh, wz) + bias).sigmoid()
+    r = (conv2d(xh, wr) + bias).sigmoid()
+    cand = (conv2d(concat_channels([x, r * h_prev]), wh) + bias).tanh()
+    return z * h_prev + (1.0 - z) * cand
+
+
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_gru_bias_argument_matches_written_out_formula(with_bias):
+    """conv_gru_step with and without a static bias reproduces, bit for bit
+    in float32, the two GRU formulas written out with the autodiff ops."""
+    rng = np.random.default_rng(7)
+    gates = random_gates(rng, 2, 3, dilation=2, dtype=np.float32)
+    h = Tensor(rng.normal(size=(2, 3, 9, 9)).astype(np.float32))
+    x = Tensor(rng.normal(size=(2, 2, 9, 9)).astype(np.float32))
+    if with_bias:
+        bias = Tensor(rng.normal(size=(3, 9, 9)).astype(np.float32))
+        want = gru_step_with_bias(h, x, gates, bias)
+    else:
+        bias = None
+        want = gru_step_unbiased(h, x, gates)
+    got = conv_gru_step(h, x, gates, bias)
+    assert got.data.dtype == np.float32
+    assert np.array_equal(got.data, want.data)
 
 
 # ---------------------------------------------------------------- bilinear
