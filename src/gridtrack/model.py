@@ -171,15 +171,20 @@ class Model:
     bias_grids: tuple  # per layer (maps, M, M) Tensor, empty when static_bias is off
     decoder: ConvParams
 
-    def parameters(self) -> list:
+    def named_parameters(self) -> list:
+        """(name, Tensor) pairs in checkpoint order, e.g. ``layer0.wz.kernel``,
+        ``bias_grid0``, ``decoder.bias``."""
         out = []
-        for cell in self.cells:
-            convs = cell if isinstance(cell, tuple) else (cell,)
-            for c in convs:
-                out.extend(c.parameters())
-        out.extend(self.bias_grids)
-        out.extend(self.decoder.parameters())
+        for i, cell in enumerate(self.cells):
+            convs = zip((".wz", ".wr", ".wh"), cell) if isinstance(cell, tuple) else [("", cell)]
+            for gate, c in convs:
+                out += [(f"layer{i}{gate}.kernel", c.kernel), (f"layer{i}{gate}.bias", c.bias)]
+        out += [(f"bias_grid{i}", t) for i, t in enumerate(self.bias_grids)]
+        out += [("decoder.kernel", self.decoder.kernel), ("decoder.bias", self.decoder.bias)]
         return out
+
+    def parameters(self) -> list:
+        return [t for _, t in self.named_parameters()]
 
     @property
     def param_count(self) -> int:

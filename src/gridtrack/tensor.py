@@ -4,9 +4,15 @@ recurrent gating arithmetic, bilinear grid sampling under an SE(2) transform,
 and masked binary cross-entropy.
 
 Tensors hold numpy arrays, build a computation graph as operations run, and
-backpropagate by walking the graph in reverse topological order. Values are
-float32 by default; wrap code in ``precision("float64")`` for verification
-runs (gradient checking needs the extra headroom).
+backpropagate by walking the graph in reverse topological order; the walk
+releases the graph, so a step's activations are freed by reference counting
+as soon as its loss is dropped. Values are float32 by default; wrap code in
+``precision("float64")`` for verification runs (gradient checking needs the
+extra headroom).
+
+The convolution is k*k accumulated GEMMs, one per kernel tap, over
+contiguous slices of a once-padded input (no im2col buffer), and the GRU
+step computes its update and reset gates with one convolution.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import GridSpec, Pose2, se2_inverse
 
@@ -82,7 +87,7 @@ class Tensor:
     """A numpy array plus an optional gradient accumulator and a backward
     closure linking it to the operations that produced it."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data).astype(dtype or _DEFAULT_DTYPE, copy=False)
@@ -122,7 +127,14 @@ class Tensor:
             self.grad += g
 
     def backward(self):
-        """Backpropagate from this (scalar) tensor to every reachable leaf."""
+        """Backpropagate from this (scalar) tensor to every reachable leaf.
+
+        The graph is released as it is walked: each node's closure is
+        dropped once it has run and its parent links are cut, so the
+        closures' references to their own outputs leave no reference cycle
+        and the step's activations are freed as soon as the caller drops
+        the loss. Gradients stay on every node. Calling backward() again
+        through a released graph raises ValueError."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         topo: list[Tensor] = []
@@ -135,6 +147,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _released:
+                raise ValueError("backward() through a graph an earlier backward() released")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._prev:
@@ -142,8 +156,11 @@ class Tensor:
                     stack.append((p, False))
         self._accum(np.ones_like(self.data))
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward()
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward()
+                node._backward = _released
+            node._prev = ()
 
     # ---------------------------------------------------------- arithmetic
 
@@ -224,6 +241,11 @@ class Tensor:
         return out
 
 
+def _released():
+    """Stands in for the closure of a node whose graph backward() released."""
+    raise ValueError("backward() through a graph an earlier backward() released")
+
+
 def _result(data: np.ndarray, parents: tuple) -> Tensor:
     requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=requires, dtype=data.dtype)
@@ -232,20 +254,39 @@ def _result(data: np.ndarray, parents: tuple) -> Tensor:
     return out
 
 
-def concat_channels(tensors: list[Tensor]) -> Tensor:
-    """Concatenate (B, C, H, W) tensors along the channel axis."""
-    data = np.concatenate([t.data for t in tensors], axis=1)
+def concat_channels(tensors: list[Tensor], axis: int = 1) -> Tensor:
+    """Concatenate tensors along a channel axis: axis 1 of (B, C, H, W) maps,
+    axis 0 of (out, in, k, k) kernels and (out,) biases."""
+    data = np.concatenate([t.data for t in tensors], axis=axis)
     out = _result(data, tuple(tensors))
     if out._prev:
-        splits = np.cumsum([t.data.shape[1] for t in tensors])[:-1]
+        splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
         def backward():
-            for t, g in zip(tensors, np.split(out.grad, splits, axis=1)):
+            for t, g in zip(tensors, np.split(out.grad, splits, axis=axis)):
                 if t.requires_grad:
                     t._accum(g)
 
         out._backward = backward
     return out
+
+
+def split_channels(x: Tensor, parts: int) -> tuple[Tensor, ...]:
+    """Split (B, C, H, W) maps into ``parts`` equal channel groups."""
+    c = x.data.shape[1] // parts
+    outs = []
+    for lo in range(0, parts * c, c):
+        out = _result(x.data[:, lo : lo + c], (x,))
+        if out._prev:
+
+            def backward(out=out, lo=lo):
+                g = np.zeros_like(x.data)
+                g[:, lo : lo + c] = out.grad
+                x._accum(g)
+
+            out._backward = backward
+        outs.append(out)
+    return tuple(outs)
 
 
 # -------------------------------------------------------------- convolution
@@ -325,54 +366,65 @@ class ConvParams:
 
 def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     """Cross-correlate a (B, Cin, H, W) tensor with a dilated kernel, stride 1,
-    zero padding. Differentiable w.r.t. input, kernel, and bias."""
+    zero padding. Differentiable w.r.t. input, kernel, and bias.
+
+    The input is padded once into a (B, Cin, Hp+1, Wp) buffer whose rows are
+    flattened, so tap (u, v) reads the contiguous slice starting at
+    u*d*Wp + v*d of length Hout*Wp. The output is the sum over taps of one
+    GEMM per tap, computed at full padded width; the Wp - Wout columns that
+    run past a row end are dropped at the end. The extra padded row keeps the
+    last tap's slice in bounds.
+    """
     b, cin, h, w = x.data.shape
     if cin != params.in_channels:
         raise ValueError(f"input has {cin} channels, kernel expects {params.in_channels}")
     k, d, p = params.kernel_size, params.dilation, params.padding
     span = d * (k - 1) + 1
-    h_out = h + 2 * p - span + 1
-    w_out = w + 2 * p - span + 1
+    hp, wp = h + 2 * p, w + 2 * p
+    h_out = hp - span + 1
+    w_out = wp - span + 1
     if h_out < 1 or w_out < 1:
         raise ValueError("kernel span exceeds padded input")
 
-    if p > 0:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p)))
-    else:
-        xp = x.data
-    # (B, Cin, Hout, Wout, span, span) window view, then take every d-th tap
-    windows = sliding_window_view(xp, (span, span), axis=(2, 3))
-    taps = windows[..., ::d, ::d]
-    out_data = np.tensordot(taps, params.kernel.data, axes=([1, 4, 5], [1, 2, 3]))
-    out_data = np.moveaxis(out_data, 3, 1)
-    out_data += params.bias.data[None, :, None, None]
-    out_data = np.ascontiguousarray(out_data)
+    kern = params.kernel.data
+    dt = np.result_type(x.data, kern)
+    xp = np.zeros((b, cin, hp + 1, wp), dtype=dt)
+    xp[:, :, p : p + h, p : p + w] = x.data
+    xf = xp.reshape(b, cin, (hp + 1) * wp)
+    n = h_out * wp
+    offsets = [(u, v, u * d * wp + v * d) for u in range(k) for v in range(k)]
+
+    acc = np.zeros((b, params.out_channels, n), dtype=dt)
+    tmp = np.empty_like(acc)
+    for u, v, off in offsets:
+        np.matmul(kern[:, :, u, v], xf[:, :, off : off + n], out=tmp)
+        acc += tmp
+    out_data = acc.reshape(b, -1, h_out, wp)[..., :w_out] + params.bias.data[None, :, None, None]
 
     out = _result(out_data, (x, params.kernel, params.bias))
     if out._prev:
-        # backward recomputes per-tap slices instead of caching the window
-        # copy; full-sequence unrolls cannot afford a col buffer per frame
+        # the closure keeps only the padded input; slices are re-read per tap
         def backward():
             g = out.grad
             if params.bias.requires_grad:
                 params.bias._accum(g.sum(axis=(0, 2, 3)))
             need_x = x.requires_grad
             need_k = params.kernel.requires_grad
-            gx_pad = np.zeros_like(xp) if need_x else None
-            gk = np.zeros_like(params.kernel.data) if need_k else None
-            for u in range(k):
-                for v in range(k):
-                    hi, wi = u * d, v * d
-                    if need_k:
-                        patch = xp[:, :, hi : hi + h_out, wi : wi + w_out]
-                        gk[:, :, u, v] = np.tensordot(g, patch, axes=([0, 2, 3], [0, 2, 3]))
-                    if need_x:
-                        contrib = np.tensordot(g, params.kernel.data[:, :, u, v], axes=([1], [0]))
-                        gx_pad[:, :, hi : hi + h_out, wi : wi + w_out] += np.moveaxis(contrib, 3, 1)
+            gp = np.zeros((b, g.shape[1], h_out, wp), dtype=dt)
+            gp[..., :w_out] = g
+            gf = gp.reshape(b, g.shape[1], n)
+            gx = np.zeros_like(xf) if need_x else None
+            gk = np.zeros_like(kern) if need_k else None
+            for u, v, off in offsets:
+                sl = xf[:, :, off : off + n]
+                if need_k:
+                    gk[:, :, u, v] = np.matmul(gf, sl.transpose(0, 2, 1)).sum(axis=0)
+                if need_x:
+                    gx[:, :, off : off + n] += np.matmul(kern[:, :, u, v].T, gf)
             if need_k:
                 params.kernel._accum(gk)
             if need_x:
-                x._accum(gx_pad[:, :, p : p + h, p : p + w] if p > 0 else gx_pad)
+                x._accum(gx.reshape(b, cin, hp + 1, wp)[:, :, p : p + h, p : p + w])
 
         out._backward = backward
     return out
@@ -403,15 +455,25 @@ def conv_gru_step(
             raise ValueError(
                 f"gate expects {w.in_channels} input channels, got {x.data.shape[1] + hc}"
             )
+    if (wz.kernel_size, wz.dilation, wz.padding) != (wr.kernel_size, wr.dilation, wr.padding):
+        raise ValueError("update and reset gates need the same kernel size, dilation and padding")
 
-    def gate(inp: Tensor, w: ConvParams) -> Tensor:
-        pre = conv2d(inp, w)
+    def biased(pre: Tensor) -> Tensor:
         return pre if bias is None else pre + bias
 
-    xh = concat_channels([x, h_prev])
-    z = gate(xh, wz).sigmoid()
-    r = gate(xh, wr).sigmoid()
-    cand = gate(concat_channels([x, r * h_prev]), wh).tanh()
+    # z and r read the same input, so one conv with both kernels stacked
+    # along output channels computes them; gradients flow back through the
+    # stacking to wz and wr
+    zr = ConvParams(
+        kernel=concat_channels([wz.kernel, wr.kernel], axis=0),
+        bias=concat_channels([wz.bias, wr.bias], axis=0),
+        dilation=wz.dilation,
+        padding=wz.padding,
+    )
+    z_pre, r_pre = split_channels(conv2d(concat_channels([x, h_prev]), zr), 2)
+    z = biased(z_pre).sigmoid()
+    r = biased(r_pre).sigmoid()
+    cand = biased(conv2d(concat_channels([x, r * h_prev]), wh)).tanh()
     return z * h_prev + (1.0 - z) * cand
 
 

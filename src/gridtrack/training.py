@@ -171,7 +171,8 @@ def train(model: Model, dataset, cfg: TrainConfig) -> TrainResult:
     """Seeded minibatch training. Each epoch draws a fresh permutation of the
     dataset from the seed, groups consecutive sequences into minibatches, and
     applies the configured optimizer. Stops at max_steps, on a loss plateau
-    (no new best for plateau_patience steps), and aborts on non-finite loss.
+    (no new best for plateau_patience steps), and aborts on a non-finite loss
+    or, before the optimizer step, on a non-finite parameter gradient.
     """
     dataset = list(dataset)
     if not dataset:
@@ -184,7 +185,8 @@ def train(model: Model, dataset, cfg: TrainConfig) -> TrainResult:
             "moving-sensor training without egomotion compensation needs "
             "baseline_override (ablation runs only)"
         )
-    params = model.parameters()
+    named = model.named_parameters()
+    params = [p for _, p in named]
     rng = np.random.default_rng(cfg.seed)
     state: dict = {}
     losses: list[float] = []
@@ -207,9 +209,13 @@ def train(model: Model, dataset, cfg: TrainConfig) -> TrainResult:
                 if not np.isfinite(value):
                     raise FloatingPointError(f"training diverged at step {step_idx}")
                 loss.backward()
-                grads = [
-                    p.grad if p.grad is not None else np.zeros_like(p.data) for p in params
-                ]
+                grads = []
+                for name, p in named:
+                    if p.grad is not None and not np.isfinite(p.grad).all():
+                        raise FloatingPointError(
+                            f"non-finite gradient in {name} at step {step_idx}"
+                        )
+                    grads.append(p.grad if p.grad is not None else np.zeros_like(p.data))
                 if cfg.optimizer == "adam":
                     state = adam_step(params, grads, state, cfg.learning_rate)
                 else:

@@ -149,6 +149,22 @@ def test_build_deterministic_per_seed():
     )
 
 
+def test_named_parameters_follow_checkpoint_order():
+    gru = build(ModelConfig.for_variant("GRU3DilConvBias_16", GRID9), seed=0)
+    named = gru.named_parameters()
+    assert [t for _, t in named] == gru.parameters()
+    names = [n for n, _ in named]
+    assert names[:6] == [
+        "layer0.wz.kernel", "layer0.wz.bias", "layer0.wr.kernel",
+        "layer0.wr.bias", "layer0.wh.kernel", "layer0.wh.bias",
+    ]
+    assert names[18:] == ["bias_grid0", "bias_grid1", "bias_grid2", "decoder.kernel", "decoder.bias"]
+    rnn = build(ModelConfig.for_variant("RNN16", GRID9), seed=0)
+    assert [n for n, _ in rnn.named_parameters()] == [
+        "layer0.kernel", "layer0.bias", "decoder.kernel", "decoder.bias",
+    ]
+
+
 def test_bias_grids_start_at_zero():
     model = build(ModelConfig.for_variant("GRU3DilConvBias_16", GRID9), seed=0)
     assert len(model.bias_grids) == 3

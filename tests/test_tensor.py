@@ -6,10 +6,13 @@ interpolation for the sampler, the textbook cross-entropy formula, and
 central finite differences for every gradient.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from gridtrack.geometry import GridSpec, Pose2, se2_inverse
 from gridtrack.tensor import (
@@ -48,6 +51,33 @@ def conv_oracle(x, kernel, bias, dilation, padding):
                                 s += xp[bb, c, i + u * dilation, j + v * dilation] * kernel[o, c, u, v]
                     out[bb, o, i, j] = s
     return out
+
+
+def tensordot_conv(x, kernel, bias, d, p):
+    """Sliding-window tensordot convolution (the formula conv2d used before
+    its per-tap GEMM form), kept as a float32 reference."""
+    span = d * (kernel.shape[2] - 1) + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    taps = sliding_window_view(xp, (span, span), axis=(2, 3))[..., ::d, ::d]
+    out = np.moveaxis(np.tensordot(taps, kernel, axes=([1, 4, 5], [1, 2, 3])), 3, 1)
+    return out + bias[None, :, None, None]
+
+
+def tensordot_conv_grads(x, kernel, g, d, p):
+    """Input, kernel and bias gradients of tensordot_conv for upstream g."""
+    b, cin, h, w = x.shape
+    k = kernel.shape[2]
+    ho, wo = g.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    gx = np.zeros_like(xp)
+    gk = np.zeros_like(kernel)
+    for u in range(k):
+        for v in range(k):
+            rows, cols = slice(u * d, u * d + ho), slice(v * d, v * d + wo)
+            gk[:, :, u, v] = np.tensordot(g, xp[:, :, rows, cols], axes=([0, 2, 3], [0, 2, 3]))
+            contrib = np.tensordot(g, kernel[:, :, u, v], axes=([1], [0]))
+            gx[:, :, rows, cols] += np.moveaxis(contrib, 3, 1)
+    return gx[:, :, p : p + h, p : p + w], gk, g.sum(axis=(0, 2, 3))
 
 
 def sigmoid(a):
@@ -140,6 +170,46 @@ def test_deep_chain_backward_no_recursion_limit():
     np.testing.assert_allclose(a.grad, [1.0])
 
 
+def test_backward_releases_graph_without_gc():
+    """backward() cuts the graph's reference cycles: with the cyclic collector
+    off, an intermediate conv output dies once the loss is dropped, while an
+    unreleased graph keeps it alive."""
+    rng = np.random.default_rng(0)
+    params = ConvParams.initialize(2, 2, 3, rng)
+    x = Tensor(rng.normal(size=(1, 2, 6, 6)), requires_grad=True)
+    gc.disable()
+    try:
+        mid = conv2d(x, params)
+        kept = weakref.ref(mid)
+        loss = mid.tanh().sum()
+        del mid, loss
+        assert kept() is not None  # no backward: the closures form a cycle
+
+        mid = conv2d(x, params)
+        freed = weakref.ref(mid)
+        loss = mid.tanh().sum()
+        del mid
+        loss.backward()
+        del loss
+        assert freed() is None
+        assert x.grad is not None and params.kernel.grad is not None
+    finally:
+        gc.enable()
+        gc.collect()
+
+
+def test_second_backward_through_released_graph_raises():
+    a = Tensor(np.ones(3), requires_grad=True)
+    h = a * 2.0
+    loss = h.sum()
+    loss.backward()
+    with pytest.raises(ValueError):
+        loss.backward()
+    with pytest.raises(ValueError):
+        (h * 3.0).sum().backward()
+    np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
+
+
 # ---------------------------------------------------------------- conv2d
 
 
@@ -204,6 +274,49 @@ def test_conv_matches_loop_oracle(seed):
     got = conv2d(Tensor(x, dtype=np.float64), params).data
     want = conv_oracle(x, params.kernel.data, params.bias.data, d, p)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 9])
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("pad", ["zero", "same", "same+2"])
+def test_conv_loop_oracle_sweep(k, d, pad):
+    rng = np.random.default_rng(100 * k + 10 * d + len(pad))
+    same = ConvParams.same_padding(k, d)
+    p = {"zero": 0, "same": same, "same+2": same + 2}[pad]
+    span = d * (k - 1) + 1
+    h = max(4, span - 2 * p + 1)
+    w = h + 2
+    for b in (1, 3):
+        x = rng.normal(size=(b, 2, h, w))
+        params = ConvParams(
+            kernel=Tensor(rng.normal(size=(3, 2, k, k)), dtype=np.float64),
+            bias=Tensor(rng.normal(size=3), dtype=np.float64),
+            dilation=d,
+            padding=p,
+        )
+        got = conv2d(Tensor(x, dtype=np.float64), params).data
+        want = conv_oracle(x, params.kernel.data, params.bias.data, d, p)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("cin", [18, 32])
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("b", [1, 4])
+def test_conv_float32_matches_tensordot_formula(cin, d, b):
+    """At the tracker's 51x51 shapes the per-tap GEMMs agree with the
+    tensordot formula in float32, forward and backward."""
+    rng = np.random.default_rng(cin + d + b)
+    params = ConvParams.initialize(16, cin, 3, rng, dilation=d, dtype=np.float32)
+    x = Tensor(rng.normal(size=(b, cin, 51, 51)), requires_grad=True, dtype=np.float32)
+    g = rng.normal(size=(b, 16, 51, 51)).astype(np.float32)
+    out = conv2d(x, params)
+    (out * Tensor(g)).sum().backward()
+    want = tensordot_conv(x.data, params.kernel.data, params.bias.data, d, params.padding)
+    grads = tensordot_conv_grads(x.data, params.kernel.data, g, d, params.padding)
+    assert out.data.dtype == np.float32
+    for got, ref in zip((out.data, x.grad, params.kernel.grad, params.bias.grad), (want, *grads)):
+        np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5 * np.abs(ref).max())
 
 
 def test_conv_same_padding_preserves_size():
@@ -302,6 +415,16 @@ def test_gru_rejects_shape_mismatch():
     x = Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32))
     with pytest.raises(ValueError):
         conv_gru_step(h, x, gates)
+
+
+def test_gru_rejects_mismatched_update_reset_gates():
+    rng = np.random.default_rng(0)
+    wz, wr, wh = random_gates(rng, 1, 2, dtype=np.float32)
+    wr = ConvParams.initialize(2, 3, 3, rng, dilation=2, dtype=np.float32)
+    h = Tensor(np.zeros((1, 2, 6, 6), dtype=np.float32))
+    x = Tensor(np.zeros((1, 1, 6, 6), dtype=np.float32))
+    with pytest.raises(ValueError):
+        conv_gru_step(h, x, (wz, wr, wh))
 
 
 def gru_step_unbiased(h_prev, x, gates):
@@ -479,6 +602,25 @@ def test_grad_check_conv(seed):
     x = Tensor(rng.normal(size=(1, 2, 5, 5)), requires_grad=True, dtype=np.float64)
     params = ConvParams.initialize(3, 2, 3, rng, dilation=1, dtype=np.float64)
     err = grad_check(lambda x_, k_, b_: conv2d(x_, params).sum(), [x, params.kernel, params.bias])
+    assert err < 1e-6
+
+
+@pytest.mark.parametrize(
+    "d,p,hw", [(2, 2, (6, 5)), (4, 4, (5, 7)), (2, 0, (7, 8)), (4, 0, (10, 11))]
+)
+def test_grad_check_conv_dilated_non_square(d, p, hw):
+    rng = np.random.default_rng(10 * d + p)
+    x = Tensor(rng.normal(size=(2, 2, *hw)), requires_grad=True, dtype=np.float64)
+    params = ConvParams(
+        kernel=Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True, dtype=np.float64),
+        bias=Tensor(rng.normal(size=3), requires_grad=True, dtype=np.float64),
+        dilation=d,
+        padding=p,
+    )
+    weights = Tensor(rng.normal(size=conv2d(x, params).shape), dtype=np.float64)
+    err = grad_check(
+        lambda x_, k_, b_: (conv2d(x_, params) * weights).sum(), [x, params.kernel, params.bias]
+    )
     assert err < 1e-6
 
 

@@ -361,6 +361,35 @@ def test_train_divergence_guard():
         train(model, [batch], cfg)
 
 
+def test_train_non_finite_gradient_guard(monkeypatch):
+    """A NaN in one parameter's gradient stops training before the optimizer
+    step, names that parameter, and leaves every parameter unchanged."""
+    spec = GridSpec(size_cells=11, cell_size=0.5)
+    model = tiny_model(spec, variant="GRU3DilConv_16")
+    before = [p.data.copy() for p in model.parameters()]
+    target = model.cells[1][2].bias
+
+    def nan_grad_loss(model, batches, schedule, moving):
+        loss = Tensor(np.asarray(0.5), requires_grad=True)
+        loss._prev = (target,)
+
+        def backward():
+            g = np.zeros_like(target.data)
+            g[0] = np.nan
+            target._accum(g)
+
+        loss._backward = backward
+        return loss
+
+    monkeypatch.setattr("gridtrack.training.sequence_loss", nan_grad_loss)
+    batch = static_crossing(seed=1, spec=spec, frames=4)
+    cfg = TrainConfig(schedule=ShowBlankSchedule(total_frames=4, show=2, blank=2), max_steps=2)
+    with pytest.raises(FloatingPointError, match=r"layer1\.wh\.bias"):
+        train(model, [batch], cfg)
+    for p, b in zip(model.parameters(), before):
+        assert np.array_equal(p.data, b)
+
+
 def all_free_batch(spec, frames):
     """World whose only shape sits far outside the grid: full visibility to
     the grid edge, nothing occupied."""
