@@ -88,12 +88,11 @@ def pooled_counts(preds, batch, schedule, threshold: float, counts: dict | None 
     per-frame prediction grids (arrays of probabilities, shape M×M)."""
     if counts is None:
         counts = {k: [0, 0, 0, 0] for k in schedule.offsets()}
-    moving = not batch.is_static()
     for f in range(batch.frames):
         off = schedule.blank_offset(f)
         if off is None:
             continue
-        mask = target_mask([batch], schedule, f, moving)[0]
+        mask = target_mask([batch], schedule, f)[0]
         occ = batch.observations[f].occ.astype(bool)
         hot = np.asarray(preds[f]) >= threshold
         c = counts[off]
@@ -106,8 +105,8 @@ def pooled_counts(preds, batch, schedule, threshold: float, counts: dict | None 
 
 def f1_horizon(model: Model, dataset, schedule, threshold: float = 0.5) -> HorizonCurve:
     """Micro-averaged precision/recall/F1 at each blanked offset, scoring
-    predictions against the withheld observations on visible (and, for a
-    moving sensor, predictable) cells only."""
+    predictions against the withheld observations on visible and
+    predictable cells only."""
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must be inside (0,1), got {threshold}")
     dataset = [dataset] if hasattr(dataset, "observations") else list(dataset)

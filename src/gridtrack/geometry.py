@@ -27,6 +27,7 @@ __all__ = [
     "se2_relative",
     "se2_apply",
     "encode_observation",
+    "source_points",
     "predictable_mask",
     "json_field",
 ]
@@ -320,6 +321,18 @@ def encode_observation(
     return ObservationGrid(vis=vis, occ=occ)
 
 
+def source_points(transforms, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Metric (x, y) of every cell center mapped back through the inverse of
+    each of the B ``transforms``, as two (B, M, M) arrays."""
+    invs = [se2_inverse(t) for t in transforms]
+    c, s, tx, ty = np.array(
+        [(math.cos(p.theta), math.sin(p.theta), p.x, p.y) for p in invs]
+    ).T[:, :, None, None]
+    axis = spec.axis_centers()
+    gx, gy = np.meshgrid(axis, axis, indexing="ij")
+    return c * gx - s * gy + tx, s * gx + c * gy + ty
+
+
 def predictable_mask(chain: list[Pose2], spec: GridSpec) -> PredictableMask:
     """Mask of cells in a future frame whose centers were inside the grid
     extent of the last observed frame.
@@ -327,18 +340,13 @@ def predictable_mask(chain: list[Pose2], spec: GridSpec) -> PredictableMask:
     ``chain`` lists the per-step relative transforms from the last observed
     frame to the target frame, oldest first. A cell is kept if its center,
     mapped back through the inverse of the composed chain, lands inside the
-    (closed) footprint of the observed frame's grid.
+    (closed) footprint of the observed frame's grid. An empty or all-identity
+    chain keeps every cell.
     """
     total = Pose2.identity()
     for t in chain:
         total = se2_compose(t, total)
-    inv = se2_inverse(total)
-
-    axis = spec.axis_centers()
-    gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    c, s = math.cos(inv.theta), math.sin(inv.theta)
-    bx = c * gx - s * gy + inv.x
-    by = s * gx + c * gy + inv.y
+    bx, by = source_points([total], spec)
     hx = spec.half_extent
-    inside = (np.abs(bx) <= hx) & (np.abs(by) <= hx)
+    inside = (np.abs(bx[0]) <= hx) & (np.abs(by[0]) <= hx)
     return PredictableMask(mask=inside.astype(np.uint8))

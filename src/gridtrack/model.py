@@ -250,14 +250,17 @@ def initial_state(model: Model, batch_size: int = 1) -> HiddenState:
     return HiddenState(layers=tuple(layers))
 
 
-def _step_planes(model: Model, h_prev: HiddenState, x: Tensor, egomotion: Pose2) -> HiddenState:
+def _step_planes(model: Model, h_prev: HiddenState, x: Tensor, egomotion) -> HiddenState:
     cfg = model.config
-    identity = egomotion.is_identity(1e-12)
+    poses = [egomotion] * h_prev.batch if isinstance(egomotion, Pose2) else list(egomotion)
+    if len(poses) != h_prev.batch:
+        raise ValueError(f"got {len(poses)} transforms for a batch of {h_prev.batch}")
+    identity = all(p.is_identity(1e-12) for p in poses)
     if not cfg.use_stm and not identity:
         raise ValueError("egomotion compensation is disabled; pass identity egomotion")
     prev = h_prev.layers
     if cfg.use_stm and not identity:
-        prev = tuple(bilinear_sample(h, egomotion, cfg.grid) for h in prev)
+        prev = tuple(bilinear_sample(h, poses, cfg.grid) for h in prev)
     new_layers = []
     inp = x
     for i, _ in enumerate(cfg.layers):
@@ -287,11 +290,12 @@ def _planes_for(model: Model, obs, batch_size: int) -> Tensor:
     raise TypeError(f"expected ObservationGrid or BLANK, got {type(obs).__name__}")
 
 
-def step(model: Model, h_prev: HiddenState, obs, egomotion: Pose2) -> HiddenState:
+def step(model: Model, h_prev: HiddenState, obs, egomotion) -> HiddenState:
     """Advance the recurrent state one frame. ``obs`` is an ObservationGrid
     or BLANK (withheld input, encoded as all-zero planes). With egomotion
-    compensation enabled, every feature map of h_prev is first resampled
-    under the relative transform; otherwise egomotion must be identity."""
+    compensation enabled, h_prev is first resampled under ``egomotion``, one
+    relative transform for all samples or one per sample; otherwise it must
+    be identity."""
     if len(h_prev.layers) != len(model.config.layers):
         raise ValueError("hidden state layer count does not match model")
     x = _planes_for(model, obs, h_prev.batch)
@@ -314,9 +318,9 @@ def unroll(model: Model, batches, schedule):
     schedule hides, and yield (HiddenState, prediction) per frame, the
     prediction a (B,1,M,M) Tensor.
 
-    ``batches`` is one SequenceBatch or a list sharing one transform chain
-    (they are stacked into a minibatch). With egomotion compensation the
-    state is warped by each frame's transform, shown or blank; a model
+    ``batches`` is one SequenceBatch or a list of equal-length ones, stacked
+    into a minibatch. With egomotion compensation each sequence's state is
+    warped by its own transform at every frame, shown or blank; a model
     without it runs as the no-warp baseline, never warping its state even
     though the sensor moves (``train`` allows that only as an ablation).
     """
@@ -326,12 +330,8 @@ def unroll(model: Model, batches, schedule):
     if not batches:
         raise ValueError("rollout needs at least one sequence")
     frames = batches[0].frames
-    chain = batches[0].rel_transforms
-    for b in batches[1:]:
-        if b.frames != frames:
-            raise ValueError("sequences in a minibatch must have equal length")
-        if b.rel_transforms != chain:
-            raise ValueError("sequences in a minibatch must share the transform chain")
+    if any(b.frames != frames for b in batches):
+        raise ValueError("sequences in a minibatch must have equal length")
     if schedule.total_frames != frames:
         raise ValueError(
             f"schedule covers {schedule.total_frames} frames, batch has {frames}"
@@ -344,7 +344,7 @@ def unroll(model: Model, batches, schedule):
             x = Tensor(np.stack([b.observations[f].planes(dt) for b in batches]))
         else:
             x = Tensor(np.zeros((len(batches), 2, m, m)))
-        ego = chain[f] if model.config.use_stm else Pose2.identity()
+        ego = [b.rel_transforms[f] for b in batches] if model.config.use_stm else Pose2.identity()
         h = _step_planes(model, h, x, ego)
         yield h, decode(model, h)
 

@@ -564,8 +564,7 @@ def moving_straight(
     cells_per_frame: float = 1.0,
 ) -> SequenceBatch:
     """Sensor drives straight at a constant speed through a seeded corridor
-    scene. Every sequence shares the same trajectory, so sequences can be
-    stacked into minibatches with a common transform chain."""
+    scene."""
     rng = np.random.default_rng(seed)
     cs = spec.cell_size
     speed = cells_per_frame * cs * frame_rate
@@ -586,8 +585,7 @@ def moving_turning(
     cells_per_frame: float = 0.75,
     yaw_per_frame: float = 0.06,
 ) -> SequenceBatch:
-    """Sensor follows a constant-rate turn through a seeded obstacle field.
-    The fixed yaw rate is shared by every sequence (stackable minibatches)."""
+    """Sensor follows a constant-rate turn through a seeded obstacle field."""
     rng = np.random.default_rng(seed)
     cs = spec.cell_size
     speed = cells_per_frame * cs * frame_rate

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GridSpec, Pose2, se2_inverse
+from .geometry import GridSpec, Pose2, source_points
 
 __all__ = [
     "Tensor",
@@ -112,9 +112,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -218,7 +215,8 @@ class Tensor:
     def sigmoid(self) -> "Tensor":
         # numerically stable on both tails
         x = self.data
-        s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        e = np.exp(-np.abs(x))
+        s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         s = s.astype(self.dtype)
         out = _result(s, (self,))
         if out._prev:
@@ -480,20 +478,12 @@ def conv_gru_step(
 # -------------------------------------------------------------- sampling
 
 
-def _sample_coords(transform: Pose2, spec: GridSpec, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Fractional source pixel coordinates for each output cell center under
-    the inverse transform. Coordinates within 1e-9 of an integer snap to it so
-    whole-cell translations reproduce input values bitwise."""
-    inv = se2_inverse(transform)
-    c = spec.center
-    cs = spec.cell_size
-    ax = (np.arange(spec.size_cells, dtype=np.float64) - c) * cs
-    gx, gy = np.meshgrid(ax, ax, indexing="ij")
-    co, si = math.cos(inv.theta), math.sin(inv.theta)
-    sx = co * gx - si * gy + inv.x
-    sy = si * gx + co * gy + inv.y
-    u = sx / cs + c
-    v = sy / cs + c
+def _sample_coords(transforms, spec: GridSpec, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(P, M, M) fractional source pixel coordinates of each output cell center
+    under the inverse of each of P transforms. Coordinates within 1e-9 of an
+    integer snap to it so whole-cell translations reproduce inputs bitwise."""
+    c, cs = spec.center, spec.cell_size
+    u, v = (p / cs + c for p in source_points(transforms, spec))
     for arr in (u, v):
         snapped = np.rint(arr)
         near = np.abs(arr - snapped) < 1e-9
@@ -501,23 +491,27 @@ def _sample_coords(transform: Pose2, spec: GridSpec, dtype) -> tuple[np.ndarray,
     return u.astype(dtype), v.astype(dtype)
 
 
-def bilinear_sample(x: Tensor, transform: Pose2, spec: GridSpec) -> Tensor:
+def bilinear_sample(x: Tensor, transform, spec: GridSpec) -> Tensor:
     """Resample (B, C, M, M) feature maps into the frame reached by an SE(2)
     transform: each output cell center is mapped through the inverse transform
-    into the source frame and bilinearly interpolated there. Samples falling
-    outside the source grid read as zero. Differentiable w.r.t. the input
-    values only; the transform is a constant."""
+    into the source frame and bilinearly interpolated there. ``transform`` is
+    one Pose2 for every sample or a sequence of B, one per sample. Samples
+    outside the source grid read as zero. Differentiable w.r.t. x only."""
     b, ch, h, w = x.data.shape
     m = spec.size_cells
     if h != m or w != m:
         raise ValueError(f"input is {h}x{w}, grid expects {m}x{m}")
+    poses = [transform] if isinstance(transform, Pose2) else list(transform)
+    if not isinstance(transform, Pose2) and len(poses) != b:
+        raise ValueError(f"got {len(poses)} transforms for a batch of {b}")
 
-    u, v = _sample_coords(transform, spec, x.dtype)
-    i0 = np.floor(u).astype(np.int64)
-    j0 = np.floor(v).astype(np.int64)
-    fu = u - i0
-    fv = v - j0
+    u, v = _sample_coords(poses, spec, x.dtype)
+    i0, j0 = np.floor(u).astype(np.int64), np.floor(v).astype(np.int64)
+    fu, fv = u - i0, v - j0
 
+    # per corner: (P, M*M) int32 source cells and weights, offset by base into
+    # a flat (B, C, M*M) index only while gathering or scattering
+    base = (np.arange(b * ch) * (m * m)).reshape(b, ch, 1)
     corners = []
     for di, dj, wgt in (
         (0, 0, (1 - fu) * (1 - fv)),
@@ -527,26 +521,22 @@ def bilinear_sample(x: Tensor, transform: Pose2, spec: GridSpec) -> Tensor:
     ):
         ii, jj = i0 + di, j0 + dj
         valid = (ii >= 0) & (ii < m) & (jj >= 0) & (jj < m)
-        iic = np.clip(ii, 0, m - 1)
-        jjc = np.clip(jj, 0, m - 1)
+        cells = np.clip(ii, 0, m - 1) * m + np.clip(jj, 0, m - 1)
         wv = (wgt * valid).astype(x.dtype)
-        corners.append((iic, jjc, wv))
+        corners.append((cells.reshape(-1, m * m).astype(np.int32), wv.reshape(-1, 1, m * m)))
 
-    out_data = np.zeros_like(x.data)
-    for iic, jjc, wv in corners:
-        out_data += x.data[:, :, iic, jjc] * wv
-
-    out = _result(out_data, (x,))
+    out_data = np.zeros((b, ch, m * m), dtype=x.dtype)
+    for cells, wv in corners:
+        out_data += np.take(x.data, base + cells[:, None, :]) * wv
+    out = _result(out_data.reshape(b, ch, m, m), (x,))
     if out._prev:
 
         def backward():
-            g = out.grad
+            g = out.grad.reshape(b, ch, m * m)
             gx_flat = np.zeros(b * ch * m * m, dtype=x.dtype)
-            base = (np.arange(b * ch) * (m * m))[:, None, None]
-            for iic, jjc, wv in corners:
-                cell = (iic * m + jjc)[None, :, :]
-                idx = (base + cell).ravel()
-                wgrad = (g * wv).reshape(b * ch, m, m).ravel()
+            for cells, wv in corners:
+                idx = (base + cells[:, None, :]).ravel()
+                wgrad = (g * wv).ravel()
                 gx_flat += np.bincount(idx, weights=wgrad, minlength=gx_flat.size).astype(x.dtype)
             x._accum(gx_flat.reshape(b, ch, m, m))
 

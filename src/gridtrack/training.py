@@ -3,13 +3,14 @@ optimizers, and the seeded minibatch loop.
 
 The target at every frame is the observation itself: the network sees the
 input during shown frames, nothing during blanked frames, and the loss only
-scores cells the sensor actually measured (visibility mask). With a moving
-sensor the mask is further restricted to the predictable region reachable
-from space seen before the blank started.
+scores cells the sensor actually measured (visibility mask). At blanked
+frames the mask is further restricted to the region each sequence's own
+egomotion keeps predictable from space seen before the blank started.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
@@ -61,16 +62,17 @@ class ShowBlankSchedule:
         return range(1, self.blank + 1)
 
 
-def target_mask(batches, schedule: ShowBlankSchedule, frame: int, moving: bool) -> np.ndarray:
+def target_mask(batches, schedule: ShowBlankSchedule, frame: int) -> np.ndarray:
     """Boolean (B, M, M) mask of the cells scored at ``frame``: each
-    sequence's visibility, intersected with the region predictable from the
-    last shown frame when ``moving`` and the frame is blanked. ``batches``
-    share one transform chain."""
+    sequence's visibility, intersected at a blanked frame with the region
+    predictable from the last shown frame along that sequence's own
+    transform chain (all cells for a still sensor)."""
     vis = np.stack([b.observations[frame].vis for b in batches]).astype(bool)
     off = schedule.blank_offset(frame)
-    if moving and off is not None:
-        chain = batches[0].rel_transforms[frame - off + 1 : frame + 1]
-        vis &= predictable_mask(list(chain), batches[0].spec).mask.astype(bool)
+    if off is not None:
+        for row, b in zip(vis, batches):
+            chain = b.rel_transforms[frame - off + 1 : frame + 1]
+            row &= predictable_mask(list(chain), b.spec).mask.astype(bool)
     return vis
 
 
@@ -82,7 +84,7 @@ class TrainConfig:
     batch_size: int = 1
     max_steps: int = 100
     seed: int = 0
-    moving_sensor: bool = False
+    moving_sensor: bool = False  # only guards no-warp training on moving data
     baseline_override: bool = False
     plateau_patience: int = 500
     checkpoint_every: int = 0
@@ -108,11 +110,11 @@ class TrainResult:
     steps: int
 
 
-def sequence_loss(model: Model, batches, schedule: ShowBlankSchedule, moving: bool) -> Tensor:
+def sequence_loss(model: Model, batches, schedule: ShowBlankSchedule) -> Tensor:
     """Roll the model over the sequence(s) and score every frame against its
-    own observation: masked_bce(pred, x_occ, mask), pooled as a mean over all
-    contributing cells across frames. ``batches`` is one SequenceBatch or a
-    list sharing a transform chain."""
+    own observation: masked_bce(pred, x_occ, target_mask), pooled as a mean
+    over all contributing cells across frames. ``batches`` is one
+    SequenceBatch or a list of equal-length ones."""
     if hasattr(batches, "observations"):
         batches = [batches]
     batches = list(batches)
@@ -122,7 +124,7 @@ def sequence_loss(model: Model, batches, schedule: ShowBlankSchedule, moving: bo
     total_cells = 0.0
     for f, pred in enumerate(preds):
         occ = np.stack([b.observations[f].occ for b in batches]).astype(dtype)[:, None]
-        mask = target_mask(batches, schedule, f, moving).astype(dtype)[:, None]
+        mask = target_mask(batches, schedule, f).astype(dtype)[:, None]
         n = float(mask.sum())
         term = masked_bce(pred, Tensor(occ), Tensor(mask))
         if n > 0.0:
@@ -185,6 +187,8 @@ def train(model: Model, dataset, cfg: TrainConfig) -> TrainResult:
             "moving-sensor training without egomotion compensation needs "
             "baseline_override (ablation runs only)"
         )
+    if cfg.checkpoint_every:
+        os.makedirs(cfg.checkpoint_dir, exist_ok=True)
     named = model.named_parameters()
     params = [p for _, p in named]
     rng = np.random.default_rng(cfg.seed)
@@ -204,7 +208,7 @@ def train(model: Model, dataset, cfg: TrainConfig) -> TrainResult:
                 group = [dataset[i] for i in order[lo : lo + cfg.batch_size]]
                 t0 = time.monotonic()
                 model.zero_grad()
-                loss = sequence_loss(model, group, cfg.schedule, cfg.moving_sensor)
+                loss = sequence_loss(model, group, cfg.schedule)
                 value = float(loss.item())
                 if not np.isfinite(value):
                     raise FloatingPointError(f"training diverged at step {step_idx}")

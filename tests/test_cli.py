@@ -14,7 +14,7 @@ from gridtrack.cli import _apply_thread_override, main
 from gridtrack.dataset import read_dataset, write_dataset
 from gridtrack.model import ModelConfig, build, load_checkpoint, rollout, save_checkpoint
 from gridtrack.render import frame_panel, write_ppm
-from gridtrack.simulator import SequenceBatch, moving_turning, static_crossing
+from gridtrack.simulator import SequenceBatch, moving_straight, moving_turning, static_crossing
 from gridtrack.geometry import GridSpec
 from gridtrack.tensor import no_grad
 from gridtrack.training import ShowBlankSchedule
@@ -141,6 +141,17 @@ def test_train_stm_on_moving_data(moving_data, tmp_path):
                       **{"--stm": "on", "--show": 2, "--blank": 2, "--steps": 1})
     assert run(*args) == 0
     assert load_checkpoint(tmp_path / "s.ckpt").config.use_stm is True
+
+
+def test_train_batches_sequences_with_different_egomotion(tmp_path, capsys):
+    spec = GridSpec(size_cells=15, cell_size=0.4)
+    data = tmp_path / "mixed"
+    write_dataset(data, [moving_straight(seed=0, spec=spec, frames=4),
+                         moving_turning(seed=1, spec=spec, frames=4)], frame_rate=8.0, seed=0)
+    args = train_args(data, tmp_path / "s.ckpt", **{
+        "--stm": "on", "--show": 2, "--blank": 2, "--steps": 1, "--batch-size": 2})
+    assert run(*args) == 0
+    assert "trained RNN16 for 1 steps" in capsys.readouterr().out
 
 
 def test_train_writes_log(static_data, tmp_path):

@@ -24,6 +24,7 @@ from gridtrack.geometry import (
     se2_compose,
     se2_inverse,
     se2_relative,
+    source_points,
     wrap_angle,
 )
 
@@ -408,6 +409,28 @@ def test_mask_identity_chain_all_ones():
     m = predictable_mask([Pose2.identity()] * 3, spec)
     assert m.mask.all()
     assert predictable_mask([], spec).mask.all()
+
+
+@pytest.mark.parametrize("m", [3, 5, 9, 21, 33, 51])
+@pytest.mark.parametrize("cs", [0.2, 0.4, 0.5])
+def test_mask_still_sensor_all_ones_at_every_size(m, cs):
+    spec = GridSpec(size_cells=m, cell_size=cs)
+    for chain in ([], [Pose2.identity()], [Pose2.identity()] * 7):
+        assert predictable_mask(chain, spec).mask.all()
+
+
+def test_source_points_match_per_transform_inverse():
+    spec = GridSpec(size_cells=7, cell_size=0.3)
+    poses = [Pose2(0.2, -0.1, 0.4), Pose2.identity(), Pose2(-0.5, 0.3, -2.0)]
+    bx, by = source_points(poses, spec)
+    assert bx.shape == by.shape == (3, 7, 7)
+    ax = spec.axis_centers()
+    gx, gy = np.meshgrid(ax, ax, indexing="ij")
+    cells = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    for k, p in enumerate(poses):
+        want = se2_apply(se2_inverse(p), cells)
+        np.testing.assert_allclose(bx[k].ravel(), want[:, 0], atol=1e-12)
+        np.testing.assert_allclose(by[k].ravel(), want[:, 1], atol=1e-12)
 
 
 def test_mask_forward_translation_zeros_leading_edge():

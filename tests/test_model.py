@@ -369,13 +369,41 @@ def test_rollout_validates_lengths_and_chains():
     model = build(ModelConfig.for_variant("GRU3DilConv_16", spec), seed=0)
     with pytest.raises(ValueError):
         rollout(model, a, Schedule(6, lambda f: True))
-    from gridtrack.simulator import moving_straight
-
-    mv = moving_straight(seed=1, spec=spec, frames=4)
-    with pytest.raises(ValueError):
-        rollout(model, [a, mv], Schedule(4, lambda f: True))
     with pytest.raises(ValueError):
         rollout(model, [], Schedule(4, lambda f: True))
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_rollout_batches_sequences_with_different_egomotion(dtype):
+    """Each sequence in a minibatch is warped by its own transforms: a batch
+    of a still, a turning and a straight-driving sensor predicts exactly
+    what each sequence predicts alone."""
+    from gridtrack.simulator import moving_straight, moving_turning
+
+    spec = GridSpec(size_cells=21, cell_size=0.4)
+    batches = [
+        static_crossing(seed=1, spec=spec, frames=6),
+        moving_turning(seed=2, spec=spec, frames=6),
+        moving_straight(seed=3, spec=spec, frames=6),
+    ]
+    sched = Schedule(6, lambda f: f % 3 == 0)
+    with precision(dtype):
+        model = build(ModelConfig.for_variant("GRU3DilConvBias_16", spec, use_stm=True), seed=0)
+        model.bias_grids[0].data[:] = 0.1
+        preds = rollout(model, batches, sched)
+        for i, b in enumerate(batches):
+            solo = rollout(model, b, sched)
+            for f in range(6):
+                assert np.array_equal(preds[f].data[i], solo[f].data[0])
+
+
+def test_step_rejects_transform_count_mismatch():
+    model = build(ModelConfig.for_variant("GRU3DilConv_16", GRID9, use_stm=True), seed=0)
+    h = initial_state(model, batch_size=2)
+    with pytest.raises(ValueError, match="batch of 2"):
+        step(model, h, BLANK, [Pose2.identity()] * 3)
+    out = step(model, h, BLANK, [Pose2.identity(), Pose2(0.5, 0.0, 0.0)])
+    assert out.batch == 2
 
 
 # ------------------------------------------------------------ gradients

@@ -131,6 +131,25 @@ def test_add_mul_backward_populates_leaves():
     np.testing.assert_allclose(b.grad, [[1.0, 2.0]])
 
 
+def test_sigmoid_matches_written_out_stable_formula():
+    """The sigmoid evaluates exp(-|x|) once; it must equal the formula that
+    evaluated it three times, bit for bit, on both tails and at +-0."""
+    edges = [0.0, -0.0, 1e4, -1e4, 709.0, -709.0, 710.0, -710.0, 1e-30, -1e-30, 88.0, -88.0]
+    for dt in (np.float32, np.float64):
+        rng = np.random.default_rng(7)
+        x = np.concatenate([np.array(edges), rng.normal(scale=8.0, size=500)]).astype(dt)
+        old = np.where(
+            x >= 0,
+            1.0 / (1.0 + np.exp(-np.abs(x))),
+            np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))),
+        ).astype(dt)
+        t = Tensor(x, requires_grad=True, dtype=dt)
+        out = t.sigmoid()
+        assert np.array_equal(out.data, old)
+        out.sum().backward()
+        assert np.array_equal(t.grad, (old * (1.0 - old)).astype(dt))
+
+
 def test_broadcast_gradient_reduces():
     a = Tensor(np.ones((2, 3, 2, 2)), requires_grad=True)
     bias = Tensor(np.zeros((3, 1, 1)), requires_grad=True)
@@ -534,6 +553,92 @@ def test_bilinear_rejects_wrong_spatial_size():
         bilinear_sample(Tensor(np.zeros((1, 1, 5, 5), dtype=np.float32)), Pose2.identity(), spec_for(7))
 
 
+def parent_bilinear(x, transform, spec):
+    """Single-transform sampler written out as a fixed reference: (M, M)
+    corner indices gathered with fancy indexing, gradient by bincount.
+    Returns the output and a function from output gradient to input
+    gradient."""
+    b, ch, m, _ = x.shape
+    inv = se2_inverse(transform)
+    c, cs = spec.center, spec.cell_size
+    ax = (np.arange(m, dtype=np.float64) - c) * cs
+    gx, gy = np.meshgrid(ax, ax, indexing="ij")
+    co, si = math.cos(inv.theta), math.sin(inv.theta)
+    u = (co * gx - si * gy + inv.x) / cs + c
+    v = (si * gx + co * gy + inv.y) / cs + c
+    for arr in (u, v):
+        snapped = np.rint(arr)
+        near = np.abs(arr - snapped) < 1e-9
+        arr[near] = snapped[near]
+    u, v = u.astype(x.dtype), v.astype(x.dtype)
+    i0, j0 = np.floor(u).astype(np.int64), np.floor(v).astype(np.int64)
+    fu, fv = u - i0, v - j0
+    corners = []
+    for di, dj, wgt in ((0, 0, (1 - fu) * (1 - fv)), (0, 1, (1 - fu) * fv),
+                        (1, 0, fu * (1 - fv)), (1, 1, fu * fv)):
+        ii, jj = i0 + di, j0 + dj
+        valid = (ii >= 0) & (ii < m) & (jj >= 0) & (jj < m)
+        corners.append((np.clip(ii, 0, m - 1), np.clip(jj, 0, m - 1), (wgt * valid).astype(x.dtype)))
+    out = np.zeros_like(x)
+    for iic, jjc, wv in corners:
+        out += x[:, :, iic, jjc] * wv
+
+    def grad(g):
+        gx_flat = np.zeros(b * ch * m * m, dtype=x.dtype)
+        base = (np.arange(b * ch) * (m * m))[:, None, None]
+        for iic, jjc, wv in corners:
+            idx = (base + (iic * m + jjc)[None]).ravel()
+            wgrad = (g * wv).reshape(b * ch, m, m).ravel()
+            gx_flat += np.bincount(idx, weights=wgrad, minlength=gx_flat.size).astype(x.dtype)
+        return gx_flat.reshape(b, ch, m, m)
+
+    return out, grad
+
+
+POSES = [Pose2(0.13, -0.07, 0.3), Pose2(-0.41, 0.2, -1.2), Pose2(0.6, 0.0, 0.0), Pose2.identity()]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("m", [9, 33, 51])
+def test_bilinear_shared_transform_matches_reference_bitwise(m, dtype):
+    spec = spec_for(m)
+    rng = np.random.default_rng(m)
+    for t in POSES:
+        x = Tensor(rng.normal(size=(3, 2, m, m)), requires_grad=True, dtype=dtype)
+        g = rng.normal(size=(3, 2, m, m)).astype(dtype)
+        out = bilinear_sample(x, t, spec)
+        (out * Tensor(g, dtype=dtype)).sum().backward()
+        want, want_grad = parent_bilinear(x.data, t, spec)
+        assert np.array_equal(out.data, want)
+        assert np.array_equal(x.grad, want_grad(g))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bilinear_per_sample_transforms_match_single_calls(dtype):
+    spec = spec_for(15)
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.normal(size=(4, 3, 15, 15)), requires_grad=True, dtype=dtype)
+    g = rng.normal(size=(4, 3, 15, 15)).astype(dtype)
+    out = bilinear_sample(x, POSES, spec)
+    (out * Tensor(g, dtype=dtype)).sum().backward()
+    for i, t in enumerate(POSES):
+        xi = Tensor(x.data[i : i + 1], requires_grad=True, dtype=dtype)
+        oi = bilinear_sample(xi, t, spec)
+        (oi * Tensor(g[i : i + 1], dtype=dtype)).sum().backward()
+        assert np.array_equal(out.data[i], oi.data[0])
+        assert np.array_equal(x.grad[i], xi.grad[0])
+    # a shared pose equals the same pose repeated per sample
+    same = bilinear_sample(x, [POSES[0]] * 4, spec)
+    assert np.array_equal(same.data, bilinear_sample(x, POSES[0], spec).data)
+
+
+def test_bilinear_rejects_transform_count_mismatch():
+    x = Tensor(np.zeros((3, 1, 7, 7), dtype=np.float32))
+    for poses in ([Pose2.identity()] * 2, [Pose2.identity()] * 4, [Pose2.identity()], []):
+        with pytest.raises(ValueError, match="batch of 3"):
+            bilinear_sample(x, poses, spec_for(7))
+
+
 # ---------------------------------------------------------------- masked BCE
 
 
@@ -651,6 +756,16 @@ def test_grad_check_bilinear_rotation(seed):
     x = Tensor(rng.normal(size=(1, 1, 7, 7)), requires_grad=True, dtype=np.float64)
     t = Pose2(0.05, -0.03, 0.3)
     err = grad_check(lambda x_: bilinear_sample(x_, t, spec).sum(), [x])
+    assert err < 1e-5
+
+
+def test_grad_check_bilinear_two_poses():
+    rng = np.random.default_rng(410)
+    spec = spec_for(7)
+    x = Tensor(rng.normal(size=(2, 2, 7, 7)), requires_grad=True, dtype=np.float64)
+    w = Tensor(rng.normal(size=(2, 2, 7, 7)), dtype=np.float64)
+    poses = [Pose2(0.05, -0.03, 0.3), Pose2(-0.11, 0.07, -0.8)]
+    err = grad_check(lambda x_: (bilinear_sample(x_, poses, spec) * w).sum(), [x])
     assert err < 1e-5
 
 

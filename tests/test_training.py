@@ -15,6 +15,7 @@ from gridtrack.simulator import (
     SequenceBatch,
     WorldScene,
     moving_straight,
+    moving_turning,
     occlusion_scenario,
     simulate_sequence,
     static_crossing,
@@ -80,7 +81,7 @@ def test_loss_zero_when_nothing_visible():
     model = tiny_model()
     batch = blank_batch(GRID9, frames=4, vis_value=0)
     sched = ShowBlankSchedule(total_frames=4, show=2, blank=2)
-    loss = sequence_loss(model, batch, sched, moving=False)
+    loss = sequence_loss(model, batch, sched)
     assert loss.item() == 0.0
 
 
@@ -89,7 +90,7 @@ def test_loss_zero_mask_gradient_exactly_zero():
     batch = blank_batch(GRID9, frames=4, vis_value=0)
     sched = ShowBlankSchedule(total_frames=4, show=2, blank=2)
     model.zero_grad()
-    loss = sequence_loss(model, batch, sched, moving=False)
+    loss = sequence_loss(model, batch, sched)
     loss.backward()
     for p in model.parameters():
         assert p.grad is not None
@@ -105,7 +106,7 @@ def test_loss_pools_cells_across_frames():
     model = tiny_model(spec)
     batch = static_crossing(seed=3, spec=spec, frames=4)
     sched = ShowBlankSchedule(total_frames=4, show=2, blank=2)
-    loss = sequence_loss(model, batch, sched, moving=False)
+    loss = sequence_loss(model, batch, sched)
 
     preds = rollout(model, batch, sched)
     num = 0.0
@@ -136,21 +137,47 @@ def test_moving_loss_masks_leading_band():
     chain = [Pose2.identity()] + [step_pose] * (frames - 1)
     batch = SequenceBatch(spec=spec, observations=obs, rel_transforms=chain)
     sched = ShowBlankSchedule(total_frames=10, show=5, blank=5)
-    final = target_mask([batch], sched, 9, moving=True)[0]
+    final = target_mask([batch], sched, 9)[0]
     assert not final[m - 10 :, :].any()
     assert final[: m - 10, :].all()
     # shown frames keep plain visibility
-    assert target_mask([batch], sched, 4, moving=True)[0].all()
+    assert target_mask([batch], sched, 4)[0].all()
 
 
-def test_static_flag_equals_moving_flag_on_static_data():
+def test_static_target_mask_equals_visibility():
+    """A still sensor's identity chain makes every predictable mask all ones,
+    so each frame's target mask is exactly its visibility."""
+    from gridtrack.training import target_mask
+
     spec = GridSpec(size_cells=11, cell_size=0.5)
-    model = tiny_model(spec)
-    batch = static_crossing(seed=5, spec=spec, frames=4)
-    sched = ShowBlankSchedule(total_frames=4, show=2, blank=2)
-    a = sequence_loss(model, batch, sched, moving=False)
-    b = sequence_loss(model, batch, sched, moving=True)
-    assert a.item() == pytest.approx(b.item(), rel=1e-7)
+    batch = static_crossing(seed=5, spec=spec, frames=8)
+    sched = ShowBlankSchedule(total_frames=8, show=2, blank=2)
+    for f in range(batch.frames):
+        got = target_mask([batch], sched, f)[0]
+        assert np.array_equal(got, batch.observations[f].vis.astype(bool))
+
+
+def test_target_mask_rows_follow_each_sequences_chain():
+    """In a batch mixing still, straight and turning sensors, each row equals
+    that sequence's mask computed alone."""
+    from gridtrack.training import target_mask
+
+    spec = GridSpec(size_cells=21, cell_size=0.4)
+    batches = [
+        static_crossing(seed=1, spec=spec, frames=8),
+        moving_turning(seed=2, spec=spec, frames=8),
+        moving_straight(seed=3, spec=spec, frames=8),
+    ]
+    sched = ShowBlankSchedule(total_frames=8, show=2, blank=2)
+    for f in range(8):
+        rows = target_mask(batches, sched, f)
+        for row, b in zip(rows, batches):
+            assert np.array_equal(row, target_mask([b], sched, f)[0])
+    # the straight-driving row does lose visible cells to its predictable mask
+    assert any(
+        not np.array_equal(target_mask(batches, sched, f)[2], batches[2].observations[f].vis)
+        for f in range(8)
+    )
 
 
 def test_blanked_frame_gradient_matches_finite_differences():
@@ -169,7 +196,7 @@ def test_blanked_frame_gradient_matches_finite_differences():
         sched = ShowBlankSchedule(total_frames=2, show=1, blank=1)
 
         def loss(*_):
-            return sequence_loss(model, batch, sched, moving=False)
+            return sequence_loss(model, batch, sched)
 
         err = grad_check(loss, [model.cells[0].kernel, model.cells[0].bias], h=1e-4)
         assert err < 1e-4
@@ -194,7 +221,7 @@ def test_loss_backward_carries_blank_frame_term():
             spec=spec, observations=obs, rel_transforms=[Pose2.identity()] * 2
         )
         model.zero_grad()
-        sequence_loss(model, batch, sched, moving=False).backward()
+        sequence_loss(model, batch, sched).backward()
         return model.cells[0].kernel.grad.copy()
 
     g_full = grad_with_final_vis(vis)
@@ -351,6 +378,20 @@ def test_train_periodic_checkpoints(tmp_path):
     load_checkpoint(tmp_path / "step000004.ckpt")
 
 
+def test_train_periodic_checkpoints_create_missing_directory(tmp_path):
+    spec = GridSpec(size_cells=11, cell_size=0.5)
+    batch = static_crossing(seed=1, spec=spec, frames=4)
+    out = tmp_path / "runs" / "a" / "ckpt"
+    cfg = TrainConfig(
+        schedule=ShowBlankSchedule(total_frames=4, show=2, blank=2),
+        max_steps=2,
+        checkpoint_every=1,
+        checkpoint_dir=str(out),
+    )
+    train(tiny_model(spec), [batch], cfg)
+    assert sorted(p.name for p in out.iterdir()) == ["step000001.ckpt", "step000002.ckpt"]
+
+
 def test_train_divergence_guard():
     spec = GridSpec(size_cells=11, cell_size=0.5)
     model = tiny_model(spec)
@@ -369,7 +410,7 @@ def test_train_non_finite_gradient_guard(monkeypatch):
     before = [p.data.copy() for p in model.parameters()]
     target = model.cells[1][2].bias
 
-    def nan_grad_loss(model, batches, schedule, moving):
+    def nan_grad_loss(model, batches, schedule):
         loss = Tensor(np.asarray(0.5), requires_grad=True)
         loss._prev = (target,)
 
