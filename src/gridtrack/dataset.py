@@ -15,6 +15,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,10 +285,11 @@ def read_dataset(dirpath) -> tuple:
 
 
 def _parse_rows(path) -> list:
-    """Numeric rows from a delimited text file. Commas and whitespace both
-    separate fields; blank lines and '#' comments are skipped."""
+    """Numeric rows from a delimited UTF-8 text file. Commas and whitespace
+    both separate fields; blank lines and '#' comments are skipped; bytes
+    that are not UTF-8 decode to U+FFFD and so make their row malformed."""
     rows = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].replace(",", " ").strip()
             if not text:
@@ -299,10 +301,27 @@ def _parse_rows(path) -> list:
     return rows
 
 
-def _check_increasing(times, path) -> None:
-    for a, b in zip(times, times[1:]):
-        if not b > a:
-            raise ValueError(f"{path}: timestamps must be strictly increasing ({a} then {b})")
+@contextmanager
+def _at_row(path, lineno: int):
+    """Prefix any ValueError raised inside with ``<path>:<lineno>:``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+
+def _check_times(rows, path) -> None:
+    """Timestamps (first field of each row) must be finite and strictly
+    increasing."""
+    prev = -math.inf
+    for lineno, (t, *_) in rows:
+        if not math.isfinite(t):
+            raise ValueError(f"{path}:{lineno}: non-finite timestamp {t}")
+        if not t > prev:
+            raise ValueError(
+                f"{path}:{lineno}: timestamps must be strictly increasing ({prev} then {t})"
+            )
+        prev = t
 
 
 def import_scans(
@@ -316,10 +335,12 @@ def import_scans(
 
     Scan rows are ``timestamp bearing range bearing range ...`` (a bare
     timestamp means a frame with no returns); odometry rows are ``timestamp x
-    y theta`` in a fixed world frame. Each scan is paired with the odometry
-    pose nearest in time; pairs further apart than the tolerance (half the
-    frame period unless given) are an error. Egomotion transforms come from
-    consecutive paired poses; no ground truth is attached.
+    y theta`` in a fixed world frame. Timestamps must be finite and strictly
+    increasing. Each scan is paired with the odometry pose nearest in time;
+    pairs further apart than the tolerance (half the frame period unless
+    given) are an error. Egomotion transforms come from consecutive paired
+    poses; no ground truth is attached. Every error in a row is a ValueError
+    naming its file and line.
     """
     scan_rows = _parse_rows(scan_file)
     odom_rows = _parse_rows(odom_file)
@@ -327,32 +348,30 @@ def import_scans(
         raise ValueError(f"{scan_file}: no scan rows")
     if not odom_rows:
         raise ValueError(f"{odom_file}: no odometry rows")
-    scans = []
+    _check_times(scan_rows, scan_file)
+    _check_times(odom_rows, odom_file)
+    observations = []
     for lineno, vals in scan_rows:
-        if len(vals) % 2 != 1:
-            raise ValueError(
-                f"{scan_file}:{lineno}: expected a timestamp then (bearing, range) pairs"
-            )
-        beams = list(zip(vals[1::2], vals[2::2]))
-        scans.append((vals[0], beams))
-    poses_t, poses = [], []
+        with _at_row(scan_file, lineno):
+            if len(vals) % 2 != 1:
+                raise ValueError("expected a timestamp then (bearing, range) pairs")
+            observations.append(encode_observation(list(zip(vals[1::2], vals[2::2])), spec))
+    poses = []
     for lineno, vals in odom_rows:
-        if len(vals) != 4:
-            raise ValueError(f"{odom_file}:{lineno}: expected timestamp, x, y, theta")
-        poses_t.append(vals[0])
-        poses.append(Pose2(x=vals[1], y=vals[2], theta=vals[3]))
-    scan_t = [t for t, _ in scans]
-    _check_increasing(scan_t, scan_file)
-    _check_increasing(poses_t, odom_file)
+        with _at_row(odom_file, lineno):
+            if len(vals) != 4:
+                raise ValueError("expected timestamp, x, y, theta")
+            poses.append(Pose2(x=vals[1], y=vals[2], theta=vals[3]))
+    scan_t = [vals[0] for _, vals in scan_rows]
+    odom_t = np.asarray([vals[0] for _, vals in odom_rows])
 
     if frame_period is None and len(scan_t) >= 2:
         frame_period = float(np.median(np.diff(scan_t)))
     if tolerance is None:
         tolerance = frame_period / 2.0 if frame_period else math.inf
 
-    odom_t = np.asarray(poses_t)
     matched = []
-    for t in scan_t:
+    for (lineno, _), t in zip(scan_rows, scan_t):
         i = int(np.searchsorted(odom_t, t))
         best = min(
             (j for j in (i - 1, i) if 0 <= j < len(odom_t)),
@@ -360,18 +379,18 @@ def import_scans(
         )
         if abs(odom_t[best] - t) > tolerance:
             raise ValueError(
-                f"scan at t={t} has no odometry within {tolerance} "
-                f"(nearest at t={poses_t[best]})"
+                f"{scan_file}:{lineno}: scan at t={t} has no odometry within "
+                f"{tolerance} (nearest at t={odom_t[best]})"
             )
-        matched.append(poses[best])
+        matched.append(best)
 
-    observations = tuple(encode_observation(beams, spec) for _, beams in scans)
     transforms = [Pose2.identity()]
     for prev, cur in zip(matched, matched[1:]):
-        transforms.append(se2_relative(prev, cur))
+        with _at_row(odom_file, odom_rows[cur][0]):
+            transforms.append(se2_relative(poses[prev], poses[cur]))
     return SequenceBatch(
         spec=spec,
-        observations=observations,
+        observations=tuple(observations),
         rel_transforms=tuple(transforms),
         truth_occ=None,
     )

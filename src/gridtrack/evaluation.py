@@ -88,11 +88,11 @@ def pooled_counts(preds, batch, schedule, threshold: float, counts: dict | None 
     per-frame prediction grids (arrays of probabilities, shape M×M)."""
     if counts is None:
         counts = {k: [0, 0, 0, 0] for k in schedule.offsets()}
-    for f in range(batch.frames):
+    masks = target_mask(batch, schedule)
+    for f, mask in enumerate(masks):
         off = schedule.blank_offset(f)
         if off is None:
             continue
-        mask = target_mask([batch], schedule, f)[0]
         occ = batch.observations[f].occ.astype(bool)
         hot = np.asarray(preds[f]) >= threshold
         c = counts[off]

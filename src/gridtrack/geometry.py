@@ -20,7 +20,6 @@ __all__ = [
     "Pose2",
     "GridSpec",
     "ObservationGrid",
-    "PredictableMask",
     "wrap_angle",
     "se2_compose",
     "se2_inverse",
@@ -212,19 +211,6 @@ class ObservationGrid:
         return np.stack([self.vis, self.occ]).astype(dtype)
 
 
-@dataclass(frozen=True)
-class PredictableMask:
-    """Binary grid marking which cells of a future frame were inside the field
-    of view of the last observed frame."""
-
-    mask: np.ndarray
-
-    def __post_init__(self):
-        m = self.mask.shape[0]
-        object.__setattr__(self, "mask", _check_binary("mask", self.mask, m))
-        self.mask.setflags(write=False)
-
-
 def _traverse_ray(bearing: float, t_end: float, spec: GridSpec) -> list[tuple[int, int]]:
     """Cells whose open interior the ray segment [0, t_end] from the grid
     center passes through, in traversal order.
@@ -333,20 +319,21 @@ def source_points(transforms, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return c * gx - s * gy + tx, s * gx + c * gy + ty
 
 
-def predictable_mask(chain: list[Pose2], spec: GridSpec) -> PredictableMask:
-    """Mask of cells in a future frame whose centers were inside the grid
-    extent of the last observed frame.
+def predictable_mask(chain: list[Pose2], spec: GridSpec) -> np.ndarray:
+    """Boolean (K, M, M) masks of the cells in each of K future frames whose
+    centers were inside the grid extent of the last observed frame.
 
-    ``chain`` lists the per-step relative transforms from the last observed
-    frame to the target frame, oldest first. A cell is kept if its center,
-    mapped back through the inverse of the composed chain, lands inside the
-    (closed) footprint of the observed frame's grid. An empty or all-identity
-    chain keeps every cell.
+    ``chain`` lists the K per-step relative transforms from the last observed
+    frame onwards, oldest first; row k is the mask of the frame reached by
+    ``chain[:k+1]``. A cell is kept if its center, mapped back through the
+    inverse of that composed prefix, lands inside the (closed) footprint of
+    the observed frame's grid. An identity prefix keeps every cell.
     """
+    totals = []
     total = Pose2.identity()
     for t in chain:
         total = se2_compose(t, total)
-    bx, by = source_points([total], spec)
+        totals.append(total)
+    bx, by = source_points(totals, spec)
     hx = spec.half_extent
-    inside = (np.abs(bx[0]) <= hx) & (np.abs(by[0]) <= hx)
-    return PredictableMask(mask=inside.astype(np.uint8))
+    return (np.abs(bx) <= hx) & (np.abs(by) <= hx)

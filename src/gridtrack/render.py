@@ -90,6 +90,8 @@ def write_ppm(path, rgb: np.ndarray) -> None:
 
 
 def _scale(img: np.ndarray, scale: int) -> np.ndarray:
+    if scale < 1:
+        raise ValueError(f"scale must be at least 1, got {scale}")
     return np.repeat(np.repeat(img, scale, axis=0), scale, axis=1)
 
 

@@ -6,6 +6,8 @@ input during shown frames, nothing during blanked frames, and the loss only
 scores cells the sensor actually measured (visibility mask). At blanked
 frames the mask is further restricted to the region each sequence's own
 egomotion keeps predictable from space seen before the blank started.
+Scoring is per sequence, not per frame: one (F, M, M) target mask each, and
+one ``masked_bce`` over every frame of the minibatch.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .geometry import predictable_mask
 from .model import Model, rollout, save_checkpoint
-from .tensor import Tensor, default_dtype, masked_bce
+from .tensor import Tensor, concat_channels, masked_bce
 
 __all__ = [
     "ShowBlankSchedule",
@@ -62,18 +64,17 @@ class ShowBlankSchedule:
         return range(1, self.blank + 1)
 
 
-def target_mask(batches, schedule: ShowBlankSchedule, frame: int) -> np.ndarray:
-    """Boolean (B, M, M) mask of the cells scored at ``frame``: each
-    sequence's visibility, intersected at a blanked frame with the region
-    predictable from the last shown frame along that sequence's own
+def target_mask(batch, schedule: ShowBlankSchedule) -> np.ndarray:
+    """Boolean (F, M, M) mask of the cells scored in one sequence: its
+    visibility at every frame, intersected at each blanked frame with the
+    region predictable from the last shown frame along the sequence's own
     transform chain (all cells for a still sensor)."""
-    vis = np.stack([b.observations[frame].vis for b in batches]).astype(bool)
-    off = schedule.blank_offset(frame)
-    if off is not None:
-        for row, b in zip(vis, batches):
-            chain = b.rel_transforms[frame - off + 1 : frame + 1]
-            row &= predictable_mask(list(chain), b.spec).mask.astype(bool)
-    return vis
+    mask = np.stack([o.vis for o in batch.observations]).astype(bool)
+    if schedule.blank:
+        for start in range(schedule.show, batch.frames, schedule.show + schedule.blank):
+            run = slice(start, start + schedule.blank)
+            mask[run] &= predictable_mask(batch.rel_transforms[run], batch.spec)
+    return mask
 
 
 @dataclass(frozen=True)
@@ -98,6 +99,8 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.batch_size < 1 or self.max_steps < 0:
             raise ValueError("batch_size >= 1 and max_steps >= 0 required")
+        if self.checkpoint_every < 0 or self.plateau_patience < 0:
+            raise ValueError("checkpoint_every >= 0 and plateau_patience >= 0 required")
         if self.checkpoint_every > 0 and not self.checkpoint_dir:
             raise ValueError("periodic checkpoints need a checkpoint_dir")
 
@@ -112,28 +115,16 @@ class TrainResult:
 
 def sequence_loss(model: Model, batches, schedule: ShowBlankSchedule) -> Tensor:
     """Roll the model over the sequence(s) and score every frame against its
-    own observation: masked_bce(pred, x_occ, target_mask), pooled as a mean
-    over all contributing cells across frames. ``batches`` is one
-    SequenceBatch or a list of equal-length ones."""
+    own observation: one masked_bce over (B, F, M, M) predictions, occupancy
+    and target masks, a mean over the scored cells of all frames.
+    ``batches`` is one SequenceBatch or a list of equal-length ones."""
     if hasattr(batches, "observations"):
         batches = [batches]
     batches = list(batches)
-    preds = rollout(model, batches, schedule)
-    dtype = default_dtype()
-    total = None
-    total_cells = 0.0
-    for f, pred in enumerate(preds):
-        occ = np.stack([b.observations[f].occ for b in batches]).astype(dtype)[:, None]
-        mask = target_mask(batches, schedule, f).astype(dtype)[:, None]
-        n = float(mask.sum())
-        term = masked_bce(pred, Tensor(occ), Tensor(mask))
-        if n > 0.0:
-            term = term * n
-            total_cells += n
-        total = term if total is None else total + term
-    if total_cells > 0.0:
-        total = total * (1.0 / total_cells)
-    return total
+    pred = concat_channels(rollout(model, batches, schedule), axis=1)
+    occ = np.stack([[o.occ for o in b.observations] for b in batches])
+    mask = np.stack([target_mask(b, schedule) for b in batches])
+    return masked_bce(pred, occ, mask)
 
 
 def adam_step(params, grads, state: dict, lr: float, beta1: float = 0.9,

@@ -154,6 +154,14 @@ def test_train_batches_sequences_with_different_egomotion(tmp_path, capsys):
     assert "trained RNN16 for 1 steps" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", ["--checkpoint-every", "--plateau-patience"])
+def test_train_rejects_negative_counts(static_data, tmp_path, capsys, flag):
+    args = train_args(static_data, tmp_path / "m.ckpt", **{flag: -1})
+    assert run(*args) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def test_train_writes_log(static_data, tmp_path):
     log = tmp_path / "loss.log"
     assert run(*train_args(static_data, tmp_path / "m.ckpt"), "--log", str(log)) == 0
@@ -271,6 +279,14 @@ def test_render_sequence_out_of_range(static_data, static_ckpt, tmp_path, capsys
     assert run("render", "--ckpt", static_ckpt, "--data", static_data,
                "--out", tmp_path / "x", "--sequence", "7") == 2
     assert "out of range" in capsys.readouterr().err
+
+
+def test_render_rejects_zero_scale(static_data, static_ckpt, tmp_path, capsys):
+    out = tmp_path / "imgs"
+    assert run("render", "--ckpt", static_ckpt, "--data", static_data,
+               "--out", out, "--scale", "0") == 2
+    assert "scale must be at least 1" in capsys.readouterr().err
+    assert not list(out.glob("*.ppm"))
 
 
 def test_render_blanked_schedule(static_data, static_ckpt, tmp_path):

@@ -1,10 +1,13 @@
 """Sequence codec round trips, manifest integrity, and the scan importer."""
 
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gridtrack.dataset import (
     MAGIC,
@@ -422,6 +425,80 @@ def test_import_rejects_nonincreasing_timestamps(tmp_path):
     write_lines(odom, ["0.0 0.0 0.0 0.0", "0.3 0.0 0.0 0.0"])
     with pytest.raises(ValueError, match="strictly increasing"):
         import_scans(scan, odom, SPEC)
+
+
+@pytest.mark.parametrize(
+    "which, lines, line, message",
+    [
+        ("scan", ["0.0 0.0 1.0", "inf 0.0 1.0"], 2, "non-finite timestamp inf"),
+        ("scan", ["nan 0.0 1.0"], 1, "non-finite timestamp nan"),
+        ("odom", ["0.0 0.0 0.0 0.0", "inf 0.0 0.0 0.0"], 2, "non-finite timestamp inf"),
+        ("scan", ["0.0 0.0 1.0", "# gap", "0.125 0.0 -1.0"], 3, "invalid range -1.0"),
+        ("scan", ["0.0 nan 1.0"], 1, "non-finite bearing nan"),
+        ("odom", ["0.0 0.0 0.0 inf"], 1, "non-finite pose (0.0, 0.0, inf)"),
+        ("odom", ["0.0 1e308 0.0 0.0", "0.125 -1e308 0.0 0.0"], 2, "non-finite pose"),
+        ("scan", ["0.0 0.0 1.0", "0.0 0.0 1.0"], 2, "strictly increasing"),
+    ],
+    ids=["scan-inf-time", "scan-nan-time", "odom-inf-time", "negative-range",
+         "nan-bearing", "inf-theta", "overflowing-motion", "repeated-time"],
+)
+def test_import_row_errors_name_file_and_line(tmp_path, which, lines, line, message):
+    scan, odom = tmp_path / "scan.txt", tmp_path / "odom.txt"
+    write_lines(scan, ["0.0 0.0 1.0", "0.125 0.0 1.0"])
+    write_lines(odom, ["0.0 0.0 0.0 0.0", "0.125 0.0 0.0 0.0"])
+    path = scan if which == "scan" else odom
+    write_lines(path, lines)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: ") + ".*" + re.escape(message)):
+        import_scans(scan, odom, SPEC)
+
+
+_token = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["inf", "-inf", "nan", "1e400", "-0", "#", ",", ""]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def _log(draw, fields):
+    """A valid log (rows of a timestamp then a ``fields``-drawn count of
+    finite numbers) with up to three tokens replaced, inserted or deleted."""
+    rows = [
+        [repr(0.125 * i)] + [repr(draw(st.floats(0.0, 3.0))) for _ in range(draw(fields))]
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(rows))
+        at = draw(st.integers(0, len(row)))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "insert" or at == len(row):
+            row.insert(at, draw(_token))
+        elif edit == "replace":
+            row[at] = draw(_token)
+        else:
+            del row[at]
+    return "\n".join(" ".join(row) for row in rows)
+
+
+@given(
+    scan_text=_log(st.integers(0, 3).map(lambda beams: 2 * beams)),
+    odom_text=_log(st.just(3)),
+)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_import_fuzzed_rows_give_a_sequence_or_a_file_error(tmp_path, scan_text, odom_text):
+    """Valid logs with arbitrary tokens replaced, inserted or deleted yield a
+    SequenceBatch or a ValueError naming one of the two files, never another
+    exception."""
+    scan, odom = tmp_path / "scan.txt", tmp_path / "odom.txt"
+    scan.write_text(scan_text, encoding="utf-8")
+    odom.write_text(odom_text, encoding="utf-8")
+    try:
+        batch = import_scans(scan, odom, SPEC)
+    except ValueError as exc:
+        assert str(scan) in str(exc) or str(odom) in str(exc), str(exc)
+    else:
+        assert isinstance(batch, SequenceBatch)
+        assert batch.frames == len(batch.rel_transforms)
 
 
 def test_import_empty_files(tmp_path):

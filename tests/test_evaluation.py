@@ -130,11 +130,11 @@ def test_pooled_counts_moving_uses_predictable_mask():
     counts = pooled_counts(preds, batch, sched, threshold=0.5)
     for f in range(5, 10):
         off = f - 4
-        pm = predictable_mask(list(batch.rel_transforms[5 : f + 1]), SPEC)
-        expected = int((batch.observations[f].vis.astype(bool) & pm.mask.astype(bool)).sum())
+        pm = predictable_mask(batch.rel_transforms[5 : f + 1], SPEC)[-1]
+        expected = int((batch.observations[f].vis.astype(bool) & pm).sum())
         assert counts[off][3] == expected
         # at one cell per frame the mask has lost a band of off columns
-        assert not pm.mask.all()
+        assert not pm.all()
 
 
 def test_pooled_counts_accumulates_across_sequences():

@@ -407,16 +407,16 @@ def test_encode_occ_subset_vis_property(seed, m):
 def test_mask_identity_chain_all_ones():
     spec = grid5()
     m = predictable_mask([Pose2.identity()] * 3, spec)
-    assert m.mask.all()
-    assert predictable_mask([], spec).mask.all()
+    assert m.shape == (3, 5, 5)
+    assert m.all()
 
 
 @pytest.mark.parametrize("m", [3, 5, 9, 21, 33, 51])
 @pytest.mark.parametrize("cs", [0.2, 0.4, 0.5])
 def test_mask_still_sensor_all_ones_at_every_size(m, cs):
     spec = GridSpec(size_cells=m, cell_size=cs)
-    for chain in ([], [Pose2.identity()], [Pose2.identity()] * 7):
-        assert predictable_mask(chain, spec).mask.all()
+    for chain in ([Pose2.identity()], [Pose2.identity()] * 7):
+        assert predictable_mask(chain, spec).all()
 
 
 def test_source_points_match_per_transform_inverse():
@@ -438,7 +438,7 @@ def test_mask_forward_translation_zeros_leading_edge():
     # a world-fixed point is x -> x - 3*cs
     spec = GridSpec(size_cells=7, cell_size=0.25)
     chain = [se2_relative(Pose2(0, 0, 0), Pose2(3 * spec.cell_size, 0, 0))]
-    m = predictable_mask(chain, spec).mask
+    m = predictable_mask(chain, spec)[-1]
     assert m[:4].all()
     assert not m[4:].any()
     assert int(m.size - m.sum()) == 3 * spec.size_cells
@@ -447,7 +447,7 @@ def test_mask_forward_translation_zeros_leading_edge():
 def test_mask_two_step_translation_composes():
     spec = GridSpec(size_cells=7, cell_size=0.25)
     step = se2_relative(Pose2(0, 0, 0), Pose2(2 * spec.cell_size, 0, 0))
-    m = predictable_mask([step, step], spec).mask
+    m = predictable_mask([step, step], spec)[-1]
     assert m[:3].all() and not m[3:].any()
     assert int(m.size - m.sum()) == 4 * spec.size_cells
 
@@ -463,7 +463,7 @@ def test_mask_whole_cell_translation_zero_count(n, axis):
         "+y": Pose2(0, d, 0),
         "-y": Pose2(0, -d, 0),
     }[axis]
-    m = predictable_mask([se2_relative(Pose2(0, 0, 0), dest)], spec).mask
+    m = predictable_mask([se2_relative(Pose2(0, 0, 0), dest)], spec)[-1]
     assert int(m.size - m.sum()) == n * spec.size_cells
     sums = m.sum(axis=1) if "x" in axis else m.sum(axis=0)
     # the zero band hugs the edge in the direction of motion
@@ -478,9 +478,9 @@ def test_mask_monotone_under_forward_motion():
     # into the same frame
     spec = GridSpec(size_cells=9, cell_size=0.2)
     step = se2_relative(Pose2(0, 0, 0), Pose2(spec.cell_size, 0, 0))
-    prev = predictable_mask([step], spec).mask
+    prev = predictable_mask([step], spec)[-1]
     for k in range(2, 5):
-        cur = predictable_mask([step] * k, spec).mask
+        cur = predictable_mask([step] * k, spec)[-1]
         # frame t+k cell (i, j) overlaps frame t+k-1 cell (i+1, j)
         assert not (cur[:-1] & ~prev[1:]).any()
         prev = cur
@@ -494,12 +494,41 @@ def test_mask_monotone_under_forward_motion():
             st.floats(-1.0, 1.0),
             st.floats(-math.pi, math.pi),
         ),
-        min_size=0,
+        min_size=1,
         max_size=4,
     )
 )
 @settings(max_examples=80, deadline=None)
 def test_mask_matches_matrix_oracle(chain):
     spec = GridSpec(size_cells=7, cell_size=0.3)
-    got = predictable_mask(chain, spec).mask
-    np.testing.assert_array_equal(got, mask_oracle(chain, spec))
+    got = predictable_mask(chain, spec)
+    assert got.shape == (len(chain), 7, 7) and got.dtype == bool
+    for k, row in enumerate(got):
+        np.testing.assert_array_equal(row, mask_oracle(chain[: k + 1], spec))
+
+
+def single_chain_mask(chain, spec: GridSpec) -> np.ndarray:
+    """The one-mask-per-chain formula: compose the whole chain, map the cell
+    centers back through it once, keep those inside the footprint."""
+    total = Pose2.identity()
+    for t in chain:
+        total = se2_compose(t, total)
+    bx, by = source_points([total], spec)
+    hx = spec.half_extent
+    return (np.abs(bx[0]) <= hx) & (np.abs(by[0]) <= hx)
+
+
+@pytest.mark.parametrize("m, cs", [(7, 0.3), (21, 0.4), (33, 0.2)])
+def test_mask_rows_bitwise_equal_single_chain_prefixes(m, cs):
+    spec = GridSpec(size_cells=m, cell_size=cs)
+    rng = np.random.default_rng(m)
+    for _ in range(20):
+        k = int(rng.integers(1, 8))
+        scale = float(rng.choice([0.01, 0.3, 3.0])) * spec.half_extent
+        chain = [
+            Pose2(*rng.uniform(-scale, scale, 2), float(rng.uniform(-math.pi, math.pi)))
+            for _ in range(k)
+        ]
+        got = predictable_mask(chain, spec)
+        for j in range(k):
+            assert np.array_equal(got[j], single_chain_mask(chain[: j + 1], spec))

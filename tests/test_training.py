@@ -5,7 +5,7 @@ problems."""
 import numpy as np
 import pytest
 
-from gridtrack.geometry import GridSpec, ObservationGrid, Pose2
+from gridtrack.geometry import GridSpec, ObservationGrid, Pose2, se2_compose, source_points
 from gridtrack.model import ModelConfig, build, initial_state
 from gridtrack.simulator import (
     Bounds,
@@ -97,29 +97,59 @@ def test_loss_zero_mask_gradient_exactly_zero():
         assert not p.grad.any()
 
 
+def frame_mask(batch, sched, f):
+    """One frame's scored cells, rebuilt from that frame alone: visibility,
+    and at a blanked frame the cells whose centers the chain composed since
+    the last shown frame maps back inside the grid footprint."""
+    vis = batch.observations[f].vis.astype(bool)
+    off = sched.blank_offset(f)
+    if off is None:
+        return vis
+    total = Pose2.identity()
+    for t in batch.rel_transforms[f - off + 1 : f + 1]:
+        total = se2_compose(t, total)
+    bx, by = source_points([total], batch.spec)
+    hx = batch.spec.half_extent
+    return vis & (np.abs(bx[0]) <= hx) & (np.abs(by[0]) <= hx)
+
+
 def test_loss_pools_cells_across_frames():
-    """Pooled mean equals sum(bce_f * n_f) / sum(n_f) computed per frame."""
+    """Pooled mean equals sum(bce_f * n_f) / sum(n_f) computed per frame, for
+    a still sensor alone and for a still and a turning sensor batched with
+    egomotion compensation."""
     from gridtrack.model import rollout
     from gridtrack.tensor import masked_bce
 
     spec = GridSpec(size_cells=11, cell_size=0.5)
-    model = tiny_model(spec)
-    batch = static_crossing(seed=3, spec=spec, frames=4)
-    sched = ShowBlankSchedule(total_frames=4, show=2, blank=2)
-    loss = sequence_loss(model, batch, sched)
+    still = [static_crossing(seed=3, spec=spec, frames=4)]
+    mixed = [
+        static_crossing(seed=3, spec=spec, frames=8),
+        moving_turning(seed=4, spec=spec, frames=8),
+    ]
+    for batches, use_stm in ((still, False), (mixed, True)):
+        frames = batches[0].frames
+        sched = ShowBlankSchedule(total_frames=frames, show=2, blank=2)
+        model = tiny_model(spec, use_stm=use_stm)
+        loss = sequence_loss(model, batches, sched)
 
-    preds = rollout(model, batch, sched)
-    num = 0.0
-    den = 0.0
-    for f in range(4):
-        occ = batch.observations[f].occ.astype(np.float32)[None, None]
-        vis = batch.observations[f].vis.astype(np.float32)[None, None]
-        n = float(vis.sum())
-        if n:
-            term = masked_bce(preds[f], Tensor(occ), Tensor(vis))
-            num += term.item() * n
-            den += n
-    assert loss.item() == pytest.approx(num / den, rel=1e-6)
+        preds = rollout(model, batches, sched)
+        num = 0.0
+        den = 0.0
+        for f in range(frames):
+            occ = np.stack([b.observations[f].occ for b in batches]).astype(np.float32)[:, None]
+            mask = np.stack([frame_mask(b, sched, f) for b in batches]).astype(np.float32)[:, None]
+            n = float(mask.sum())
+            if n:
+                term = masked_bce(preds[f], Tensor(occ), Tensor(mask))
+                num += term.item() * n
+                den += n
+        assert loss.item() == pytest.approx(num / den, rel=1e-6)
+    # the turning sensor's blanked frames do lose visible cells
+    turning = mixed[1]
+    assert any(
+        (frame_mask(turning, sched, f) != turning.observations[f].vis.astype(bool)).any()
+        for f in range(frames)
+    )
 
 
 def test_moving_loss_masks_leading_band():
@@ -137,11 +167,13 @@ def test_moving_loss_masks_leading_band():
     chain = [Pose2.identity()] + [step_pose] * (frames - 1)
     batch = SequenceBatch(spec=spec, observations=obs, rel_transforms=chain)
     sched = ShowBlankSchedule(total_frames=10, show=5, blank=5)
-    final = target_mask([batch], sched, 9)[0]
+    mask = target_mask(batch, sched)
+    assert mask.shape == (frames, m, m)
+    final = mask[9]
     assert not final[m - 10 :, :].any()
     assert final[: m - 10, :].all()
     # shown frames keep plain visibility
-    assert target_mask([batch], sched, 4)[0].all()
+    assert mask[4].all()
 
 
 def test_static_target_mask_equals_visibility():
@@ -152,14 +184,14 @@ def test_static_target_mask_equals_visibility():
     spec = GridSpec(size_cells=11, cell_size=0.5)
     batch = static_crossing(seed=5, spec=spec, frames=8)
     sched = ShowBlankSchedule(total_frames=8, show=2, blank=2)
+    mask = target_mask(batch, sched)
     for f in range(batch.frames):
-        got = target_mask([batch], sched, f)[0]
-        assert np.array_equal(got, batch.observations[f].vis.astype(bool))
+        assert np.array_equal(mask[f], batch.observations[f].vis.astype(bool))
 
 
 def test_target_mask_rows_follow_each_sequences_chain():
-    """In a batch mixing still, straight and turning sensors, each row equals
-    that sequence's mask computed alone."""
+    """For still, straight and turning sensors, each frame of a sequence's
+    mask equals that frame's mask rebuilt from its own chain alone."""
     from gridtrack.training import target_mask
 
     spec = GridSpec(size_cells=21, cell_size=0.4)
@@ -169,13 +201,13 @@ def test_target_mask_rows_follow_each_sequences_chain():
         moving_straight(seed=3, spec=spec, frames=8),
     ]
     sched = ShowBlankSchedule(total_frames=8, show=2, blank=2)
+    masks = [target_mask(b, sched) for b in batches]
     for f in range(8):
-        rows = target_mask(batches, sched, f)
-        for row, b in zip(rows, batches):
-            assert np.array_equal(row, target_mask([b], sched, f)[0])
-    # the straight-driving row does lose visible cells to its predictable mask
+        for mask, b in zip(masks, batches):
+            assert np.array_equal(mask[f], frame_mask(b, sched, f))
+    # the straight-driving sequence does lose visible cells to its predictable mask
     assert any(
-        not np.array_equal(target_mask(batches, sched, f)[2], batches[2].observations[f].vis)
+        not np.array_equal(masks[2][f], batches[2].observations[f].vis)
         for f in range(8)
     )
 
@@ -285,6 +317,10 @@ def test_train_config_validation():
         TrainConfig(schedule=sched, optimizer="adagrad")
     with pytest.raises(ValueError):
         TrainConfig(schedule=sched, checkpoint_every=5)
+    with pytest.raises(ValueError, match="checkpoint_every"):
+        TrainConfig(schedule=sched, checkpoint_every=-1)
+    with pytest.raises(ValueError, match="plateau_patience"):
+        TrainConfig(schedule=sched, plateau_patience=-3)
 
 
 def test_train_zero_steps_returns_initial_model():
