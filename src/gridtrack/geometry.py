@@ -309,11 +309,11 @@ def encode_observation(
 
 def source_points(transforms, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Metric (x, y) of every cell center mapped back through the inverse of
-    each of the B ``transforms``, as two (B, M, M) arrays."""
+    each of the B ``transforms``, as two (B, M, M) arrays (B may be 0)."""
     invs = [se2_inverse(t) for t in transforms]
     c, s, tx, ty = np.array(
         [(math.cos(p.theta), math.sin(p.theta), p.x, p.y) for p in invs]
-    ).T[:, :, None, None]
+    ).reshape(-1, 4).T[:, :, None, None]
     axis = spec.axis_centers()
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     return c * gx - s * gy + tx, s * gx + c * gy + ty
@@ -327,7 +327,8 @@ def predictable_mask(chain: list[Pose2], spec: GridSpec) -> np.ndarray:
     frame onwards, oldest first; row k is the mask of the frame reached by
     ``chain[:k+1]``. A cell is kept if its center, mapped back through the
     inverse of that composed prefix, lands inside the (closed) footprint of
-    the observed frame's grid. An identity prefix keeps every cell.
+    the observed frame's grid. An identity prefix keeps every cell; an empty
+    chain gives an empty (0, M, M) result.
     """
     totals = []
     total = Pose2.identity()

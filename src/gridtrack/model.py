@@ -277,17 +277,20 @@ def _step_planes(model: Model, h_prev: HiddenState, x: Tensor, egomotion) -> Hid
     return HiddenState(layers=tuple(new_layers))
 
 
-def _planes_for(model: Model, obs, batch_size: int) -> Tensor:
+def _input_planes(model: Model, obs, batch_size: int) -> Tensor:
+    """(B, 2, M, M) input planes for one frame: all zero for BLANK, else the
+    planes of ``obs``, a list of one ObservationGrid per sample."""
     m = model.config.grid.size_cells
     if obs is BLANK:
         return Tensor(np.zeros((batch_size, 2, m, m)))
-    if isinstance(obs, ObservationGrid):
-        if batch_size != 1:
-            raise ValueError("a single observation cannot drive a batched state")
-        if obs.size_cells != m:
-            raise ValueError(f"observation is {obs.size_cells} cells, model expects {m}")
-        return Tensor(obs.planes(default_dtype())[None])
-    raise TypeError(f"expected ObservationGrid or BLANK, got {type(obs).__name__}")
+    if len(obs) != batch_size:
+        raise ValueError(f"{len(obs)} observation(s) cannot drive a batch of {batch_size}")
+    for g in obs:
+        if not isinstance(g, ObservationGrid):
+            raise TypeError(f"expected ObservationGrid or BLANK, got {type(g).__name__}")
+        if g.size_cells != m:
+            raise ValueError(f"observation is {g.size_cells} cells, model expects {m}")
+    return Tensor(np.stack([g.planes(default_dtype()) for g in obs]))
 
 
 def step(model: Model, h_prev: HiddenState, obs, egomotion) -> HiddenState:
@@ -298,7 +301,7 @@ def step(model: Model, h_prev: HiddenState, obs, egomotion) -> HiddenState:
     be identity."""
     if len(h_prev.layers) != len(model.config.layers):
         raise ValueError("hidden state layer count does not match model")
-    x = _planes_for(model, obs, h_prev.batch)
+    x = _input_planes(model, obs if obs is BLANK else [obs], h_prev.batch)
     return _step_planes(model, h_prev, x, egomotion)
 
 
@@ -336,14 +339,10 @@ def unroll(model: Model, batches, schedule):
         raise ValueError(
             f"schedule covers {schedule.total_frames} frames, batch has {frames}"
         )
-    m = model.config.grid.size_cells
-    dt = default_dtype()
     h = initial_state(model, batch_size=len(batches))
     for f in range(frames):
-        if schedule.is_shown(f):
-            x = Tensor(np.stack([b.observations[f].planes(dt) for b in batches]))
-        else:
-            x = Tensor(np.zeros((len(batches), 2, m, m)))
+        obs = [b.observations[f] for b in batches] if schedule.is_shown(f) else BLANK
+        x = _input_planes(model, obs, len(batches))
         ego = [b.rel_transforms[f] for b in batches] if model.config.use_stm else Pose2.identity()
         h = _step_planes(model, h, x, ego)
         yield h, decode(model, h)

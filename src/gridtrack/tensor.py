@@ -11,8 +11,14 @@ as soon as its loss is dropped. Values are float32 by default; wrap code in
 extra headroom).
 
 The convolution is k*k accumulated GEMMs, one per kernel tap, over
-contiguous slices of a once-padded input (no im2col buffer), and the GRU
-step computes its update and reset gates with one convolution.
+contiguous slices of a once-padded input (no im2col buffer). ``conv2d`` and
+the GRU step share that kernel and its per-tap backward. The GRU step is one
+graph node with a hand-written backward: its update and reset gates come
+from one per-tap pass with both kernels stacked, and for backward it stores
+only the gates z and r and the candidate h~, not the elementwise
+intermediates of the written-out formula. Neither op keeps a padded copy of
+its input: backward pads the parents' arrays again, which costs a copy and
+saves holding the padded buffers of every frame until backward runs.
 """
 
 from __future__ import annotations
@@ -213,11 +219,7 @@ class Tensor:
         return out
 
     def sigmoid(self) -> "Tensor":
-        # numerically stable on both tails
-        x = self.data
-        e = np.exp(-np.abs(x))
-        s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        s = s.astype(self.dtype)
+        s = _sigmoid(self.data)
         out = _result(s, (self,))
         if out._prev:
 
@@ -239,6 +241,12 @@ class Tensor:
         return out
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function, numerically stable on both tails."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype)
+
+
 def _released():
     """Stands in for the closure of a node whose graph backward() released."""
     raise ValueError("backward() through a graph an earlier backward() released")
@@ -252,39 +260,20 @@ def _result(data: np.ndarray, parents: tuple) -> Tensor:
     return out
 
 
-def concat_channels(tensors: list[Tensor], axis: int = 1) -> Tensor:
-    """Concatenate tensors along a channel axis: axis 1 of (B, C, H, W) maps,
-    axis 0 of (out, in, k, k) kernels and (out,) biases."""
-    data = np.concatenate([t.data for t in tensors], axis=axis)
+def concat_channels(tensors: list[Tensor]) -> Tensor:
+    """Concatenate (B, C, H, W) tensors along the channel axis."""
+    data = np.concatenate([t.data for t in tensors], axis=1)
     out = _result(data, tuple(tensors))
     if out._prev:
-        splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+        splits = np.cumsum([t.data.shape[1] for t in tensors])[:-1]
 
         def backward():
-            for t, g in zip(tensors, np.split(out.grad, splits, axis=axis)):
+            for t, g in zip(tensors, np.split(out.grad, splits, axis=1)):
                 if t.requires_grad:
                     t._accum(g)
 
         out._backward = backward
     return out
-
-
-def split_channels(x: Tensor, parts: int) -> tuple[Tensor, ...]:
-    """Split (B, C, H, W) maps into ``parts`` equal channel groups."""
-    c = x.data.shape[1] // parts
-    outs = []
-    for lo in range(0, parts * c, c):
-        out = _result(x.data[:, lo : lo + c], (x,))
-        if out._prev:
-
-            def backward(out=out, lo=lo):
-                g = np.zeros_like(x.data)
-                g[:, lo : lo + c] = out.grad
-                x._accum(g)
-
-            out._backward = backward
-        outs.append(out)
-    return tuple(outs)
 
 
 # -------------------------------------------------------------- convolution
@@ -362,67 +351,100 @@ class ConvParams:
         return [self.kernel, self.bias]
 
 
+def _pad(parts: list, p: int, dt) -> np.ndarray:
+    """Zero-pad (B, C_i, H, W) arrays by p on each side, stacked along
+    channels, into one (B, sum C_i, H+2p+1, W+2p) buffer. The extra bottom
+    row keeps the last tap's flat slice in bounds."""
+    b, _, h, w = parts[0].shape
+    xp = np.zeros((b, sum(a.shape[1] for a in parts), h + 2 * p + 1, w + 2 * p), dtype=dt)
+    lo = 0
+    for a in parts:
+        xp[:, lo : lo + a.shape[1], p : p + h, p : p + w] = a
+        lo += a.shape[1]
+    return xp
+
+
+def _taps(xp: np.ndarray, kern: np.ndarray, d: int) -> tuple:
+    """Flat-row layout of a padded buffer under a dilated kernel: the output
+    size, the flat slice length n = Hout*Wp and, per tap (u, v), the offset
+    u*d*Wp + v*d of the contiguous slice it reads."""
+    k, wp = kern.shape[2], xp.shape[3]
+    span = d * (k - 1) + 1
+    h_out, w_out = xp.shape[2] - span, wp - span + 1
+    offsets = [(u, v, u * d * wp + v * d) for u in range(k) for v in range(k)]
+    return h_out, w_out, h_out * wp, offsets
+
+
+def _conv_fwd(xp: np.ndarray, kern: np.ndarray, d: int) -> np.ndarray:
+    """Bias-free cross-correlation of a ``_pad`` buffer: the sum over taps of
+    one GEMM per tap, computed at full padded width, then the Wp - Wout
+    columns that run past a row end are dropped. (B, out, Hout, Wout)."""
+    b, cin, _, wp = xp.shape
+    h_out, w_out, n, offsets = _taps(xp, kern, d)
+    xf = xp.reshape(b, cin, -1)
+    acc = np.zeros((b, kern.shape[0], n), dtype=xp.dtype)
+    tmp = np.empty_like(acc)
+    for u, v, off in offsets:
+        np.matmul(kern[:, :, u, v], xf[:, :, off : off + n], out=tmp)
+        acc += tmp
+    return acc.reshape(b, -1, h_out, wp)[..., :w_out]
+
+
+def _conv_bwd(xp: np.ndarray, kern: np.ndarray, d: int, g: np.ndarray,
+              need_x: bool, need_k: bool) -> tuple:
+    """Per-tap backward of ``_conv_fwd`` for the output gradient g: the
+    gradient w.r.t. the padded buffer (shaped like xp) and w.r.t. the kernel,
+    each None unless asked for. Slices of xp are re-read per tap."""
+    b, cin, _, wp = xp.shape
+    h_out, w_out, n, offsets = _taps(xp, kern, d)
+    xf = xp.reshape(b, cin, -1)
+    gp = np.zeros((b, g.shape[1], h_out, wp), dtype=xp.dtype)
+    gp[..., :w_out] = g
+    gf = gp.reshape(b, g.shape[1], n)
+    gx = np.zeros_like(xf) if need_x else None
+    gk = np.zeros_like(kern) if need_k else None
+    for u, v, off in offsets:
+        sl = xf[:, :, off : off + n]
+        if need_k:
+            gk[:, :, u, v] = np.matmul(gf, sl.transpose(0, 2, 1)).sum(axis=0)
+        if need_x:
+            gx[:, :, off : off + n] += np.matmul(kern[:, :, u, v].T, gf)
+    return (None if gx is None else gx.reshape(xp.shape)), gk
+
+
 def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     """Cross-correlate a (B, Cin, H, W) tensor with a dilated kernel, stride 1,
     zero padding. Differentiable w.r.t. input, kernel, and bias.
 
     The input is padded once into a (B, Cin, Hp+1, Wp) buffer whose rows are
     flattened, so tap (u, v) reads the contiguous slice starting at
-    u*d*Wp + v*d of length Hout*Wp. The output is the sum over taps of one
-    GEMM per tap, computed at full padded width; the Wp - Wout columns that
-    run past a row end are dropped at the end. The extra padded row keeps the
-    last tap's slice in bounds.
+    u*d*Wp + v*d of length Hout*Wp; the output is one GEMM per tap (see
+    ``_conv_fwd``). Backward pads x again rather than keep the buffer.
     """
-    b, cin, h, w = x.data.shape
+    _, cin, h, w = x.data.shape
     if cin != params.in_channels:
         raise ValueError(f"input has {cin} channels, kernel expects {params.in_channels}")
     k, d, p = params.kernel_size, params.dilation, params.padding
-    span = d * (k - 1) + 1
-    hp, wp = h + 2 * p, w + 2 * p
-    h_out = hp - span + 1
-    w_out = wp - span + 1
-    if h_out < 1 or w_out < 1:
+    if min(h, w) + 2 * p < d * (k - 1) + 1:
         raise ValueError("kernel span exceeds padded input")
 
     kern = params.kernel.data
     dt = np.result_type(x.data, kern)
-    xp = np.zeros((b, cin, hp + 1, wp), dtype=dt)
-    xp[:, :, p : p + h, p : p + w] = x.data
-    xf = xp.reshape(b, cin, (hp + 1) * wp)
-    n = h_out * wp
-    offsets = [(u, v, u * d * wp + v * d) for u in range(k) for v in range(k)]
-
-    acc = np.zeros((b, params.out_channels, n), dtype=dt)
-    tmp = np.empty_like(acc)
-    for u, v, off in offsets:
-        np.matmul(kern[:, :, u, v], xf[:, :, off : off + n], out=tmp)
-        acc += tmp
-    out_data = acc.reshape(b, -1, h_out, wp)[..., :w_out] + params.bias.data[None, :, None, None]
+    out_data = _conv_fwd(_pad([x.data], p, dt), kern, d) + params.bias.data[None, :, None, None]
 
     out = _result(out_data, (x, params.kernel, params.bias))
     if out._prev:
-        # the closure keeps only the padded input; slices are re-read per tap
+
         def backward():
+            xp = _pad([x.data], p, dt)
             g = out.grad
             if params.bias.requires_grad:
                 params.bias._accum(g.sum(axis=(0, 2, 3)))
-            need_x = x.requires_grad
-            need_k = params.kernel.requires_grad
-            gp = np.zeros((b, g.shape[1], h_out, wp), dtype=dt)
-            gp[..., :w_out] = g
-            gf = gp.reshape(b, g.shape[1], n)
-            gx = np.zeros_like(xf) if need_x else None
-            gk = np.zeros_like(kern) if need_k else None
-            for u, v, off in offsets:
-                sl = xf[:, :, off : off + n]
-                if need_k:
-                    gk[:, :, u, v] = np.matmul(gf, sl.transpose(0, 2, 1)).sum(axis=0)
-                if need_x:
-                    gx[:, :, off : off + n] += np.matmul(kern[:, :, u, v].T, gf)
-            if need_k:
+            gx, gk = _conv_bwd(xp, kern, d, g, x.requires_grad, params.kernel.requires_grad)
+            if gk is not None:
                 params.kernel._accum(gk)
-            if need_x:
-                x._accum(gx.reshape(b, cin, hp + 1, wp)[:, :, p : p + h, p : p + w])
+            if gx is not None:
+                x._accum(gx[:, :, p : p + h, p : p + w])
 
         out._backward = backward
     return out
@@ -434,7 +456,7 @@ def conv_gru_step(
     gates: tuple[ConvParams, ConvParams, ConvParams],
     bias: Tensor | None = None,
 ) -> Tensor:
-    """One convolutional gated recurrent update.
+    """One convolutional gated recurrent update, as a single graph node.
 
     With (wz, wr, wh) = gates, [a, b] channel concatenation and b the
     optional static bias (zero when None), broadcast over the batch:
@@ -443,36 +465,87 @@ def conv_gru_step(
         h~ = tanh(conv([x, r*h], wh) + b)
         h  = z*h + (1-z)*h~
     so a saturated update gate (z=1) preserves the previous state exactly.
+
+    z and r come from one per-tap pass with wz and wr stacked along output
+    channels. The node's parents are h_prev, x, the six gate tensors and the
+    bias; its backward is written out by hand, keeps only z, r and h~, and
+    pads [x, h] and [x, r*h] again from the parents' arrays.
     """
     wz, wr, wh = gates
-    hc = h_prev.data.shape[1]
-    for w in (wz, wr, wh):
-        if w.out_channels != hc:
-            raise ValueError(f"gate produces {w.out_channels} channels, state has {hc}")
-        if w.in_channels != x.data.shape[1] + hc:
-            raise ValueError(
-                f"gate expects {w.in_channels} input channels, got {x.data.shape[1] + hc}"
-            )
-    if (wz.kernel_size, wz.dilation, wz.padding) != (wr.kernel_size, wr.dilation, wr.padding):
+    _, hc, h, w = h_prev.data.shape
+    xc = x.data.shape[1]
+    for g in (wz, wr, wh):
+        if g.out_channels != hc:
+            raise ValueError(f"gate produces {g.out_channels} channels, state has {hc}")
+        if g.in_channels != xc + hc:
+            raise ValueError(f"gate expects {g.in_channels} input channels, got {xc + hc}")
+        if 2 * g.padding != g.dilation * (g.kernel_size - 1):
+            raise ValueError("gate convolutions must keep the grid size")
+    if (wz.kernel_size, wz.dilation) != (wr.kernel_size, wr.dilation):
         raise ValueError("update and reset gates need the same kernel size, dilation and padding")
 
-    def biased(pre: Tensor) -> Tensor:
-        return pre if bias is None else pre + bias
+    hd = h_prev.data
+    dt = np.result_type(x.data, hd, *(t.data for g in gates for t in g.parameters()))
 
-    # z and r read the same input, so one conv with both kernels stacked
-    # along output channels computes them; gradients flow back through the
-    # stacking to wz and wr
-    zr = ConvParams(
-        kernel=concat_channels([wz.kernel, wr.kernel], axis=0),
-        bias=concat_channels([wz.bias, wr.bias], axis=0),
-        dilation=wz.dilation,
-        padding=wz.padding,
-    )
-    z_pre, r_pre = split_channels(conv2d(concat_channels([x, h_prev]), zr), 2)
-    z = biased(z_pre).sigmoid()
-    r = biased(r_pre).sigmoid()
-    cand = biased(conv2d(concat_channels([x, r * h_prev]), wh)).tanh()
-    return z * h_prev + (1.0 - z) * cand
+    def padded(state: np.ndarray, gate: ConvParams) -> np.ndarray:
+        return _pad([x.data, state], gate.padding, dt)
+
+    def stacked_zr_kernel() -> np.ndarray:
+        # rebuilt in backward rather than kept: a copy per frame adds up
+        return np.concatenate([wz.kernel.data, wr.kernel.data])
+
+    zr = _conv_fwd(padded(hd, wz), stacked_zr_kernel(), wz.dilation)
+    zr = zr + np.concatenate([wz.bias.data, wr.bias.data])[None, :, None, None]
+    z, r = zr[:, :hc], zr[:, hc:]
+    if bias is not None:
+        z, r = z + bias.data, r + bias.data
+    z, r = _sigmoid(z), _sigmoid(r)
+    cand = _conv_fwd(padded(r * hd, wh), wh.kernel.data, wh.dilation)
+    cand = cand + wh.bias.data[None, :, None, None]
+    if bias is not None:
+        cand = cand + bias.data
+    cand = np.tanh(cand)
+
+    parents = (h_prev, x, *(t for g in gates for t in g.parameters()))
+    out = _result(z * hd + (1.0 - z) * cand, parents + (() if bias is None else (bias,)))
+    if out._prev:
+
+        def backward():
+            g = out.grad
+            need_in = x.requires_grad or h_prev.requires_grad
+            gh = g * z
+            dz = (g * hd - g * cand) * z * (1.0 - z)
+            dc = g * (1.0 - z) * (1.0 - cand * cand)
+            gxrh, gk = _conv_bwd(padded(r * hd, wh), wh.kernel.data, wh.dilation, dc, True,
+                                 wh.kernel.requires_grad)
+            gxrh = gxrh[:, :, wh.padding : wh.padding + h, wh.padding : wh.padding + w]
+            grh = gxrh[:, xc:]
+            gh += grh * r
+            dr = grh * hd * r * (1.0 - r)
+            if gk is not None:
+                wh.kernel._accum(gk)
+            if wh.bias.requires_grad:
+                wh.bias._accum(dc.sum(axis=(0, 2, 3)))
+
+            gxh, gk = _conv_bwd(padded(hd, wz), stacked_zr_kernel(), wz.dilation,
+                                np.concatenate([dz, dr], axis=1), need_in,
+                                wz.kernel.requires_grad or wr.kernel.requires_grad)
+            for gate, lo, dpre in ((wz, 0, dz), (wr, hc, dr)):
+                if gk is not None and gate.kernel.requires_grad:
+                    gate.kernel._accum(gk[lo : lo + hc])
+                if gate.bias.requires_grad:
+                    gate.bias._accum(dpre.sum(axis=(0, 2, 3)))
+            if bias is not None and bias.requires_grad:
+                bias._accum(dz + dr + dc)
+            if need_in:
+                gxh = gxh[:, :, wz.padding : wz.padding + h, wz.padding : wz.padding + w]
+                if x.requires_grad:
+                    x._accum(gxh[:, :xc] + gxrh[:, :xc])
+                if h_prev.requires_grad:
+                    h_prev._accum(gh + gxh[:, xc:])
+
+        out._backward = backward
+    return out
 
 
 # -------------------------------------------------------------- sampling

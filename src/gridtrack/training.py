@@ -121,7 +121,7 @@ def sequence_loss(model: Model, batches, schedule: ShowBlankSchedule) -> Tensor:
     if hasattr(batches, "observations"):
         batches = [batches]
     batches = list(batches)
-    pred = concat_channels(rollout(model, batches, schedule), axis=1)
+    pred = concat_channels(rollout(model, batches, schedule))
     occ = np.stack([[o.occ for o in b.observations] for b in batches])
     mask = np.stack([target_mask(b, schedule) for b in batches])
     return masked_bce(pred, occ, mask)

@@ -1,4 +1,5 @@
-"""Sequence codec round trips, manifest integrity, and the scan importer."""
+"""Sequence codec round trips, manifest integrity, the scan importer, and
+byte-level fuzzing of the two binary decoders (.dtseq and .ckpt)."""
 
 import json
 import re
@@ -25,6 +26,7 @@ from gridtrack.geometry import (
     encode_observation,
     se2_apply,
 )
+from gridtrack.model import Model, ModelConfig, build, load_checkpoint, save_checkpoint
 from gridtrack.simulator import SequenceBatch, moving_turning, static_crossing
 
 SPEC = GridSpec(size_cells=15, cell_size=0.3)
@@ -511,3 +513,58 @@ def test_import_empty_files(tmp_path):
     write_lines(odom, ["# nothing"])
     with pytest.raises(ValueError, match="no odometry rows"):
         import_scans(scan, odom, SPEC)
+
+
+# ------------------------------------------------------------- decoder fuzzing
+
+# One byte edit: (kind, position, byte). Positions wrap around the file.
+_byte_edit = st.tuples(
+    st.sampled_from(["flip", "overwrite", "truncate", "insert"]),
+    st.integers(0, 2**20),
+    st.integers(0, 255),
+)
+
+
+def apply_byte_edit(blob: bytes, edit) -> bytes:
+    kind, pos, byte = edit
+    pos %= len(blob)
+    if kind == "flip":
+        return blob[:pos] + bytes([blob[pos] ^ (1 << (byte % 8))]) + blob[pos + 1 :]
+    if kind == "overwrite":
+        return blob[:pos] + bytes([byte]) + blob[pos + 1 :]
+    if kind == "truncate":
+        return blob[:pos]
+    return blob[:pos] + bytes([byte]) + blob[pos:]
+
+
+@given(edit=_byte_edit)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_read_sequence_fuzzed_bytes_give_a_sequence_or_a_value_error(tmp_path, edit):
+    """A single flipped, overwritten, cut or inserted byte in a .dtseq file
+    loads as a SequenceBatch or raises ValueError, never another exception.
+    (Without a checksum some edits load as a different sequence.)"""
+    path = tmp_path / "seq.dtseq"
+    spec = GridSpec(size_cells=11, cell_size=0.4)
+    write_sequence(moving_turning(seed=4, spec=spec, frames=4), path)
+    path.write_bytes(apply_byte_edit(path.read_bytes(), edit))
+    try:
+        batch = read_sequence(path)
+    except ValueError:
+        return
+    assert isinstance(batch, SequenceBatch)
+
+
+@given(edit=_byte_edit)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_checkpoint_fuzzed_bytes_give_a_model_or_a_value_error(tmp_path, edit):
+    """A single flipped, overwritten, cut or inserted byte in a .ckpt file
+    loads as a Model or raises ValueError, never another exception."""
+    path = tmp_path / "model.ckpt"
+    grid = GridSpec(size_cells=9, cell_size=0.5)
+    save_checkpoint(build(ModelConfig.for_variant("RNN16", grid), seed=0), path)
+    path.write_bytes(apply_byte_edit(path.read_bytes(), edit))
+    try:
+        model = load_checkpoint(path)
+    except ValueError:
+        return
+    assert isinstance(model, Model)

@@ -409,14 +409,18 @@ def test_mask_identity_chain_all_ones():
     m = predictable_mask([Pose2.identity()] * 3, spec)
     assert m.shape == (3, 5, 5)
     assert m.all()
+    empty = predictable_mask([], spec)
+    assert empty.shape == (0, 5, 5) and empty.dtype == bool
 
 
 @pytest.mark.parametrize("m", [3, 5, 9, 21, 33, 51])
 @pytest.mark.parametrize("cs", [0.2, 0.4, 0.5])
 def test_mask_still_sensor_all_ones_at_every_size(m, cs):
     spec = GridSpec(size_cells=m, cell_size=cs)
-    for chain in ([Pose2.identity()], [Pose2.identity()] * 7):
-        assert predictable_mask(chain, spec).all()
+    for chain in ([], [Pose2.identity()], [Pose2.identity()] * 7):
+        got = predictable_mask(chain, spec)
+        assert got.shape == (len(chain), m, m)
+        assert got.all()
 
 
 def test_source_points_match_per_transform_inverse():
@@ -431,6 +435,8 @@ def test_source_points_match_per_transform_inverse():
         want = se2_apply(se2_inverse(p), cells)
         np.testing.assert_allclose(bx[k].ravel(), want[:, 0], atol=1e-12)
         np.testing.assert_allclose(by[k].ravel(), want[:, 1], atol=1e-12)
+    bx, by = source_points([], spec)
+    assert bx.shape == by.shape == (0, 7, 7)
 
 
 def test_mask_forward_translation_zeros_leading_edge():
@@ -494,7 +500,7 @@ def test_mask_monotone_under_forward_motion():
             st.floats(-1.0, 1.0),
             st.floats(-math.pi, math.pi),
         ),
-        min_size=1,
+        min_size=0,
         max_size=4,
     )
 )

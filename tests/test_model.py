@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,15 @@ def test_step_rejects_wrong_observation_size():
         step(model, h, "scan", Pose2.identity())
 
 
+def test_step_rejects_one_observation_for_a_batch():
+    model = build(ModelConfig.for_variant("GRU3DilConv_16", GRID9), seed=0)
+    h = initial_state(model, batch_size=2)
+    obs = random_obs(np.random.default_rng(0), 9)
+    with pytest.raises(ValueError, match="batch of 2"):
+        step(model, h, obs, Pose2.identity())
+    assert step(model, h, BLANK, Pose2.identity()).batch == 2
+
+
 def test_stm_translation_round_trip_restores_interior():
     """With a saturated update gate the recurrent update preserves state, so
     stepping under +2 cells then -2 cells of egomotion must restore interior
@@ -361,6 +371,46 @@ def test_rollout_stacks_shared_chain_sequences():
     assert preds[0].shape == (2, 1, 21, 21)
     solo = rollout(model, a, Schedule(4, lambda f: True))
     assert np.allclose(preds[-1].data[0], solo[-1].data[0], atol=1e-6)
+
+
+def test_step_loop_matches_rollout():
+    """step and unroll build their input planes with the same helper: a
+    sequence stepped frame by frame predicts exactly what rollout does."""
+    spec = GridSpec(size_cells=21, cell_size=0.4)
+    batch = static_crossing(seed=1, spec=spec, frames=4)
+    model = build(ModelConfig.for_variant("GRU3DilConv_16", spec), seed=0)
+    schedule = Schedule(4, lambda f: f != 2)
+    preds = rollout(model, batch, schedule)
+    h = initial_state(model)
+    for f in range(4):
+        obs = batch.observations[f] if schedule.is_shown(f) else BLANK
+        h = step(model, h, obs, Pose2.identity())
+        assert np.array_equal(decode(model, h).data, preds[f].data)
+
+
+def test_rollout_graph_memory_per_frame_is_bounded():
+    """A grad-enabled rollout keeps every frame's graph until backward. What
+    it leaves allocated per frame must stay under 8x the bytes of the hidden
+    state. The single-node GRU cell, which keeps only z, r and h~, holds
+    about 4.3x here; keeping its two padded inputs as well held about 10x,
+    and the 15-op composition it replaced about 23x."""
+    spec = GridSpec(size_cells=21, cell_size=0.4)
+    batch = static_crossing(seed=3, spec=spec, frames=8)
+    model = build(ModelConfig.for_variant("GRU3DilConv_16", spec), seed=0)
+    schedule = Schedule(8, lambda f: f % 4 < 2)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        preds = rollout(model, batch, schedule)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert preds[-1].requires_grad
+    hidden_bytes = model.config.hidden_maps * 21 * 21 * 4
+    assert held / 8 < 8 * hidden_bytes
 
 
 def test_rollout_validates_lengths_and_chains():

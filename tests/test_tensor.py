@@ -467,20 +467,66 @@ def gru_step_with_bias(h_prev, x, gates, bias):
 @pytest.mark.parametrize("with_bias", [False, True])
 def test_gru_bias_argument_matches_written_out_formula(with_bias):
     """conv_gru_step with and without a static bias reproduces, bit for bit
-    in float32, the two GRU formulas written out with the autodiff ops."""
+    in float32, the two GRU formulas written out with the autodiff ops, and
+    its hand-written backward gives every gradient within rtol 1e-5 of
+    theirs, relative to the gradient's largest entry (single entries that
+    cancel to near zero differ by a few float32 ulps of their terms)."""
     rng = np.random.default_rng(7)
     gates = random_gates(rng, 2, 3, dilation=2, dtype=np.float32)
-    h = Tensor(rng.normal(size=(2, 3, 9, 9)).astype(np.float32))
-    x = Tensor(rng.normal(size=(2, 2, 9, 9)).astype(np.float32))
+    h = Tensor(rng.normal(size=(2, 3, 9, 9)).astype(np.float32), requires_grad=True)
+    x = Tensor(rng.normal(size=(2, 2, 9, 9)).astype(np.float32), requires_grad=True)
+    weights = Tensor(rng.normal(size=(2, 3, 9, 9)).astype(np.float32))
+    leaves = [h, x] + [t for g in gates for t in g.parameters()]
     if with_bias:
-        bias = Tensor(rng.normal(size=(3, 9, 9)).astype(np.float32))
+        bias = Tensor(rng.normal(size=(3, 9, 9)).astype(np.float32), requires_grad=True)
+        leaves.append(bias)
         want = gru_step_with_bias(h, x, gates, bias)
     else:
         bias = None
         want = gru_step_unbiased(h, x, gates)
+    (want * weights).sum().backward()
+    want_grads = [t.grad for t in leaves]
+    for t in leaves:
+        t.zero_grad()
     got = conv_gru_step(h, x, gates, bias)
     assert got.data.dtype == np.float32
     assert np.array_equal(got.data, want.data)
+    (got * weights).sum().backward()
+    for t, g in zip(leaves, want_grads):
+        assert np.abs(t.grad - g).max() <= 1e-5 * np.abs(g).max()
+
+
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_grad_check_gru_every_input(with_bias):
+    """float64 finite differences w.r.t. h_prev, x, all six gate tensors and
+    the static bias, at batch 2, dilation 2 on a non-square grid."""
+    rng = np.random.default_rng(11)
+    gates = random_gates(rng, 1, 2, dilation=2)
+    h = Tensor(rng.normal(size=(2, 2, 5, 7)) * 0.5, requires_grad=True, dtype=np.float64)
+    x = Tensor(rng.normal(size=(2, 1, 5, 7)), requires_grad=True, dtype=np.float64)
+    weights = Tensor(rng.normal(size=(2, 2, 5, 7)), dtype=np.float64)
+    inputs = [h, x] + [t for g in gates for t in g.parameters()]
+    bias = None
+    if with_bias:
+        bias = Tensor(rng.normal(size=(2, 5, 7)) * 0.5, requires_grad=True, dtype=np.float64)
+        inputs.append(bias)
+    err = grad_check(lambda *_: (conv_gru_step(h, x, gates, bias) * weights).sum(), inputs)
+    assert err < 1e-6
+
+
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_gru_step_is_one_graph_node(with_bias):
+    """The cell's output links straight to h_prev, x, the gate tensors and
+    the bias: no elementwise intermediates in the graph."""
+    rng = np.random.default_rng(3)
+    gates = random_gates(rng, 2, 3, dtype=np.float32)
+    h = Tensor(rng.normal(size=(1, 3, 6, 6)), requires_grad=True)
+    x = Tensor(rng.normal(size=(1, 2, 6, 6)), requires_grad=True)
+    bias = Tensor(np.zeros((3, 6, 6)), requires_grad=True) if with_bias else None
+    out = conv_gru_step(h, x, gates, bias)
+    want = [h, x] + [t for g in gates for t in g.parameters()] + ([bias] if with_bias else [])
+    assert len(out._prev) == len(want)
+    assert all(a is b for a, b in zip(out._prev, want))
 
 
 # ---------------------------------------------------------------- bilinear
