@@ -60,7 +60,12 @@ def cmd_gen(args) -> int:
     spec = GridSpec(size_cells=args.grid, cell_size=args.cell_size)
     builder = scenario_builders()[args.scenario]
     kwargs = {"frame_rate": args.frame_rate}
-    if args.scenario != "occlusion":
+    if args.frames is not None:
+        if args.scenario == "occlusion":
+            raise ValueError(
+                "--frames does not apply to --scenario occlusion; "
+                "its length follows from the occlusion script"
+            )
         kwargs["frames"] = args.frames
     batches = [builder(args.seed + i, spec, **kwargs) for i in range(args.sequences)]
     manifest = write_dataset(
@@ -147,7 +152,6 @@ def cmd_eval(args) -> int:
         written.append(path)
         print(f"[{label}]")
         print(curve.table())
-    plot_path = os.path.join(args.out, "curves.ppm")
     if len(curves) == 2:
         cmp = compare_models(curves[0], curves[1], label_a=labels[0], label_b=labels[1])
         path = os.path.join(args.out, "comparison.txt")
@@ -155,13 +159,12 @@ def cmd_eval(args) -> int:
             fh.write(cmp.table() + "\n")
         written.append(path)
         print(cmp.table())
-        cmp.save_plot(plot_path)
-    else:
-        plot_curves(
-            plot_path,
-            {labels[0]: (curves[0].offsets, curves[0].f1)},
-            title="f1 by prediction offset",
-        )
+    plot_path = os.path.join(args.out, "curves.ppm")
+    plot_curves(
+        plot_path,
+        {label: (curve.offsets, curve.f1) for label, curve in zip(labels, curves)},
+        title="f1 by prediction offset",
+    )
     written.append(plot_path)
     print("wrote " + ", ".join(written))
     return 0
@@ -234,7 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
     gen.add_argument("--grid", type=int, default=51, help="grid side length in cells")
     gen.add_argument("--cell-size", type=float, default=0.2, help="cell size in meters")
-    gen.add_argument("--frames", type=int, default=20)
+    gen.add_argument("--frames", type=int, default=None,
+                     help="frames per sequence (builder default 20; "
+                     "not accepted by the occlusion scenario)")
     gen.add_argument("--frame-rate", type=float, default=8.0)
     gen.set_defaults(func=cmd_gen)
 

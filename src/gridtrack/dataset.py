@@ -232,21 +232,6 @@ class DatasetManifest:
             raise ValueError("manifest sequence_count disagrees with its file list")
         return manifest
 
-    def verify(self, dirpath) -> None:
-        """Check every referenced file exists and its header matches the
-        declared grid and frame count."""
-        for name, count in zip(self.files, self.frame_counts):
-            path = os.path.join(dirpath, name)
-            if not os.path.isfile(path):
-                raise ValueError(f"manifest references missing file {name}")
-            with open(path, "rb") as fh:
-                head = fh.read(len(MAGIC) + _HEADER.size)
-            spec, frames, _ = _read_header(head, path)
-            if spec != self.grid:
-                raise ValueError(f"{name}: grid {spec} does not match manifest {self.grid}")
-            if frames != count:
-                raise ValueError(f"{name}: {frames} frames, manifest declares {count}")
-
 
 def write_dataset(dirpath, batches, frame_rate: float, provenance: str = "synthetic", seed: int | None = None) -> DatasetManifest:
     batches = list(batches)
@@ -275,10 +260,22 @@ def write_dataset(dirpath, batches, frame_rate: float, provenance: str = "synthe
 
 
 def read_dataset(dirpath) -> tuple:
-    """Load a dataset directory: (manifest, list of sequences)."""
+    """Load a dataset directory: (manifest, list of sequences). Every file
+    the manifest lists must exist and match its declared grid and frame
+    count."""
     manifest = DatasetManifest.load(dirpath)
-    manifest.verify(dirpath)
-    return manifest, [read_sequence(os.path.join(dirpath, n)) for n in manifest.files]
+    batches = []
+    for name, count in zip(manifest.files, manifest.frame_counts):
+        path = os.path.join(dirpath, name)
+        if not os.path.isfile(path):
+            raise ValueError(f"manifest references missing file {name}")
+        batch = read_sequence(path)
+        if batch.spec != manifest.grid:
+            raise ValueError(f"{name}: grid {batch.spec} does not match manifest {manifest.grid}")
+        if batch.frames != count:
+            raise ValueError(f"{name}: {batch.frames} frames, manifest declares {count}")
+        batches.append(batch)
+    return manifest, batches
 
 
 # ------------------------------------------------------------------- importer

@@ -196,15 +196,6 @@ class ModelComparison:
         )
         return "\n".join(lines)
 
-    def save_plot(self, path) -> None:
-        from .render import plot_curves
-
-        plot_curves(
-            path,
-            {self.label_a: (self.offsets, self.f1_a), self.label_b: (self.offsets, self.f1_b)},
-            title="f1 by prediction offset",
-        )
-
 
 def compare_models(
     curve_a: HorizonCurve,

@@ -1,4 +1,4 @@
-"""Synthetic 2D range-scan worlds: shapes, sensor trajectories, analytic ray
+"""Synthetic 2D range-scan worlds: shapes, sensor poses, analytic ray
 casting, and ground-truth unoccluded occupancy.
 
 Worlds hold axis-aligned rectangles and discs only, so every ray intersection
@@ -10,13 +10,12 @@ reflect off the world bounds so they stay in play for the whole sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (
     GridSpec,
-    ObservationGrid,
     Pose2,
     encode_observation,
     se2_relative,
@@ -29,9 +28,9 @@ __all__ = [
     "DynamicObject",
     "Bounds",
     "WorldScene",
-    "TrajectorySpec",
     "SequenceBatch",
     "OcclusionScenario",
+    "sensor_poses",
     "simulate_sequence",
     "occlusion_scenario",
     "static_crossing",
@@ -70,22 +69,16 @@ class Rect:
 
 @dataclass(frozen=True)
 class Velocity2:
-    """Constant velocity: translation in meters/s, spin in radians/s. Spin is
-    meaningless for a disc and must be zero for an axis-aligned rectangle."""
+    """Constant translation velocity in meters/s."""
 
     vx: float
     vy: float
-    omega: float = 0.0
 
 
 @dataclass(frozen=True)
 class DynamicObject:
     shape: Disc | Rect
     velocity: Velocity2
-
-    def __post_init__(self):
-        if isinstance(self.shape, Rect) and self.velocity.omega != 0.0:
-            raise ValueError("rectangles stay axis-aligned; omega must be 0")
 
 
 @dataclass(frozen=True)
@@ -130,68 +123,22 @@ class WorldScene:
         return len(self.static_shapes) + len(self.dynamic_objects)
 
 
-@dataclass(frozen=True)
-class TrajectorySpec:
-    """Sensor motion: static, straight (constant heading), turning (constant
-    speed and yaw rate), or piecewise (a list of (speed, yaw_rate, frames)
-    segments). Poses advance by forward Euler: heading first, then position
-    along the new heading."""
-
-    kind: str
-    speed: float = 0.0
-    yaw_rate: float = 0.0
-    duration: float = 1.0
-    frame_rate: float = 10.0
-    segments: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in ("static", "straight", "turning", "piecewise"):
-            raise ValueError(f"unknown trajectory kind {self.kind!r}")
-        if self.frame_rate <= 0.0:
-            raise ValueError("frame_rate must be positive")
-        n = self.duration * self.frame_rate
-        if abs(n - round(n)) > 1e-9 or round(n) < 1:
-            raise ValueError(
-                f"duration*frame_rate must be a positive integer, got {n}"
-            )
-        if self.kind == "piecewise":
-            segs = tuple(tuple(s) for s in self.segments)
-            if not segs:
-                raise ValueError("piecewise trajectory needs segments")
-            if sum(s[2] for s in segs) != self.frame_count:
-                raise ValueError("segment frames must sum to the frame count")
-            object.__setattr__(self, "segments", segs)
-
-    @property
-    def frame_count(self) -> int:
-        return int(round(self.duration * self.frame_rate))
-
-    def _rates(self, frame: int) -> tuple[float, float]:
-        if self.kind == "static":
-            return 0.0, 0.0
-        if self.kind == "piecewise":
-            acc = 0
-            for speed, yaw, n in self.segments:
-                acc += n
-                if frame < acc:
-                    return speed, yaw
-            return self.segments[-1][0], self.segments[-1][1]
-        if self.kind == "straight":
-            return self.speed, 0.0
-        return self.speed, self.yaw_rate
-
-    def poses(self) -> list[Pose2]:
-        """World-frame sensor pose at every frame, starting at the origin."""
-        dt = 1.0 / self.frame_rate
-        out = [Pose2.identity()]
-        x = y = theta = 0.0
-        for f in range(1, self.frame_count):
-            speed, yaw = self._rates(f)
-            theta += yaw * dt
-            x += speed * math.cos(theta) * dt
-            y += speed * math.sin(theta) * dt
-            out.append(Pose2(x, y, theta))
-        return out
+def sensor_poses(
+    frames: int, frame_rate: float, speed: float = 0.0, yaw_rate: float = 0.0
+) -> list[Pose2]:
+    """World-frame sensor pose at every frame, starting at the origin, for a
+    constant speed (m/s) and yaw rate (rad/s): zero speed is a still sensor,
+    zero yaw rate drives straight. Poses advance by forward Euler: heading
+    first, then position along the new heading."""
+    dt = 1.0 / frame_rate
+    out = [Pose2.identity()]
+    x = y = theta = 0.0
+    for _ in range(1, frames):
+        theta += yaw_rate * dt
+        x += speed * math.cos(theta) * dt
+        y += speed * math.sin(theta) * dt
+        out.append(Pose2(x, y, theta))
+    return out
 
 
 @dataclass(frozen=True)
@@ -330,31 +277,34 @@ def _advance_with_reflection(center, vel, radii, bounds: Bounds, dt: float):
 
 def simulate_sequence(
     scene: WorldScene,
-    traj: TrajectorySpec,
+    poses: list[Pose2],
+    frame_rate: float,
     spec: GridSpec,
     n_beams: int,
     seed: int,
     noise_half_width: float = 0.0,
 ) -> SequenceBatch:
-    """Simulate one sequence: per frame, cast n_beams equally spaced beams
+    """Simulate one sequence with one frame per world-frame sensor pose
+    (see ``sensor_poses``): per frame, cast n_beams equally spaced beams
     from the sensor (nearest shape intersection wins), encode the scan,
     record the relative egomotion transform, and rasterize unoccluded truth.
 
-    The first frame uses the initial configuration; dynamic objects and the
-    sensor advance before each later frame. ``noise_half_width`` adds
-    zero-mean uniform range noise to returning beams.
+    The first frame uses the initial configuration; dynamic objects advance
+    by 1/frame_rate seconds before each later frame. ``noise_half_width``
+    adds zero-mean uniform range noise to returning beams.
     """
     if n_beams < 1:
         raise ValueError("n_beams must be >= 1")
     if scene.shape_count == 0:
         raise ValueError("scene has no shapes")
-    frames = traj.frame_count
+    frames = len(poses)
     if frames < 2:
         raise ValueError("sequence needs at least 2 frames")
+    if not frame_rate > 0.0:
+        raise ValueError(f"frame_rate must be positive, got {frame_rate}")
 
     rng = np.random.default_rng(seed)
-    dt = 1.0 / traj.frame_rate
-    poses = traj.poses()
+    dt = 1.0 / frame_rate
     bearings = -math.pi + 2.0 * math.pi * np.arange(n_beams) / n_beams
 
     centers = [(o.shape.cx, o.shape.cy) for o in scene.dynamic_objects]
@@ -463,8 +413,8 @@ def occlusion_scenario(
         dynamic_objects=(disc,),
         bounds=bounds,
     )
-    traj = TrajectorySpec(kind="static", duration=total / frame_rate, frame_rate=frame_rate)
-    batch = simulate_sequence(scene, traj, spec, n_beams=n_beams, seed=seed)
+    poses = sensor_poses(total, frame_rate)
+    batch = simulate_sequence(scene, poses, frame_rate, spec, n_beams=n_beams, seed=seed)
 
     occluded = tuple(
         f
@@ -525,8 +475,8 @@ def static_crossing(
         dynamic_objects=tuple(discs),
         bounds=Bounds(-margin, margin, -margin, margin),
     )
-    traj = TrajectorySpec(kind="static", duration=frames / frame_rate, frame_rate=frame_rate)
-    return simulate_sequence(scene, traj, spec, n_beams=n_beams, seed=seed)
+    poses = sensor_poses(frames, frame_rate)
+    return simulate_sequence(scene, poses, frame_rate, spec, n_beams=n_beams, seed=seed)
 
 
 def _roadside_scene(rng, spec: GridSpec, path_len: float, lateral: float) -> WorldScene:
@@ -555,6 +505,31 @@ def _roadside_scene(rng, spec: GridSpec, path_len: float, lateral: float) -> Wor
     )
 
 
+def _moving_sensor(
+    seed: int,
+    spec: GridSpec,
+    frames: int,
+    frame_rate: float,
+    n_beams: int,
+    cells_per_frame: float,
+    yaw_per_frame: float,
+    lateral: float,
+) -> SequenceBatch:
+    """Sensor at a constant speed and yaw rate through a seeded roadside
+    scene whose walls sit ``lateral`` half-extents to either side."""
+    rng = np.random.default_rng(seed)
+    cs = spec.cell_size
+    path_len = frames * cells_per_frame * cs
+    scene = _roadside_scene(rng, spec, path_len + spec.half_extent, lateral * spec.half_extent)
+    poses = sensor_poses(
+        frames,
+        frame_rate,
+        speed=cells_per_frame * cs * frame_rate,
+        yaw_rate=yaw_per_frame * frame_rate,
+    )
+    return simulate_sequence(scene, poses, frame_rate, spec, n_beams=n_beams, seed=seed)
+
+
 def moving_straight(
     seed: int,
     spec: GridSpec,
@@ -565,15 +540,7 @@ def moving_straight(
 ) -> SequenceBatch:
     """Sensor drives straight at a constant speed through a seeded corridor
     scene."""
-    rng = np.random.default_rng(seed)
-    cs = spec.cell_size
-    speed = cells_per_frame * cs * frame_rate
-    path_len = frames * cells_per_frame * cs
-    scene = _roadside_scene(rng, spec, path_len + spec.half_extent, 0.6 * spec.half_extent)
-    traj = TrajectorySpec(
-        kind="straight", speed=speed, duration=frames / frame_rate, frame_rate=frame_rate
-    )
-    return simulate_sequence(scene, traj, spec, n_beams=n_beams, seed=seed)
+    return _moving_sensor(seed, spec, frames, frame_rate, n_beams, cells_per_frame, 0.0, 0.6)
 
 
 def moving_turning(
@@ -586,19 +553,9 @@ def moving_turning(
     yaw_per_frame: float = 0.06,
 ) -> SequenceBatch:
     """Sensor follows a constant-rate turn through a seeded obstacle field."""
-    rng = np.random.default_rng(seed)
-    cs = spec.cell_size
-    speed = cells_per_frame * cs * frame_rate
-    path_len = frames * cells_per_frame * cs
-    scene = _roadside_scene(rng, spec, path_len + spec.half_extent, 0.7 * spec.half_extent)
-    traj = TrajectorySpec(
-        kind="turning",
-        speed=speed,
-        yaw_rate=yaw_per_frame * frame_rate,
-        duration=frames / frame_rate,
-        frame_rate=frame_rate,
+    return _moving_sensor(
+        seed, spec, frames, frame_rate, n_beams, cells_per_frame, yaw_per_frame, 0.7
     )
-    return simulate_sequence(scene, traj, spec, n_beams=n_beams, seed=seed)
 
 
 def scenario_builders() -> dict:

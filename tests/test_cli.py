@@ -12,8 +12,9 @@ import pytest
 
 from gridtrack.cli import _apply_thread_override, main
 from gridtrack.dataset import read_dataset, write_dataset
+from gridtrack.evaluation import f1_horizon
 from gridtrack.model import ModelConfig, build, load_checkpoint, rollout, save_checkpoint
-from gridtrack.render import frame_panel, write_ppm
+from gridtrack.render import frame_panel, plot_curves, write_ppm
 from gridtrack.simulator import SequenceBatch, moving_straight, moving_turning, static_crossing
 from gridtrack.geometry import GridSpec
 from gridtrack.tensor import no_grad
@@ -68,6 +69,15 @@ def test_gen_occlusion_scenario(tmp_path):
     _, batches = read_dataset(out)
     assert batches[0].truth_occ is not None
     assert batches[0].is_static()
+
+
+def test_gen_occlusion_rejects_frames(tmp_path, capsys):
+    out = tmp_path / "occ"
+    assert run("gen", "--scenario", "occlusion", "--frames", "40", "--sequences", "1",
+               "--out", out, "--grid", "21") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--frames" in err
+    assert not out.exists()
 
 
 def test_gen_rejects_zero_sequences(tmp_path, capsys):
@@ -199,8 +209,20 @@ def test_eval_compares_two_checkpoints(static_data, static_ckpt, tmp_path, capsy
     assert "f1[first]" in table and "f1[second]" in table
     assert (out / "horizon_first.txt").exists()
     assert (out / "horizon_second.txt").exists()
-    assert (out / "curves.ppm").exists()
     assert "better at" in capsys.readouterr().out
+    _, batches = read_dataset(static_data)
+    schedule = ShowBlankSchedule(total_frames=6, show=3, blank=3)
+    curves = {
+        label: f1_horizon(load_checkpoint(path), batches, schedule)
+        for label, path in (("first", static_ckpt), ("second", other))
+    }
+    want = tmp_path / "want.ppm"
+    plot_curves(
+        want,
+        {label: (c.offsets, c.f1) for label, c in curves.items()},
+        title="f1 by prediction offset",
+    )
+    assert (out / "curves.ppm").read_bytes() == want.read_bytes()
 
 
 def test_eval_rejects_bad_threshold(static_data, static_ckpt, tmp_path, capsys):

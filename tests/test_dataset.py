@@ -219,26 +219,26 @@ def test_manifest_fields(tmp_path):
 
 
 def test_manifest_verify_missing_file(tmp_path):
-    _, manifest = make_dataset(tmp_path)
+    make_dataset(tmp_path)
     (tmp_path / "seq_00001.dtseq").unlink()
     with pytest.raises(ValueError, match="missing file"):
-        manifest.verify(tmp_path)
+        read_dataset(tmp_path)
 
 
 def test_manifest_verify_header_mismatch(tmp_path):
-    _, manifest = make_dataset(tmp_path)
+    make_dataset(tmp_path)
     other = static_crossing(seed=9, spec=GridSpec(size_cells=11, cell_size=0.3), frames=6)
     write_sequence(other, tmp_path / "seq_00001.dtseq")
     with pytest.raises(ValueError, match="does not match manifest"):
-        manifest.verify(tmp_path)
+        read_dataset(tmp_path)
 
 
 def test_manifest_verify_frame_count_mismatch(tmp_path):
-    _, manifest = make_dataset(tmp_path)
+    make_dataset(tmp_path)
     shorter = static_crossing(seed=1, spec=SPEC, frames=4)
     write_sequence(shorter, tmp_path / "seq_00002.dtseq")
     with pytest.raises(ValueError, match="declares 6"):
-        manifest.verify(tmp_path)
+        read_dataset(tmp_path)
 
 
 def test_manifest_validation():

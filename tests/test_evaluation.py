@@ -5,7 +5,6 @@ import pytest
 
 from gridtrack.evaluation import (
     HorizonCurve,
-    ModelComparison,
     compare_models,
     f1_horizon,
     occlusion_track_error,
@@ -241,17 +240,3 @@ def test_compare_models_rejects_mismatched_offsets():
     b = HorizonCurve.from_counts({1: (1, 0, 0, 1), 2: (1, 0, 0, 1)})
     with pytest.raises(ValueError, match="offset axes"):
         compare_models(a, b)
-
-
-def test_comparison_save_plot_writes_pixmap(tmp_path):
-    cmp = ModelComparison(
-        label_a="stm",
-        label_b="baseline",
-        offsets=(1, 2, 3),
-        f1_a=(0.9, 0.8, 0.7),
-        f1_b=(0.85, 0.7, 0.6),
-    )
-    out = tmp_path / "curves.ppm"
-    cmp.save_plot(out)
-    blob = out.read_bytes()
-    assert blob.startswith(b"P6\n")

@@ -1,7 +1,10 @@
 """Simulator checks: analytic ray casting against scalar per-shape oracles,
-determinism, truth rasterization, and the scripted occlusion scene."""
+determinism, truth rasterization, recorded builder digests, and the scripted
+occlusion scene."""
 
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -13,13 +16,13 @@ from gridtrack.simulator import (
     DynamicObject,
     Rect,
     SequenceBatch,
-    TrajectorySpec,
     Velocity2,
     WorldScene,
     _cast_all,
     moving_straight,
     moving_turning,
     occlusion_scenario,
+    sensor_poses,
     simulate_sequence,
     static_crossing,
 )
@@ -147,8 +150,6 @@ def test_shape_validation():
     with pytest.raises(ValueError):
         Rect(half_w=1.0, half_h=-1.0)
     with pytest.raises(ValueError):
-        DynamicObject(shape=Rect(half_w=1, half_h=1), velocity=Velocity2(0, 0, omega=0.1))
-    with pytest.raises(ValueError):
         Bounds(0, 0, 0, 1)
 
 
@@ -158,25 +159,8 @@ def test_scene_rejects_object_outside_bounds():
         WorldScene(static_shapes=(), dynamic_objects=(obj,), bounds=Bounds(-5, 5, -5, 5))
 
 
-def test_trajectory_validation():
-    with pytest.raises(ValueError):
-        TrajectorySpec(kind="sideways")
-    with pytest.raises(ValueError):
-        TrajectorySpec(kind="static", duration=0.25, frame_rate=10.0)
-    with pytest.raises(ValueError):
-        TrajectorySpec(kind="piecewise", duration=1.0, frame_rate=10.0, segments=())
-    with pytest.raises(ValueError):
-        TrajectorySpec(
-            kind="piecewise",
-            duration=1.0,
-            frame_rate=10.0,
-            segments=((1.0, 0.0, 3),),
-        )
-
-
 def test_trajectory_poses_straight():
-    traj = TrajectorySpec(kind="straight", speed=2.0, duration=1.0, frame_rate=4.0)
-    poses = traj.poses()
+    poses = sensor_poses(4, 4.0, speed=2.0)
     assert len(poses) == 4
     assert poses[0] == Pose2.identity()
     assert poses[3].x == pytest.approx(1.5)
@@ -185,22 +169,14 @@ def test_trajectory_poses_straight():
 
 
 def test_trajectory_poses_turning_heading_accumulates():
-    traj = TrajectorySpec(kind="turning", speed=1.0, yaw_rate=0.5, duration=1.0, frame_rate=5.0)
-    poses = traj.poses()
+    poses = sensor_poses(5, 5.0, speed=1.0, yaw_rate=0.5)
     assert poses[4].theta == pytest.approx(4 * 0.5 / 5.0)
 
 
-def test_trajectory_piecewise_switches_rates():
-    traj = TrajectorySpec(
-        kind="piecewise",
-        duration=1.0,
-        frame_rate=6.0,
-        segments=((1.0, 0.0, 3), (0.0, 0.0, 3)),
-    )
-    poses = traj.poses()
-    # the step into frame f uses frame f's segment, so motion stops at frame 2
-    assert poses[2].x == poses[5].x
-    assert poses[1].x < poses[2].x
+def test_sensor_poses_still_sensor_is_identity():
+    poses = sensor_poses(6, 8.0)
+    assert len(poses) == 6
+    assert all(p == Pose2.identity() for p in poses)
 
 
 def test_batch_validation():
@@ -247,9 +223,13 @@ def walled_scene(extent=4.0):
 
 def test_simulate_deterministic_per_seed():
     spec = GridSpec(size_cells=21, cell_size=0.4)
-    traj = TrajectorySpec(kind="static", duration=1.0, frame_rate=5.0)
-    a = simulate_sequence(walled_scene(), traj, spec, n_beams=90, seed=7, noise_half_width=0.05)
-    b = simulate_sequence(walled_scene(), traj, spec, n_beams=90, seed=7, noise_half_width=0.05)
+    poses = sensor_poses(5, 5.0)
+    a = simulate_sequence(
+        walled_scene(), poses, 5.0, spec, n_beams=90, seed=7, noise_half_width=0.05
+    )
+    b = simulate_sequence(
+        walled_scene(), poses, 5.0, spec, n_beams=90, seed=7, noise_half_width=0.05
+    )
     for oa, ob, ta, tb in zip(a.observations, b.observations, a.truth_occ, b.truth_occ):
         assert np.array_equal(oa.vis, ob.vis)
         assert np.array_equal(oa.occ, ob.occ)
@@ -259,9 +239,13 @@ def test_simulate_deterministic_per_seed():
 
 def test_simulate_seed_changes_noise():
     spec = GridSpec(size_cells=21, cell_size=0.4)
-    traj = TrajectorySpec(kind="static", duration=1.0, frame_rate=5.0)
-    a = simulate_sequence(walled_scene(), traj, spec, n_beams=90, seed=1, noise_half_width=0.2)
-    b = simulate_sequence(walled_scene(), traj, spec, n_beams=90, seed=2, noise_half_width=0.2)
+    poses = sensor_poses(5, 5.0)
+    a = simulate_sequence(
+        walled_scene(), poses, 5.0, spec, n_beams=90, seed=1, noise_half_width=0.2
+    )
+    b = simulate_sequence(
+        walled_scene(), poses, 5.0, spec, n_beams=90, seed=2, noise_half_width=0.2
+    )
     diff = any(
         not np.array_equal(oa.occ, ob.occ) for oa, ob in zip(a.observations, b.observations)
     )
@@ -271,14 +255,23 @@ def test_simulate_seed_changes_noise():
 def test_simulate_rejects_empty_scene_and_short_runs():
     spec = GridSpec(size_cells=11, cell_size=0.5)
     empty = WorldScene(static_shapes=(), dynamic_objects=(), bounds=Bounds(-1, 1, -1, 1))
-    traj = TrajectorySpec(kind="static", duration=1.0, frame_rate=5.0)
+    poses = sensor_poses(5, 5.0)
     with pytest.raises(ValueError):
-        simulate_sequence(empty, traj, spec, n_beams=10, seed=0)
-    short = TrajectorySpec(kind="static", duration=0.2, frame_rate=5.0)
+        simulate_sequence(empty, poses, 5.0, spec, n_beams=10, seed=0)
     with pytest.raises(ValueError):
-        simulate_sequence(walled_scene(), short, spec, n_beams=10, seed=0)
+        simulate_sequence(walled_scene(), poses[:1], 5.0, spec, n_beams=10, seed=0)
     with pytest.raises(ValueError):
-        simulate_sequence(walled_scene(), traj, spec, n_beams=0, seed=0)
+        simulate_sequence(walled_scene(), poses, 5.0, spec, n_beams=0, seed=0)
+
+
+def test_simulate_rejects_short_pose_lists_and_bad_rates():
+    spec = GridSpec(size_cells=11, cell_size=0.5)
+    poses = sensor_poses(3, 5.0, speed=1.0)
+    with pytest.raises(ValueError, match="at least 2 frames"):
+        simulate_sequence(walled_scene(), [], 5.0, spec, n_beams=10, seed=0)
+    for rate in (0.0, -5.0, float("nan")):
+        with pytest.raises(ValueError, match="frame_rate must be positive"):
+            simulate_sequence(walled_scene(), poses, rate, spec, n_beams=10, seed=0)
 
 
 def test_occupied_cells_lie_near_shape_boundaries():
@@ -286,8 +279,7 @@ def test_occupied_cells_lie_near_shape_boundaries():
     within one cell diagonal of the cell center."""
     spec = GridSpec(size_cells=25, cell_size=0.3)
     scene = walled_scene(extent=3.0)
-    traj = TrajectorySpec(kind="static", duration=1.0, frame_rate=4.0)
-    batch = simulate_sequence(scene, traj, spec, n_beams=180, seed=3)
+    batch = simulate_sequence(scene, sensor_poses(4, 4.0), 4.0, spec, n_beams=180, seed=3)
     # dynamic disc position per frame: starts at (1, -2), vy=2, dt=0.25
     for f, obs in enumerate(batch.observations):
         shapes = list(scene.static_shapes)
@@ -303,8 +295,7 @@ def test_occupied_cells_lie_near_shape_boundaries():
 def test_truth_matches_direct_inside_test():
     spec = GridSpec(size_cells=25, cell_size=0.3)
     scene = walled_scene(extent=3.0)
-    traj = TrajectorySpec(kind="static", duration=0.5, frame_rate=4.0)
-    batch = simulate_sequence(scene, traj, spec, n_beams=60, seed=0)
+    batch = simulate_sequence(scene, sensor_poses(2, 4.0), 4.0, spec, n_beams=60, seed=0)
     ax = spec.axis_centers()
     for f in range(batch.frames):
         cy = -2.0 + 0.5 * f
@@ -332,8 +323,7 @@ def test_dynamic_object_reflects_at_bounds():
         ),
         bounds=Bounds(-1.0, 1.0, -1.0, 1.0),
     )
-    traj = TrajectorySpec(kind="static", duration=4.0, frame_rate=5.0)
-    batch = simulate_sequence(scene, traj, spec, n_beams=40, seed=0)
+    batch = simulate_sequence(scene, sensor_poses(20, 5.0), 5.0, spec, n_beams=40, seed=0)
     # the disc must stay inside the grid's truth footprint the whole time
     for t in batch.truth_occ:
         assert t.sum() > 0
@@ -371,6 +361,42 @@ def test_builders_deterministic_and_distinct():
             not np.array_equal(oa.vis, oc.vis)
             for oa, oc in zip(a.observations, c.observations)
         )
+
+
+def _batch_digest(batch):
+    h = hashlib.sha256()
+    for obs, truth, t in zip(batch.observations, batch.truth_occ, batch.rel_transforms):
+        h.update(np.ascontiguousarray(obs.vis).tobytes())
+        h.update(np.ascontiguousarray(obs.occ).tobytes())
+        h.update(np.ascontiguousarray(truth).tobytes())
+        h.update(struct.pack("<3d", t.x, t.y, t.theta))
+    return h.hexdigest()
+
+
+# sha256 over every frame's vis/occ planes, truth and (x, y, theta); a
+# mismatch means every dataset the builders generate has changed
+BUILDER_DIGESTS = {
+    ("static_crossing", 0): "5138c730e50759c2837c567c00c216b77af14eeab635b603c86d2d724d27f591",
+    ("static_crossing", 7): "f9e3f9f641baea865ab13f4632248d0ca2d1aa2aa64a7a6a693d37c20ceea9c3",
+    ("moving_straight", 0): "91ba59387040808d36f5cdcc3bf37fc49d39d66516c17c022f572c57c7620ff2",
+    ("moving_straight", 7): "aecbb17e413cac0f67be2c1f7deedf0486b744e992927dad70d95d20cab24700",
+    ("moving_turning", 0): "41d394c572317ab01cea1004b40dc4811d740df55277d56503a4e0e1019434a8",
+    ("moving_turning", 7): "4940307d217bb0260f856c50aa4b96ee670b05b93c0ada5f6a3846bcc0216d15",
+    ("occlusion", 0): "617ab8e9adaa118ae8f1332f7aeb4766e2b085352ccf8ba3b7786ca817d976ab",
+    ("occlusion", 7): "617ab8e9adaa118ae8f1332f7aeb4766e2b085352ccf8ba3b7786ca817d976ab",
+}
+
+
+def test_builders_match_recorded_digests():
+    spec = GridSpec(size_cells=21, cell_size=0.4)
+    builders = {
+        "static_crossing": lambda s: static_crossing(s, spec, frames=8),
+        "moving_straight": lambda s: moving_straight(s, spec, frames=8),
+        "moving_turning": lambda s: moving_turning(s, spec, frames=8),
+        "occlusion": lambda s: occlusion_scenario(s, spec).batch,
+    }
+    got = {(name, s): _batch_digest(build(s)) for name, build in builders.items() for s in (0, 7)}
+    assert got == BUILDER_DIGESTS
 
 
 def test_static_crossing_is_static_and_has_motion_in_truth():

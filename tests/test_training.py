@@ -11,12 +11,12 @@ from gridtrack.simulator import (
     Bounds,
     Disc,
     Rect,
-    TrajectorySpec,
     SequenceBatch,
     WorldScene,
     moving_straight,
     moving_turning,
     occlusion_scenario,
+    sensor_poses,
     simulate_sequence,
     static_crossing,
 )
@@ -474,8 +474,7 @@ def all_free_batch(spec, frames):
     scene = WorldScene(
         static_shapes=(far,), dynamic_objects=(), bounds=Bounds(-200, 200, -200, 200)
     )
-    traj = TrajectorySpec(kind="static", duration=frames / 8.0, frame_rate=8.0)
-    return simulate_sequence(scene, traj, spec, n_beams=180, seed=0)
+    return simulate_sequence(scene, sensor_poses(frames, 8.0), 8.0, spec, n_beams=180, seed=0)
 
 
 def test_train_learns_all_free_world():
