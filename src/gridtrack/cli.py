@@ -29,8 +29,8 @@ def _apply_thread_override() -> None:
             os.environ[var] = n
 
 
-def _uniform_frame_count(manifest) -> int:
-    counts = set(manifest.frame_counts)
+def _uniform_frame_count(batches) -> int:
+    counts = {b.frames for b in batches}
     if len(counts) != 1:
         raise ValueError(
             f"sequences have differing frame counts {sorted(counts)}; "
@@ -39,11 +39,11 @@ def _uniform_frame_count(manifest) -> int:
     return counts.pop()
 
 
-def _check_grid(model, manifest, ckpt_path) -> None:
-    if model.config.grid != manifest.grid:
+def _check_grid(model, batches, ckpt_path) -> None:
+    if model.config.grid != batches[0].spec:
         raise ValueError(
             f"checkpoint {ckpt_path} was trained on grid {model.config.grid}, "
-            f"which does not match the dataset grid {manifest.grid}"
+            f"which does not match the dataset grid {batches[0].spec}"
         )
 
 
@@ -68,11 +68,11 @@ def cmd_gen(args) -> int:
             )
         kwargs["frames"] = args.frames
     batches = [builder(args.seed + i, spec, **kwargs) for i in range(args.sequences)]
-    manifest = write_dataset(
+    write_dataset(
         args.out, batches, frame_rate=args.frame_rate, provenance="synthetic", seed=args.seed
     )
     print(
-        f"wrote {manifest.sequence_count} x {manifest.frame_counts[0]}-frame "
+        f"wrote {len(batches)} x {batches[0].frames}-frame "
         f"sequences ({args.scenario}, grid {args.grid}) to {args.out}"
     )
     return 0
@@ -83,8 +83,8 @@ def cmd_train(args) -> int:
     from .model import ModelConfig, build, save_checkpoint
     from .training import ShowBlankSchedule, TrainConfig, train
 
-    manifest, batches = read_dataset(args.data)
-    frames = _uniform_frame_count(manifest)
+    _, batches = read_dataset(args.data)
+    frames = _uniform_frame_count(batches)
     schedule = ShowBlankSchedule(total_frames=frames, show=args.show, blank=args.blank)
     moving = any(not b.is_static() for b in batches)
     cfg = TrainConfig(
@@ -102,7 +102,7 @@ def cmd_train(args) -> int:
         log_path=args.log,
     )
     model = build(
-        ModelConfig.for_variant(args.variant, manifest.grid, use_stm=args.stm == "on"),
+        ModelConfig.for_variant(args.variant, batches[0].spec, use_stm=args.stm == "on"),
         seed=args.seed,
     )
     result = train(model, batches, cfg)
@@ -125,13 +125,13 @@ def cmd_eval(args) -> int:
 
     if len(args.ckpt) > 2:
         raise ValueError("eval compares at most two checkpoints")
-    manifest, batches = read_dataset(args.data)
-    frames = _uniform_frame_count(manifest)
+    _, batches = read_dataset(args.data)
+    frames = _uniform_frame_count(batches)
     schedule = ShowBlankSchedule(total_frames=frames, show=args.show, blank=args.blank)
     models = []
     for path in args.ckpt:
         model = load_checkpoint(path)
-        _check_grid(model, manifest, path)
+        _check_grid(model, batches, path)
         models.append(model)
     labels = args.label or [
         os.path.splitext(os.path.basename(p))[0] for p in args.ckpt
@@ -177,14 +177,14 @@ def cmd_render(args) -> int:
     from .tensor import no_grad
     from .training import ShowBlankSchedule
 
-    manifest, batches = read_dataset(args.data)
+    _, batches = read_dataset(args.data)
     if not (0 <= args.sequence < len(batches)):
         raise ValueError(
             f"--sequence {args.sequence} out of range; dataset has {len(batches)}"
         )
     batch = batches[args.sequence]
     model = load_checkpoint(args.ckpt)
-    _check_grid(model, manifest, args.ckpt)
+    _check_grid(model, batches, args.ckpt)
     show = args.show if args.show is not None else batch.frames
     blank = args.blank if args.blank is not None else 0
     schedule = ShowBlankSchedule(total_frames=batch.frames, show=show, blank=blank)

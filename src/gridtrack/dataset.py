@@ -1,12 +1,18 @@
-"""Bit-exact sequence persistence and an importer for planar scan logs.
+"""Bit-exact sequence persistence, dataset directories, and an importer for
+planar scan logs.
 
 Sequences are stored in the DTSEQ1 binary format: a 6-byte magic, a
 little-endian header (grid side length as u16, cell size in whole millimeters
 as u32, frame count as u32, flags as u8 with bit 0 marking truth presence),
-then per frame a visibility bit-plane, an occupancy bit-plane, the egomotion
-delta as three 64-bit reals (x, y, theta), and, when flagged, a truth
-bit-plane. Bit-planes are row-major, packed 8 cells per byte, most significant
-bit first. Reading back a written sequence reproduces it bit for bit.
+then one unpadded record per frame: a visibility bit-plane, an occupancy
+bit-plane, the egomotion delta as three little-endian 64-bit reals (x, y,
+theta), and, when flagged, a truth bit-plane. Bit-planes are row-major,
+packed 8 cells per byte, most significant bit first. Reading back a written
+sequence reproduces it bit for bit.
+
+A dataset directory holds the sequence files and a ``manifest.json`` that
+lists them with the frame rate, provenance and seed. The grid and frame
+count of each sequence live only in its own header.
 """
 
 from __future__ import annotations
@@ -42,12 +48,14 @@ __all__ = [
 
 MAGIC = b"DTSEQ1"
 _HEADER = struct.Struct("<HIIB")
-_POSE = struct.Struct("<3d")
 MANIFEST_NAME = "manifest.json"
 
 
-def _plane_bytes(m: int) -> int:
-    return (m * m + 7) // 8
+def _frame_dtype(m: int, flags: int) -> np.dtype:
+    """One frame's record: the packed planes and the pose, no padding."""
+    nb = (m * m + 7) // 8
+    fields = [("vis", "u1", (nb,)), ("occ", "u1", (nb,)), ("pose", "<f8", (3,))]
+    return np.dtype(fields + ([("truth", "u1", (nb,))] if flags else []))
 
 
 def _cell_size_mm(spec: GridSpec) -> int:
@@ -71,32 +79,23 @@ def _check_storable(spec: GridSpec) -> int:
     return _cell_size_mm(spec)
 
 
-def _pack_plane(grid: np.ndarray) -> bytes:
-    return np.packbits(grid.astype(np.uint8).reshape(-1)).tobytes()
-
-
-def _unpack_plane(buf: bytes, offset: int, m: int) -> np.ndarray:
-    raw = np.frombuffer(buf, dtype=np.uint8, count=_plane_bytes(m), offset=offset)
-    return np.unpackbits(raw, count=m * m).reshape(m, m)
+def _pack(planes, frames: int) -> np.ndarray:
+    return np.packbits(np.reshape(planes, (frames, -1)), axis=1)
 
 
 def write_sequence(batch: SequenceBatch, path) -> None:
     """Serialize one sequence; ``read_sequence`` restores it bit-identically."""
     mm = _check_storable(batch.spec)
-    m = batch.spec.size_cells
+    m, frames = batch.spec.size_cells, batch.frames
     flags = 1 if batch.truth_occ is not None else 0
-    out = bytearray(MAGIC)
-    out += _HEADER.pack(m, mm, batch.frames, flags)
-    for f in range(batch.frames):
-        obs = batch.observations[f]
-        out += _pack_plane(obs.vis)
-        out += _pack_plane(obs.occ)
-        t = batch.rel_transforms[f]
-        out += _POSE.pack(t.x, t.y, t.theta)
-        if flags:
-            out += _pack_plane(batch.truth_occ[f])
+    rec = np.empty(frames, dtype=_frame_dtype(m, flags))
+    rec["vis"] = _pack([o.vis for o in batch.observations], frames)
+    rec["occ"] = _pack([o.occ for o in batch.observations], frames)
+    rec["pose"] = [(t.x, t.y, t.theta) for t in batch.rel_transforms]
+    if flags:
+        rec["truth"] = _pack(batch.truth_occ, frames)
     with open(path, "wb") as fh:
-        fh.write(out)
+        fh.write(MAGIC + _HEADER.pack(m, mm, frames, flags) + rec.tobytes())
 
 
 def _read_header(blob: bytes, path) -> tuple:
@@ -118,31 +117,23 @@ def read_sequence(path) -> SequenceBatch:
         blob = fh.read()
     spec, frames, flags = _read_header(blob, path)
     m = spec.size_cells
-    nb = _plane_bytes(m)
-    frame_size = 2 * nb + _POSE.size + (nb if flags else 0)
-    expected = len(MAGIC) + _HEADER.size + frames * frame_size
+    dtype = _frame_dtype(m, flags)
+    expected = len(MAGIC) + _HEADER.size + frames * dtype.itemsize
     if len(blob) != expected:
         raise ValueError(
             f"{path}: expected {expected} bytes for {frames} frames, got {len(blob)}"
         )
-    off = len(MAGIC) + _HEADER.size
-    observations, transforms, truth = [], [], []
-    for _ in range(frames):
-        vis = _unpack_plane(blob, off, m)
-        off += nb
-        occ = _unpack_plane(blob, off, m)
-        off += nb
-        observations.append(ObservationGrid(vis=vis, occ=occ))
-        transforms.append(Pose2(*_POSE.unpack_from(blob, off)))
-        off += _POSE.size
-        if flags:
-            truth.append(_unpack_plane(blob, off, m))
-            off += nb
+    rec = np.frombuffer(blob, dtype=dtype, count=frames, offset=len(MAGIC) + _HEADER.size)
+
+    def unpack(name):
+        return np.unpackbits(rec[name], axis=1, count=m * m).reshape(frames, m, m)
+
+    vis, occ = unpack("vis"), unpack("occ")
     return SequenceBatch(
         spec=spec,
-        observations=tuple(observations),
-        rel_transforms=tuple(transforms),
-        truth_occ=tuple(truth) if flags else None,
+        observations=tuple(ObservationGrid(vis=v, occ=o) for v, o in zip(vis, occ)),
+        rel_transforms=tuple(Pose2(*p) for p in rec["pose"].tolist()),
+        truth_occ=tuple(unpack("truth")) if flags else None,
     )
 
 
@@ -151,44 +142,32 @@ def read_sequence(path) -> SequenceBatch:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Index of a dataset directory: the shared grid geometry, frame rate,
-    sequence files with their frame counts, and where the data came from.
-    Synthetic datasets record their seed; imported ones carry none."""
+    """Index of a dataset directory: the frame rate, the sequence files, and
+    where the data came from. Synthetic datasets record their seed; imported
+    ones carry none. Grid and frame counts are read from the files."""
 
-    grid: GridSpec
     frame_rate: float
     files: tuple
-    frame_counts: tuple
     provenance: str
     seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "files", tuple(self.files))
-        object.__setattr__(self, "frame_counts", tuple(int(n) for n in self.frame_counts))
         if self.provenance not in ("synthetic", "imported"):
             raise ValueError(f"provenance must be synthetic or imported, got {self.provenance!r}")
         if self.provenance == "synthetic" and self.seed is None:
             raise ValueError("synthetic datasets must record their seed")
         if self.provenance == "imported" and self.seed is not None:
             raise ValueError("imported datasets carry no seed")
-        if len(self.files) != len(self.frame_counts):
-            raise ValueError("files and frame_counts lengths differ")
         if not self.files:
             raise ValueError("a dataset needs at least one sequence")
         if not (self.frame_rate > 0.0 and math.isfinite(self.frame_rate)):
             raise ValueError(f"frame_rate must be positive, got {self.frame_rate}")
 
-    @property
-    def sequence_count(self) -> int:
-        return len(self.files)
-
     def save(self, dirpath) -> None:
         doc = {
-            "grid": {"size_cells": self.grid.size_cells, "cell_size": self.grid.cell_size},
             "frame_rate": self.frame_rate,
-            "sequence_count": self.sequence_count,
             "files": list(self.files),
-            "frame_counts": list(self.frame_counts),
             "provenance": self.provenance,
         }
         if self.seed is not None:
@@ -199,6 +178,8 @@ class DatasetManifest:
 
     @classmethod
     def load(cls, dirpath) -> "DatasetManifest":
+        """Read ``manifest.json``. Keys it does not use, such as the grid,
+        frame_counts and sequence_count of older manifests, are ignored."""
         path = os.path.join(dirpath, MANIFEST_NAME)
         with open(path) as fh:
             try:
@@ -210,27 +191,15 @@ class DatasetManifest:
     def _from_doc(cls, doc) -> "DatasetManifest":
         if not isinstance(doc, dict):
             raise ValueError("manifest is not a JSON object")
-        g = json_field(doc, "grid", dict)
         files = json_field(doc, "files", list)
-        counts = json_field(doc, "frame_counts", list)
         if not all(isinstance(n, str) for n in files):
             raise ValueError("files must be a list of file names")
-        if not all(isinstance(n, int) and not isinstance(n, bool) for n in counts):
-            raise ValueError("frame_counts must be a list of integers")
-        manifest = cls(
-            grid=GridSpec(
-                size_cells=json_field(g, "size_cells", int),
-                cell_size=json_field(g, "cell_size", (int, float)),
-            ),
+        return cls(
             frame_rate=json_field(doc, "frame_rate", (int, float)),
             files=tuple(files),
-            frame_counts=tuple(counts),
             provenance=json_field(doc, "provenance", str),
             seed=None if doc.get("seed") is None else json_field(doc, "seed", int),
         )
-        if json_field(doc, "sequence_count", int) != manifest.sequence_count:
-            raise ValueError("manifest sequence_count disagrees with its file list")
-        return manifest
 
 
 def write_dataset(dirpath, batches, frame_rate: float, provenance: str = "synthetic", seed: int | None = None) -> DatasetManifest:
@@ -248,12 +217,7 @@ def write_dataset(dirpath, batches, frame_rate: float, provenance: str = "synthe
         write_sequence(b, os.path.join(dirpath, name))
         files.append(name)
     manifest = DatasetManifest(
-        grid=spec,
-        frame_rate=frame_rate,
-        files=tuple(files),
-        frame_counts=tuple(b.frames for b in batches),
-        provenance=provenance,
-        seed=seed,
+        frame_rate=frame_rate, files=tuple(files), provenance=provenance, seed=seed
     )
     manifest.save(dirpath)
     return manifest
@@ -261,19 +225,19 @@ def write_dataset(dirpath, batches, frame_rate: float, provenance: str = "synthe
 
 def read_dataset(dirpath) -> tuple:
     """Load a dataset directory: (manifest, list of sequences). Every file
-    the manifest lists must exist and match its declared grid and frame
-    count."""
+    the manifest lists must exist and share the first file's grid."""
     manifest = DatasetManifest.load(dirpath)
     batches = []
-    for name, count in zip(manifest.files, manifest.frame_counts):
+    for name in manifest.files:
         path = os.path.join(dirpath, name)
         if not os.path.isfile(path):
             raise ValueError(f"manifest references missing file {name}")
         batch = read_sequence(path)
-        if batch.spec != manifest.grid:
-            raise ValueError(f"{name}: grid {batch.spec} does not match manifest {manifest.grid}")
-        if batch.frames != count:
-            raise ValueError(f"{name}: {batch.frames} frames, manifest declares {count}")
+        if batches and batch.spec != batches[0].spec:
+            raise ValueError(
+                f"{name}: grid {batch.spec} does not match {manifest.files[0]}'s "
+                f"grid {batches[0].spec}; a dataset shares one grid"
+            )
         batches.append(batch)
     return manifest, batches
 

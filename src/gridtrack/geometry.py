@@ -151,14 +151,6 @@ class GridSpec:
         c = self.center
         return ((i - c) * self.cell_size, (j - c) * self.cell_size)
 
-    def point_cell(self, x: float, y: float) -> tuple[int, int]:
-        """Cell index containing a metric point (floor convention; points on a
-        boundary belong to the higher-index cell). May fall outside the grid."""
-        c = self.center
-        i = math.floor(x / self.cell_size + 0.5) + c
-        j = math.floor(y / self.cell_size + 0.5) + c
-        return i, j
-
     def in_grid(self, i: int, j: int) -> bool:
         return 0 <= i < self.size_cells and 0 <= j < self.size_cells
 

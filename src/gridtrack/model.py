@@ -198,20 +198,6 @@ class Model:
         for t in self.parameters():
             t.zero_grad()
 
-    def describe(self) -> str:
-        lines = [f"{self.config.variant} on {self.config.grid.size_cells}x"
-                 f"{self.config.grid.size_cells} grid"]
-        for i, cell in enumerate(self.cells):
-            convs = cell if isinstance(cell, tuple) else (cell,)
-            n = sum(c.param_count for c in convs)
-            maps, k, d = self.config.layers[i]
-            lines.append(f"  layer {i}: {maps} maps, kernel {k}, dilation {d}: {n} params")
-        if self.bias_grids:
-            lines.append(f"  static bias: {self.static_bias_count} params")
-        lines.append(f"  decoder: {self.decoder.param_count} params")
-        lines.append(f"  total: {self.param_count} params")
-        return "\n".join(lines)
-
 
 def build(config: ModelConfig, seed: int) -> Model:
     """Deterministically initialize a model. Convolution weights and biases
@@ -359,25 +345,20 @@ _MAGIC = b"DTCK"
 _VERSION = 1
 
 
-def _config_doc(config: ModelConfig) -> dict:
+def _config_json(config: ModelConfig) -> bytes:
     g = config.grid
-    return {
+    doc = {
         "variant": config.variant,
         "use_stm": config.use_stm,
         "grid": {"size_cells": g.size_cells, "cell_size": g.cell_size, "max_range": g.max_range},
-        "layers": [list(l) for l in config.layers],
-        "decode_full_state": config.decode_full_state,
-        "static_bias": config.static_bias,
     }
-
-
-def _config_json(config: ModelConfig) -> bytes:
-    return json.dumps(_config_doc(config), sort_keys=True).encode("utf-8")
+    return json.dumps(doc, sort_keys=True).encode("utf-8")
 
 
 def _config_from_json(raw: bytes) -> ModelConfig:
-    """Inverse of _config_json. The keys the variant determines must agree
-    with it, since the file comes from outside the program."""
+    """Inverse of _config_json. Older checkpoints also store the variant's
+    layers, decode_full_state and static_bias; like any other unknown key
+    they are ignored, since the variant name fixes them."""
     try:
         doc = json.loads(raw.decode("utf-8"))
     except ValueError as exc:
@@ -385,7 +366,7 @@ def _config_from_json(raw: bytes) -> ModelConfig:
     if not isinstance(doc, dict):
         raise ValueError("config is not a JSON object")
     g = json_field(doc, "grid", dict)
-    config = ModelConfig(
+    return ModelConfig(
         variant=json_field(doc, "variant", str),
         use_stm=json_field(doc, "use_stm", bool),
         grid=GridSpec(
@@ -394,13 +375,6 @@ def _config_from_json(raw: bytes) -> ModelConfig:
             max_range=json_field(g, "max_range", (int, float)),
         ),
     )
-    expected = _config_doc(config)
-    for key in ("layers", "decode_full_state", "static_bias"):
-        if doc.get(key) != expected[key]:
-            raise ValueError(
-                f"config {key} {doc.get(key)!r} does not match variant {config.variant}"
-            )
-    return config
 
 
 def save_checkpoint(model: Model, path) -> None:

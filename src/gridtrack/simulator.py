@@ -123,6 +123,11 @@ class WorldScene:
         return len(self.static_shapes) + len(self.dynamic_objects)
 
 
+def _check_frame_rate(frame_rate: float) -> None:
+    if not (frame_rate > 0.0 and math.isfinite(frame_rate)):
+        raise ValueError(f"frame_rate must be positive and finite, got {frame_rate}")
+
+
 def sensor_poses(
     frames: int, frame_rate: float, speed: float = 0.0, yaw_rate: float = 0.0
 ) -> list[Pose2]:
@@ -130,6 +135,7 @@ def sensor_poses(
     constant speed (m/s) and yaw rate (rad/s): zero speed is a still sensor,
     zero yaw rate drives straight. Poses advance by forward Euler: heading
     first, then position along the new heading."""
+    _check_frame_rate(frame_rate)
     dt = 1.0 / frame_rate
     out = [Pose2.identity()]
     x = y = theta = 0.0
@@ -300,8 +306,7 @@ def simulate_sequence(
     frames = len(poses)
     if frames < 2:
         raise ValueError("sequence needs at least 2 frames")
-    if not frame_rate > 0.0:
-        raise ValueError(f"frame_rate must be positive, got {frame_rate}")
+    _check_frame_rate(frame_rate)
 
     rng = np.random.default_rng(seed)
     dt = 1.0 / frame_rate
@@ -384,6 +389,7 @@ def occlusion_scenario(
     r_eff = r + 0.75 * cs
 
     total = k + 2 * pad
+    poses = sensor_poses(total, frame_rate)
     mid = (total - 1) / 2.0
     ys = [(f - mid) * cs for f in range(total)]
 
@@ -413,7 +419,6 @@ def occlusion_scenario(
         dynamic_objects=(disc,),
         bounds=bounds,
     )
-    poses = sensor_poses(total, frame_rate)
     batch = simulate_sequence(scene, poses, frame_rate, spec, n_beams=n_beams, seed=seed)
 
     occluded = tuple(
@@ -439,6 +444,7 @@ def static_crossing(
 ) -> SequenceBatch:
     """Static sensor in a walled room with two fixed pillars and crossing
     discs; pillar and disc placement vary with the seed."""
+    poses = sensor_poses(frames, frame_rate)
     rng = np.random.default_rng(seed)
     cs, hx = spec.cell_size, spec.half_extent
     room = 0.86 * hx
@@ -475,7 +481,6 @@ def static_crossing(
         dynamic_objects=tuple(discs),
         bounds=Bounds(-margin, margin, -margin, margin),
     )
-    poses = sensor_poses(frames, frame_rate)
     return simulate_sequence(scene, poses, frame_rate, spec, n_beams=n_beams, seed=seed)
 
 

@@ -315,10 +315,6 @@ class ConvParams:
     def kernel_size(self) -> int:
         return self.kernel.data.shape[2]
 
-    @property
-    def param_count(self) -> int:
-        return self.kernel.data.size + self.bias.data.size
-
     @staticmethod
     def same_padding(kernel_size: int, dilation: int = 1) -> int:
         if kernel_size % 2 == 0:

@@ -45,8 +45,6 @@ def test_gen_writes_dataset(tmp_path, capsys):
     out = tmp_path / "data"
     assert run(*gen_args(out)) == 0
     manifest, batches = read_dataset(out)
-    assert manifest.sequence_count == 2
-    assert manifest.frame_counts == (6, 6)
     assert manifest.seed == 0
     assert manifest.provenance == "synthetic"
     assert len(batches) == 2
@@ -77,6 +75,17 @@ def test_gen_occlusion_rejects_frames(tmp_path, capsys):
                "--out", out, "--grid", "21") == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--frames" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario", ["static-crossing", "occlusion"])
+@pytest.mark.parametrize("rate", ["0", "-1", "inf", "nan"])
+def test_gen_rejects_bad_frame_rate(tmp_path, capsys, scenario, rate):
+    out = tmp_path / "x"
+    assert run("gen", "--scenario", scenario, "--sequences", "1", "--out", out,
+               "--grid", "15", f"--frame-rate={rate}") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "frame_rate" in err
     assert not out.exists()
 
 
@@ -162,6 +171,17 @@ def test_train_batches_sequences_with_different_egomotion(tmp_path, capsys):
         "--stm": "on", "--show": 2, "--blank": 2, "--steps": 1, "--batch-size": 2})
     assert run(*args) == 0
     assert "trained RNN16 for 1 steps" in capsys.readouterr().out
+
+
+def test_train_rejects_differing_frame_counts(tmp_path, capsys):
+    spec = GridSpec(size_cells=15, cell_size=0.2)
+    data = tmp_path / "uneven"
+    write_dataset(data, [static_crossing(seed=0, spec=spec, frames=6),
+                         static_crossing(seed=1, spec=spec, frames=4)], frame_rate=8.0, seed=0)
+    assert run(*train_args(data, tmp_path / "m.ckpt")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "differing frame counts" in err
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 @pytest.mark.parametrize("flag", ["--checkpoint-every", "--plateau-patience"])

@@ -221,9 +221,6 @@ def test_grid_spec_defaults_and_helpers():
     assert spec.half_extent == pytest.approx(0.625)
     assert spec.cell_center(2, 2) == (0.0, 0.0)
     assert spec.cell_center(3, 2) == (0.25, 0.0)
-    assert spec.point_cell(0.0, 0.0) == (2, 2)
-    # points exactly on a boundary belong to the higher-index cell
-    assert spec.point_cell(0.125, 0.0) == (3, 2)
     assert spec.in_grid(0, 4) and not spec.in_grid(-1, 2) and not spec.in_grid(2, 5)
 
 

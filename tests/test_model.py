@@ -15,6 +15,7 @@ from gridtrack.model import (
     BLANK,
     HiddenState,
     ModelConfig,
+    _config_from_json,
     _config_json,
     build,
     decode,
@@ -85,18 +86,19 @@ def test_config_rejects_inconsistencies(tmp_path):
         ModelConfig.for_variant("GRU9_THICC", GRID21)
     with pytest.raises(ValueError):
         ModelConfig(variant="GRU9_THICC", use_stm=False, grid=GRID21)
-    # a config can only disagree with its variant table inside a checkpoint
+    # older checkpoints also store the keys the variant determines; the
+    # reader ignores them, so the config is always the variant's
     path = tmp_path / "model.ckpt"
-    save_checkpoint(build(ModelConfig.for_variant("GRU3DilConv_16", GRID9), seed=0), path)
-    bad = tmp_path / "bad.ckpt"
+    model = build(ModelConfig.for_variant("GRU3DilConv_16", GRID9), seed=0)
+    save_checkpoint(model, path)
+    legacy = tmp_path / "legacy.ckpt"
     for key, value in [
         ("layers", [[16, 3, 1]]),
         ("decode_full_state", True),
         ("static_bias", True),
     ]:
-        rewrite_config(path, bad, lambda doc: {**doc, key: value})
-        with pytest.raises(ValueError, match=f"bad.ckpt: config {key} .* does not match"):
-            load_checkpoint(bad)
+        rewrite_config(path, legacy, lambda doc: {**doc, key: value})
+        assert load_checkpoint(legacy).config == model.config
 
 
 def test_dense_variant_matches_dilated_spans():
@@ -129,7 +131,6 @@ def test_static_bias_count_at_full_scale():
     grid = GridSpec(size_cells=101, cell_size=0.2)
     model = build(ModelConfig.for_variant("GRU3DilConvBias_48", grid), seed=0)
     assert model.static_bias_count == 101 * 101 * 48 == 489648
-    assert "489648" in model.describe().replace(",", "")
 
 
 def test_dilated_has_fewer_params_than_dense():
@@ -561,45 +562,75 @@ def test_checkpoint_rejects_corruption(tmp_path):
         load_checkpoint(cut)
 
 
-# The config JSON of every variant, recorded when ModelConfig still stored
-# the layer table, decoder input and static bias itself: deriving them from
-# the variant name must leave checkpoint format version 1 byte for byte.
+# The config JSON of every variant: the variant name, the egomotion switch
+# and the grid, nothing the variant determines. The first literal of each
+# case is the same config as checkpoints once wrote it, with the layer
+# stack, decoder input and static bias too; it must still decode.
 @pytest.mark.parametrize(
-    "variant, use_stm, expected",
+    "variant, use_stm, legacy, expected",
     [
         ("GRU3DilConvBias_16", False, b'{"decode_full_state": false, "grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}'
-         b', "layers": [[16, 3, 1], [16, 3, 2], [16, 3, 4]], "static_bias": true, "use_stm": false, "variant": "GRU3DilConvBias_16"}'),
+         b', "layers": [[16, 3, 1], [16, 3, 2], [16, 3, 4]], "static_bias": true, "use_stm": false, "variant": "GRU3DilConvBias_16"}',
+         b'{"grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}, '
+         b'"use_stm": false, "variant": "GRU3DilConvBias_16"}'),
         ("GRU3DilConvBias_16", True, b'{"decode_full_state": false, "grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}'
-         b', "layers": [[16, 3, 1], [16, 3, 2], [16, 3, 4]], "static_bias": true, "use_stm": true, "variant": "GRU3DilConvBias_16"}'),
+         b', "layers": [[16, 3, 1], [16, 3, 2], [16, 3, 4]], "static_bias": true, "use_stm": true, "variant": "GRU3DilConvBias_16"}',
+         b'{"grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}, '
+         b'"use_stm": true, "variant": "GRU3DilConvBias_16"}'),
         ("GRU3DilConvBias_48", False, b'{"decode_full_state": true, "grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}'
-         b', "layers": [[16, 3, 1], [16, 3, 2], [16, 3, 4]], "static_bias": true, "use_stm": false, "variant": "GRU3DilConvBias_48"}'),
+         b', "layers": [[16, 3, 1], [16, 3, 2], [16, 3, 4]], "static_bias": true, "use_stm": false, "variant": "GRU3DilConvBias_48"}',
+         b'{"grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}, '
+         b'"use_stm": false, "variant": "GRU3DilConvBias_48"}'),
         ("GRU3DilConvBias_48", True, b'{"decode_full_state": true, "grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}'
-         b', "layers": [[16, 3, 1], [16, 3, 2], [16, 3, 4]], "static_bias": true, "use_stm": true, "variant": "GRU3DilConvBias_48"}'),
+         b', "layers": [[16, 3, 1], [16, 3, 2], [16, 3, 4]], "static_bias": true, "use_stm": true, "variant": "GRU3DilConvBias_48"}',
+         b'{"grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}, '
+         b'"use_stm": true, "variant": "GRU3DilConvBias_48"}'),
         ("GRU3DilConv_16", False, b'{"decode_full_state": false, "grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}'
-         b', "layers": [[16, 3, 1], [16, 3, 2], [16, 3, 4]], "static_bias": false, "use_stm": false, "variant": "GRU3DilConv_16"}'),
+         b', "layers": [[16, 3, 1], [16, 3, 2], [16, 3, 4]], "static_bias": false, "use_stm": false, "variant": "GRU3DilConv_16"}',
+         b'{"grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}, '
+         b'"use_stm": false, "variant": "GRU3DilConv_16"}'),
         ("GRU3DilConv_16", True, b'{"decode_full_state": false, "grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}'
-         b', "layers": [[16, 3, 1], [16, 3, 2], [16, 3, 4]], "static_bias": false, "use_stm": true, "variant": "GRU3DilConv_16"}'),
+         b', "layers": [[16, 3, 1], [16, 3, 2], [16, 3, 4]], "static_bias": false, "use_stm": true, "variant": "GRU3DilConv_16"}',
+         b'{"grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}, '
+         b'"use_stm": true, "variant": "GRU3DilConv_16"}'),
         ("GRU3DilConv_48", False, b'{"decode_full_state": true, "grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}'
-         b', "layers": [[16, 3, 1], [16, 3, 2], [16, 3, 4]], "static_bias": false, "use_stm": false, "variant": "GRU3DilConv_48"}'),
+         b', "layers": [[16, 3, 1], [16, 3, 2], [16, 3, 4]], "static_bias": false, "use_stm": false, "variant": "GRU3DilConv_48"}',
+         b'{"grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}, '
+         b'"use_stm": false, "variant": "GRU3DilConv_48"}'),
         ("GRU3DilConv_48", True, b'{"decode_full_state": true, "grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}'
-         b', "layers": [[16, 3, 1], [16, 3, 2], [16, 3, 4]], "static_bias": false, "use_stm": true, "variant": "GRU3DilConv_48"}'),
+         b', "layers": [[16, 3, 1], [16, 3, 2], [16, 3, 4]], "static_bias": false, "use_stm": true, "variant": "GRU3DilConv_48"}',
+         b'{"grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}, '
+         b'"use_stm": true, "variant": "GRU3DilConv_48"}'),
         ("GRU3_16", False, b'{"decode_full_state": false, "grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}'
-         b', "layers": [[16, 3, 1], [16, 5, 1], [16, 9, 1]], "static_bias": false, "use_stm": false, "variant": "GRU3_16"}'),
+         b', "layers": [[16, 3, 1], [16, 5, 1], [16, 9, 1]], "static_bias": false, "use_stm": false, "variant": "GRU3_16"}',
+         b'{"grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}, '
+         b'"use_stm": false, "variant": "GRU3_16"}'),
         ("GRU3_16", True, b'{"decode_full_state": false, "grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}'
-         b', "layers": [[16, 3, 1], [16, 5, 1], [16, 9, 1]], "static_bias": false, "use_stm": true, "variant": "GRU3_16"}'),
+         b', "layers": [[16, 3, 1], [16, 5, 1], [16, 9, 1]], "static_bias": false, "use_stm": true, "variant": "GRU3_16"}',
+         b'{"grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}, '
+         b'"use_stm": true, "variant": "GRU3_16"}'),
         ("RNN16", False, b'{"decode_full_state": false, "grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}'
-         b', "layers": [[16, 3, 1]], "static_bias": false, "use_stm": false, "variant": "RNN16"}'),
+         b', "layers": [[16, 3, 1]], "static_bias": false, "use_stm": false, "variant": "RNN16"}',
+         b'{"grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}, '
+         b'"use_stm": false, "variant": "RNN16"}'),
         ("RNN16", True, b'{"decode_full_state": false, "grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}'
-         b', "layers": [[16, 3, 1]], "static_bias": false, "use_stm": true, "variant": "RNN16"}'),
+         b', "layers": [[16, 3, 1]], "static_bias": false, "use_stm": true, "variant": "RNN16"}',
+         b'{"grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}, '
+         b'"use_stm": true, "variant": "RNN16"}'),
         ("RNN48", False, b'{"decode_full_state": true, "grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}'
-         b', "layers": [[48, 3, 1]], "static_bias": false, "use_stm": false, "variant": "RNN48"}'),
+         b', "layers": [[48, 3, 1]], "static_bias": false, "use_stm": false, "variant": "RNN48"}',
+         b'{"grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}, '
+         b'"use_stm": false, "variant": "RNN48"}'),
         ("RNN48", True, b'{"decode_full_state": true, "grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}'
-         b', "layers": [[48, 3, 1]], "static_bias": false, "use_stm": true, "variant": "RNN48"}'),
+         b', "layers": [[48, 3, 1]], "static_bias": false, "use_stm": true, "variant": "RNN48"}',
+         b'{"grid": {"cell_size": 0.5, "max_range": 10.5, "size_cells": 21}, '
+         b'"use_stm": true, "variant": "RNN48"}'),
     ],
 )
-def test_config_json_format_pinned(variant, use_stm, expected):
+def test_config_json_format_pinned(variant, use_stm, legacy, expected):
     config = ModelConfig.for_variant(variant, GRID21, use_stm=use_stm)
     assert _config_json(config) == expected
+    assert _config_from_json(legacy) == config
 
 
 def rewrite_config(src, dst, edit):
@@ -639,7 +670,6 @@ def _with(key, value):
         _with("variant", ["GRU3DilConv_16"]),
         _with("variant", "GRU9_THICC"),
         lambda doc: [doc],
-        _without("static_bias"),
     ],
     ids=[
         "missing-use_stm",
@@ -649,7 +679,6 @@ def _with(key, value):
         "variant-list",
         "variant-unknown",
         "top-level-list",
-        "static_bias-missing",
     ],
 )
 def test_checkpoint_rejects_malformed_config(tmp_path, edit):
@@ -665,3 +694,23 @@ def test_checkpoint_rejects_malformed_config(tmp_path, edit):
     rewrite_config(path, bad, edit)
     with pytest.raises(ValueError, match="bad.ckpt"):
         load_checkpoint(bad)
+
+
+def test_checkpoint_in_parent_format_loads(tmp_path):
+    """A checkpoint whose config JSON also stores the variant's layer stack,
+    decoder input and static bias, as checkpoints once did, still loads."""
+    model = build(ModelConfig.for_variant("GRU3DilConvBias_48", GRID9, use_stm=True), seed=3)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    old = tmp_path / "old.ckpt"
+    rewrite_config(path, old, lambda doc: {
+        **doc,
+        "layers": [[16, 3, 1], [16, 3, 2], [16, 3, 4]],
+        "decode_full_state": True,
+        "static_bias": True,
+    })
+    loaded = load_checkpoint(old)
+    assert loaded.config == model.config
+    for a, b in zip(model.parameters(), loaded.parameters()):
+        assert np.array_equal(a.data, b.data)
+

@@ -1,6 +1,7 @@
 """Static checks over the package source, parsed with ``ast``: every
-top-level import is used and every ``__all__`` name exists. They stand in for
-a linter's unused-import and undefined-export rules."""
+top-level import is used, every ``__all__`` name exists, and every private
+top-level name is used in its module. They stand in for a linter's
+unused-import, undefined-export and dead-code rules."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,14 @@ def test_every_export_is_defined(path):
     known = _defined_names(tree) | set(_imported_names(tree))
     missing = [name for name in _exports(tree) if name not in known]
     assert not missing, f"{path.name} exports undefined names {missing}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_private_top_level_name_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    loaded = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    private = sorted(n for n in _defined_names(tree) if n.startswith("_") and not n.startswith("__"))
+    unused = [name for name in private if name not in loaded]
+    assert not unused, f"{path.name} defines but never uses {unused}"

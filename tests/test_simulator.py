@@ -269,9 +269,11 @@ def test_simulate_rejects_short_pose_lists_and_bad_rates():
     poses = sensor_poses(3, 5.0, speed=1.0)
     with pytest.raises(ValueError, match="at least 2 frames"):
         simulate_sequence(walled_scene(), [], 5.0, spec, n_beams=10, seed=0)
-    for rate in (0.0, -5.0, float("nan")):
+    for rate in (0.0, -5.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="frame_rate must be positive"):
             simulate_sequence(walled_scene(), poses, rate, spec, n_beams=10, seed=0)
+        with pytest.raises(ValueError, match="frame_rate must be positive"):
+            sensor_poses(3, rate)
 
 
 def test_occupied_cells_lie_near_shape_boundaries():
