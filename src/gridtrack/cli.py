@@ -153,12 +153,12 @@ def cmd_eval(args) -> int:
         print(f"[{label}]")
         print(curve.table())
     if len(curves) == 2:
-        cmp = compare_models(curves[0], curves[1], label_a=labels[0], label_b=labels[1])
+        table = compare_models(curves[0], curves[1], label_a=labels[0], label_b=labels[1])
         path = os.path.join(args.out, "comparison.txt")
         with open(path, "w") as fh:
-            fh.write(cmp.table() + "\n")
+            fh.write(table + "\n")
         written.append(path)
-        print(cmp.table())
+        print(table)
     plot_path = os.path.join(args.out, "curves.ppm")
     plot_curves(
         plot_path,
@@ -205,7 +205,7 @@ def cmd_render(args) -> int:
             write_ppm(os.path.join(args.out, f"frame_{f:03d}.ppm"), panel)
             written += 1
             if args.hidden:
-                tiles = hidden_tiles([layer.data[0] for layer in h.layers])
+                tiles = hidden_tiles([layer.data[0] for layer in h])
                 write_ppm(os.path.join(args.out, f"hidden_{f:03d}.ppm"), tiles)
                 written += 1
     print(f"wrote {written} images to {args.out}")

@@ -142,9 +142,10 @@ def read_sequence(path) -> SequenceBatch:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Index of a dataset directory: the frame rate, the sequence files, and
-    where the data came from. Synthetic datasets record their seed; imported
-    ones carry none. Grid and frame counts are read from the files."""
+    """Index of a dataset directory: the frame rate, the sequence files (bare
+    names inside the directory), and where the data came from. Synthetic
+    datasets record their seed; imported ones carry none. Grid and frame
+    counts are read from the files."""
 
     frame_rate: float
     files: tuple
@@ -161,6 +162,11 @@ class DatasetManifest:
             raise ValueError("imported datasets carry no seed")
         if not self.files:
             raise ValueError("a dataset needs at least one sequence")
+        for name in self.files:
+            if name in ("", ".", "..") or "/" in name or "\\" in name:
+                raise ValueError(
+                    f"files entry {name!r} is not a bare file name in the dataset directory"
+                )
         if not (self.frame_rate > 0.0 and math.isfinite(self.frame_rate)):
             raise ValueError(f"frame_rate must be positive, got {self.frame_rate}")
 

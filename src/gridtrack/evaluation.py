@@ -1,9 +1,10 @@
 """Quantitative evaluation: F1 over blanked prediction horizons, centroid
-tracking error through occlusions, and model-vs-model comparison reports.
+tracking error through occlusions, and model-vs-model comparison tables.
 
 All horizon scores are micro-averaged: raw true/false positive/negative
 counts are pooled across frames and sequences per horizon offset before any
-ratio is formed, so dataset order cannot change a curve.
+ratio is formed, so dataset order cannot change a curve. A HorizonCurve keeps
+only those counts; its precision, recall and F1 are derived from them.
 """
 
 from __future__ import annotations
@@ -22,64 +23,52 @@ __all__ = [
     "f1_horizon",
     "pooled_counts",
     "occlusion_track_error",
-    "ModelComparison",
     "compare_models",
 ]
 
 
 @dataclass(frozen=True)
 class HorizonCurve:
-    """Precision/recall/F1 per blanked-frame offset, with the pooled number
-    of scored cells behind each point. Offsets with no scored cells carry
-    F1=0 and a raised zero_count flag."""
+    """The pooled (tp, fp, fn, scored) counts at each blanked-frame offset,
+    with precision, recall and F1 derived from them. Offsets with no scored
+    cells carry F1=0 and a raised zero_count flag."""
 
     offsets: tuple
-    precision: tuple
-    recall: tuple
-    f1: tuple
-    scored: tuple
-    zero_count: tuple
-
-    def __post_init__(self):
-        n = len(self.offsets)
-        for name in ("precision", "recall", "f1", "scored", "zero_count"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} length does not match offsets")
-        for seq in (self.precision, self.recall, self.f1):
-            if any(not (0.0 <= v <= 1.0) for v in seq):
-                raise ValueError("scores must lie in [0, 1]")
+    counts: tuple  # per offset: (tp, fp, fn, scored)
 
     @classmethod
     def from_counts(cls, counts: dict) -> "HorizonCurve":
         """counts: offset -> (tp, fp, fn, scored)."""
         offsets = tuple(sorted(counts))
-        precision, recall, f1, scored, zero = [], [], [], [], []
-        for k in offsets:
-            tp, fp, fn, n = counts[k]
-            p = tp / (tp + fp) if tp + fp > 0 else 0.0
-            r = tp / (tp + fn) if tp + fn > 0 else 0.0
-            f = 2 * p * r / (p + r) if p + r > 0 else 0.0
-            precision.append(p)
-            recall.append(r)
-            f1.append(f)
-            scored.append(int(n))
-            zero.append(n == 0)
-        return cls(
-            offsets=offsets,
-            precision=tuple(precision),
-            recall=tuple(recall),
-            f1=tuple(f1),
-            scored=tuple(scored),
-            zero_count=tuple(zero),
+        return cls(offsets=offsets, counts=tuple(tuple(counts[k]) for k in offsets))
+
+    @property
+    def precision(self) -> tuple:
+        return tuple(tp / (tp + fp) if tp + fp > 0 else 0.0 for tp, fp, _, _ in self.counts)
+
+    @property
+    def recall(self) -> tuple:
+        return tuple(tp / (tp + fn) if tp + fn > 0 else 0.0 for tp, _, fn, _ in self.counts)
+
+    @property
+    def f1(self) -> tuple:
+        return tuple(
+            2 * p * r / (p + r) if p + r > 0 else 0.0 for p, r in zip(self.precision, self.recall)
         )
+
+    @property
+    def scored(self) -> tuple:
+        return tuple(int(n) for _, _, _, n in self.counts)
+
+    @property
+    def zero_count(self) -> tuple:
+        return tuple(n == 0 for _, _, _, n in self.counts)
 
     def table(self) -> str:
         lines = ["offset\tprecision\trecall\tf1\tn_cells"]
-        for i, k in enumerate(self.offsets):
-            lines.append(
-                f"{k}\t{self.precision[i]:.4f}\t{self.recall[i]:.4f}"
-                f"\t{self.f1[i]:.4f}\t{self.scored[i]}"
-            )
+        rows = zip(self.offsets, self.precision, self.recall, self.f1, self.scored)
+        for k, p, r, f, n in rows:
+            lines.append(f"{k}\t{p:.4f}\t{r:.4f}\t{f:.4f}\t{n}")
         return "\n".join(lines)
 
 
@@ -162,57 +151,30 @@ def occlusion_track_error(
     return out
 
 
-@dataclass(frozen=True)
-class ModelComparison:
-    label_a: str
-    label_b: str
-    offsets: tuple
-    f1_a: tuple
-    f1_b: tuple
-
-    @property
-    def diffs(self) -> tuple:
-        return tuple(a - b for a, b in zip(self.f1_a, self.f1_b))
-
-    @property
-    def sign_summary(self) -> dict:
-        d = self.diffs
-        return {
-            "better": sum(1 for v in d if v > 0),
-            "equal": sum(1 for v in d if v == 0),
-            "worse": sum(1 for v in d if v < 0),
-        }
-
-    def table(self) -> str:
-        lines = [f"offset\tf1[{self.label_a}]\tf1[{self.label_b}]\tdiff"]
-        for i, k in enumerate(self.offsets):
-            lines.append(
-                f"{k}\t{self.f1_a[i]:.4f}\t{self.f1_b[i]:.4f}\t{self.diffs[i]:+.4f}"
-            )
-        s = self.sign_summary
-        lines.append(
-            f"# {self.label_a} better at {s['better']}, equal at {s['equal']}, "
-            f"worse at {s['worse']} of {len(self.offsets)} offsets"
-        )
-        return "\n".join(lines)
-
-
 def compare_models(
     curve_a: HorizonCurve,
     curve_b: HorizonCurve,
     label_a: str = "model_a",
     label_b: str = "model_b",
-) -> ModelComparison:
-    """Per-offset F1 differences between two curves computed on the same
-    dataset and schedule. Mismatched offset axes are rejected."""
+) -> str:
+    """Table of per-offset F1 for two curves computed on the same dataset
+    and schedule, their difference, and a closing line counting the offsets
+    where ``label_a`` is better, equal and worse. Mismatched offset axes are
+    rejected."""
     if curve_a.offsets != curve_b.offsets:
         raise ValueError(
             f"offset axes differ: {curve_a.offsets} vs {curve_b.offsets}"
         )
-    return ModelComparison(
-        label_a=label_a,
-        label_b=label_b,
-        offsets=curve_a.offsets,
-        f1_a=curve_a.f1,
-        f1_b=curve_b.f1,
+    f1_a, f1_b = curve_a.f1, curve_b.f1
+    diffs = [a - b for a, b in zip(f1_a, f1_b)]
+    lines = [f"offset\tf1[{label_a}]\tf1[{label_b}]\tdiff"]
+    for k, a, b, d in zip(curve_a.offsets, f1_a, f1_b, diffs):
+        lines.append(f"{k}\t{a:.4f}\t{b:.4f}\t{d:+.4f}")
+    better = sum(1 for v in diffs if v > 0)
+    equal = sum(1 for v in diffs if v == 0)
+    worse = sum(1 for v in diffs if v < 0)
+    lines.append(
+        f"# {label_a} better at {better}, equal at {equal}, "
+        f"worse at {worse} of {len(diffs)} offsets"
     )
+    return "\n".join(lines)

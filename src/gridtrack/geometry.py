@@ -31,8 +31,6 @@ __all__ = [
     "json_field",
 ]
 
-NO_RETURN = math.inf  # range value for a beam that hit nothing
-
 
 def wrap_angle(theta: float) -> float:
     """Normalize an angle to (-pi, pi]. In-range values pass through

@@ -18,10 +18,15 @@ Variants:
 
 A ModelConfig stores only the variant name, the egomotion switch and the
 grid; the layer stack, decoder input and static bias are read from the
-variant table above. Every multi-frame run (training loss, evaluation,
-rendering) goes through one unroll: ``unroll`` yields the state and the
-prediction per frame, ``rollout`` collects the predictions, and models
-without egomotion compensation never warp their state.
+variant table above. The recurrent state is a plain tuple of per-layer
+(batch, maps, M, M) Tensors, registered to the current sensor frame. Every
+multi-frame run (training loss, evaluation, rendering) goes through one
+unroll: ``unroll`` yields the state and the prediction per frame,
+``rollout`` collects the predictions, and models without egomotion
+compensation never warp their state.
+
+Checkpoints are where weights enter from outside the program, so their
+decoder rejects non-finite values.
 
 Parameter declaration order (checkpoints depend on it): for each layer
 bottom-up, its convolutions in update/reset/candidate order (kernel then
@@ -52,7 +57,6 @@ from .tensor import (
 __all__ = [
     "BLANK",
     "ModelConfig",
-    "HiddenState",
     "Model",
     "variant_names",
     "build",
@@ -142,29 +146,6 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class HiddenState:
-    """Per-layer recurrent activations, each (batch, maps, M, M), registered
-    to the current sensor frame."""
-
-    layers: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
-        if not self.layers:
-            raise ValueError("hidden state needs at least one layer")
-        b = self.layers[0].data.shape[0]
-        for t in self.layers:
-            if t.data.ndim != 4 or t.data.shape[0] != b:
-                raise ValueError("hidden layers must share a 4D batched shape")
-            if not np.isfinite(t.data).all():
-                raise FloatingPointError("hidden state contains non-finite values")
-
-    @property
-    def batch(self) -> int:
-        return self.layers[0].data.shape[0]
-
-
-@dataclass(frozen=True)
 class Model:
     config: ModelConfig
     cells: tuple  # per layer: (wz, wr, wh) ConvParams for GRU, one ConvParams for RNN
@@ -227,24 +208,25 @@ def build(config: ModelConfig, seed: int) -> Model:
     return Model(config=config, cells=tuple(cells), bias_grids=tuple(bias_grids), decoder=decoder)
 
 
-def initial_state(model: Model, batch_size: int = 1) -> HiddenState:
+def initial_state(model: Model, batch_size: int = 1) -> tuple:
+    """The all-zero recurrent state: one (batch_size, maps, M, M) Tensor per
+    layer."""
     m = model.config.grid.size_cells
-    layers = [
-        Tensor(np.zeros((batch_size, maps, m, m)))
-        for maps, _, _ in model.config.layers
-    ]
-    return HiddenState(layers=tuple(layers))
+    return tuple(
+        Tensor(np.zeros((batch_size, maps, m, m))) for maps, _, _ in model.config.layers
+    )
 
 
-def _step_planes(model: Model, h_prev: HiddenState, x: Tensor, egomotion) -> HiddenState:
+def _step_planes(model: Model, h_prev: tuple, x: Tensor, egomotion) -> tuple:
     cfg = model.config
-    poses = [egomotion] * h_prev.batch if isinstance(egomotion, Pose2) else list(egomotion)
-    if len(poses) != h_prev.batch:
-        raise ValueError(f"got {len(poses)} transforms for a batch of {h_prev.batch}")
+    batch = h_prev[0].data.shape[0]
+    poses = [egomotion] * batch if isinstance(egomotion, Pose2) else list(egomotion)
+    if len(poses) != batch:
+        raise ValueError(f"got {len(poses)} transforms for a batch of {batch}")
     identity = all(p.is_identity(1e-12) for p in poses)
     if not cfg.use_stm and not identity:
         raise ValueError("egomotion compensation is disabled; pass identity egomotion")
-    prev = h_prev.layers
+    prev = h_prev
     if cfg.use_stm and not identity:
         prev = tuple(bilinear_sample(h, poses, cfg.grid) for h in prev)
     new_layers = []
@@ -260,7 +242,7 @@ def _step_planes(model: Model, h_prev: HiddenState, x: Tensor, egomotion) -> Hid
             h = pre.tanh()
         new_layers.append(h)
         inp = h
-    return HiddenState(layers=tuple(new_layers))
+    return tuple(new_layers)
 
 
 def _input_planes(model: Model, obs, batch_size: int) -> Tensor:
@@ -279,33 +261,33 @@ def _input_planes(model: Model, obs, batch_size: int) -> Tensor:
     return Tensor(np.stack([g.planes(default_dtype()) for g in obs]))
 
 
-def step(model: Model, h_prev: HiddenState, obs, egomotion) -> HiddenState:
-    """Advance the recurrent state one frame. ``obs`` is an ObservationGrid
-    or BLANK (withheld input, encoded as all-zero planes). With egomotion
-    compensation enabled, h_prev is first resampled under ``egomotion``, one
-    relative transform for all samples or one per sample; otherwise it must
-    be identity."""
-    if len(h_prev.layers) != len(model.config.layers):
+def step(model: Model, h_prev: tuple, obs, egomotion) -> tuple:
+    """Advance the recurrent state, a tuple of per-layer Tensors, one frame.
+    ``obs`` is an ObservationGrid or BLANK (withheld input, encoded as
+    all-zero planes). With egomotion compensation enabled, h_prev is first
+    resampled under ``egomotion``, one relative transform for all samples or
+    one per sample; otherwise it must be identity."""
+    if len(h_prev) != len(model.config.layers):
         raise ValueError("hidden state layer count does not match model")
-    x = _input_planes(model, obs if obs is BLANK else [obs], h_prev.batch)
+    x = _input_planes(model, obs if obs is BLANK else [obs], h_prev[0].data.shape[0])
     return _step_planes(model, h_prev, x, egomotion)
 
 
-def decode(model: Model, h: HiddenState) -> Tensor:
+def decode(model: Model, h: tuple) -> Tensor:
     """Per-cell occupancy probability, shape (batch, 1, M, M), strictly in
     (0,1). Decodes the top layer, or the full concatenated state when the
     model was configured for it."""
     if model.config.decode_full_state:
-        inp = concat_channels(list(h.layers)) if len(h.layers) > 1 else h.layers[0]
+        inp = concat_channels(list(h)) if len(h) > 1 else h[0]
     else:
-        inp = h.layers[-1]
+        inp = h[-1]
     return conv2d(inp, model.decoder).sigmoid()
 
 
 def unroll(model: Model, batches, schedule):
     """Run step/decode over full sequences, feeding BLANK at frames the
-    schedule hides, and yield (HiddenState, prediction) per frame, the
-    prediction a (B,1,M,M) Tensor.
+    schedule hides, and yield (state, prediction) per frame: the state
+    tuple and a (B,1,M,M) Tensor.
 
     ``batches`` is one SequenceBatch or a list of equal-length ones, stacked
     into a minibatch. With egomotion compensation each sequence's state is
@@ -382,15 +364,13 @@ def save_checkpoint(model: Model, path) -> None:
     count, parameters as little-endian float32 in declaration order, then
     the first 8 bytes of the SHA-256 of everything before them."""
     cfg = _config_json(model.config)
-    params = model.parameters()
-    count = sum(int(np.prod(t.shape)) for t in params)
     parts = [
         _MAGIC,
         struct.pack("<II", _VERSION, len(cfg)),
         cfg,
-        struct.pack("<Q", count),
+        struct.pack("<Q", model.param_count),
     ]
-    for t in params:
+    for t in model.parameters():
         parts.append(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
     payload = b"".join(parts)
     digest = hashlib.sha256(payload).digest()[:8]
@@ -425,15 +405,17 @@ def _decode_checkpoint(blob: bytes) -> Model:
     (count,) = struct.unpack_from("<Q", payload, off)
     off += 8
     model = build(config, seed=0)
-    params = model.parameters()
-    if count != sum(int(np.prod(t.shape)) for t in params):
+    if count != model.param_count:
         raise ValueError("checkpoint parameter count does not match config")
     raw = np.frombuffer(payload, dtype="<f4", offset=off, count=count)
     if off + 4 * count != len(payload):
         raise ValueError("checkpoint is truncated or has trailing data")
     pos = 0
-    for t in params:
+    for name, t in model.named_parameters():
         n = int(np.prod(t.shape))
-        t.data = raw[pos : pos + n].reshape(t.shape).astype(t.data.dtype)
+        values = raw[pos : pos + n]
+        if not np.isfinite(values).all():
+            raise ValueError(f"non-finite values in {name}")
+        t.data = values.reshape(t.shape).astype(t.data.dtype)
         pos += n
     return model

@@ -280,6 +280,37 @@ def test_eval_rejects_manifest_missing_key(static_data, static_ckpt, tmp_path, c
     assert "manifest.json" in err and "frame_rate" in err
 
 
+def test_eval_rejects_manifest_entry_outside_dataset(static_data, static_ckpt, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(static_data, data)
+    shutil.copytree(static_data, tmp_path / "other")
+    doc = json.loads((data / "manifest.json").read_text())
+    doc["files"][0] = "../other/seq_00000.dtseq"
+    (data / "manifest.json").write_text(json.dumps(doc))
+    assert run("eval", "--ckpt", static_ckpt, "--data", data,
+               "--show", "3", "--blank", "3", "--out", tmp_path / "x") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "manifest.json" in err and "../other/seq_00000.dtseq" in err
+
+
+@pytest.mark.parametrize("name", ["layer0.wz.kernel", "decoder.bias"])
+def test_eval_and_render_reject_non_finite_checkpoint(static_data, tmp_path, capsys, name):
+    """A checkpoint with one NaN weight and a valid checksum stops eval and
+    render with exit 2 and an error naming the file and the parameter."""
+    _, batches = read_dataset(static_data)
+    model = build(ModelConfig.for_variant("GRU3DilConv_16", batches[0].spec), seed=0)
+    dict(model.named_parameters())[name].data.flat[0] = np.nan
+    ckpt = tmp_path / "nan.ckpt"
+    save_checkpoint(model, ckpt)
+    for command, *extra in (("eval", "--show", "3", "--blank", "3"), ("render",)):
+        assert run(command, *extra, "--ckpt", ckpt, "--data", static_data,
+                   "--out", tmp_path / command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{ckpt}: non-finite values in {name}" in err
+
+
 # --------------------------------------------------------------------- render
 
 

@@ -230,6 +230,25 @@ def test_manifest_verify_header_mismatch(tmp_path):
         read_dataset(tmp_path)
 
 
+@pytest.mark.parametrize("form", ["absolute", "parent-relative"])
+def test_read_dataset_rejects_entries_outside_the_directory(tmp_path, form):
+    """A files entry must be a bare name in the dataset directory, even when
+    the path it spells names a valid sequence elsewhere."""
+    make_dataset(tmp_path / "other", n=1)
+    data = tmp_path / "data"
+    make_dataset(data, n=1)
+    entry = {
+        "absolute": str(tmp_path / "other" / "seq_00000.dtseq"),
+        "parent-relative": "../other/seq_00000.dtseq",
+    }[form]
+    doc = json.loads((data / "manifest.json").read_text())
+    doc["files"] = [entry]
+    (data / "manifest.json").write_text(json.dumps(doc))
+    want = re.escape(f"manifest {data / 'manifest.json'}: files entry {entry!r}")
+    with pytest.raises(ValueError, match=want):
+        read_dataset(data)
+
+
 def test_manifest_in_parent_format_loads(tmp_path):
     """A manifest that also lists the grid, frame counts and sequence count,
     as manifests once did, still loads; the files' headers decide."""
@@ -260,6 +279,9 @@ def test_manifest_validation():
         DatasetManifest(**{**good, "provenance": "imported"})
     with pytest.raises(ValueError, match="at least one"):
         DatasetManifest(**{**good, "files": ()})
+    for name in (".", "..", "sub/a.dtseq", "sub\\a.dtseq"):
+        with pytest.raises(ValueError, match="bare file name"):
+            DatasetManifest(**{**good, "files": (name,)})
     with pytest.raises(ValueError, match="frame_rate"):
         DatasetManifest(**{**good, "frame_rate": 0.0})
 

@@ -4,6 +4,7 @@ deterministic builds, state warping, decoding, rollouts, and checkpoints."""
 import dataclasses
 import hashlib
 import json
+import re
 import struct
 import tracemalloc
 
@@ -13,7 +14,6 @@ import pytest
 from gridtrack.geometry import GridSpec, ObservationGrid, Pose2
 from gridtrack.model import (
     BLANK,
-    HiddenState,
     ModelConfig,
     _config_from_json,
     _config_json,
@@ -187,7 +187,7 @@ def test_zero_biases_give_zero_fixed_point(variant):
     h = initial_state(model)
     for _ in range(3):
         h = step(model, h, BLANK, Pose2.identity())
-    for layer in h.layers:
+    for layer in h:
         assert not layer.data.any()
 
 
@@ -216,7 +216,7 @@ def test_step_rejects_one_observation_for_a_batch():
     obs = random_obs(np.random.default_rng(0), 9)
     with pytest.raises(ValueError, match="batch of 2"):
         step(model, h, obs, Pose2.identity())
-    assert step(model, h, BLANK, Pose2.identity()).batch == 2
+    assert step(model, h, BLANK, Pose2.identity())[0].data.shape[0] == 2
 
 
 def test_stm_translation_round_trip_restores_interior():
@@ -228,18 +228,16 @@ def test_stm_translation_round_trip_restores_interior():
     for gates in model.cells:
         gates[0].bias.data[:] = 50.0
     rng = np.random.default_rng(7)
-    h0 = HiddenState(
-        layers=tuple(
-            Tensor(rng.uniform(-0.9, 0.9, size=(1, 16, 21, 21)).astype(np.float32))
-            for _ in range(3)
-        )
+    h0 = tuple(
+        Tensor(rng.uniform(-0.9, 0.9, size=(1, 16, 21, 21)).astype(np.float32))
+        for _ in range(3)
     )
     d = 2 * GRID21.cell_size
     fwd = Pose2(d, 0.0, 0.0)
     back = Pose2(-d, 0.0, 0.0)
     h1 = step(model, h0, BLANK, fwd)
     h2 = step(model, h1, BLANK, back)
-    for a, b in zip(h0.layers, h2.layers):
+    for a, b in zip(h0, h2):
         inner = (slice(None), slice(None), slice(2, -2), slice(2, -2))
         assert np.max(np.abs(a.data[inner] - b.data[inner])) < 1e-4
 
@@ -253,7 +251,7 @@ def test_stm_identity_matches_non_stm():
     for _ in range(2):
         ha = step(plain, ha, obs, Pose2.identity())
         hb = step(stm, hb, obs, Pose2.identity())
-    for a, b in zip(ha.layers, hb.layers):
+    for a, b in zip(ha, hb):
         assert np.array_equal(a.data, b.data)
 
 
@@ -285,7 +283,7 @@ def test_translating_sensor_matches_shifted_static_run():
         h_static = step(model, h_static, obs, Pose2.identity())
         h_moving = step(model, h_moving, shifted(obs, t), ego if t else Pose2.identity())
     margin = 7 * steps + steps
-    for hs, hm in zip(h_static.layers, h_moving.layers):
+    for hs, hm in zip(h_static, h_moving):
         want = hs.data[:, :, steps:, :]
         got = hm.data[:, :, : m - steps, :]
         core = (slice(None), slice(None), slice(margin, -margin), slice(margin, -margin))
@@ -298,15 +296,9 @@ def test_hidden_stays_bounded_over_100_blank_steps(variant):
     h = initial_state(model)
     for _ in range(100):
         h = step(model, h, BLANK, Pose2.identity())
-    for layer in h.layers:
+    for layer in h:
         assert np.isfinite(layer.data).all()
         assert np.max(np.abs(layer.data)) <= 1.0 + 1e-6
-
-
-def test_hidden_state_rejects_non_finite():
-    bad = Tensor(np.full((1, 16, 9, 9), np.nan))
-    with pytest.raises(FloatingPointError):
-        HiddenState(layers=(bad,))
 
 
 # ----------------------------------------------------------------- decode
@@ -454,7 +446,7 @@ def test_step_rejects_transform_count_mismatch():
     with pytest.raises(ValueError, match="batch of 2"):
         step(model, h, BLANK, [Pose2.identity()] * 3)
     out = step(model, h, BLANK, [Pose2.identity(), Pose2(0.5, 0.0, 0.0)])
-    assert out.batch == 2
+    assert out[0].data.shape[0] == 2
 
 
 # ------------------------------------------------------------ gradients
@@ -489,11 +481,9 @@ def test_composed_gradient_with_static_bias_and_stm():
         for b in model.bias_grids:
             b.data = rng.normal(0, 0.1, size=b.shape)
         x = Tensor(rng.uniform(0, 1, size=(1, 2, 9, 9)), requires_grad=True)
-        h0 = HiddenState(
-            layers=tuple(
-                Tensor(rng.uniform(-0.5, 0.5, size=(1, 16, 9, 9)), requires_grad=True)
-                for _ in range(3)
-            )
+        h0 = tuple(
+            Tensor(rng.uniform(-0.5, 0.5, size=(1, 16, 9, 9)), requires_grad=True)
+            for _ in range(3)
         )
         target = Tensor((rng.random((1, 1, 9, 9)) < 0.4).astype(np.float64))
         mask = Tensor(np.ones((1, 1, 9, 9)))
@@ -505,7 +495,7 @@ def test_composed_gradient_with_static_bias_and_stm():
             h = _step_planes(model, h0, x, ego)
             return masked_bce(decode(model, h), target, mask)
 
-        checked = [x, h0.layers[0], model.bias_grids[1]]
+        checked = [x, h0[0], model.bias_grids[1]]
         # h=1e-5 is roundoff-dominated for this composition's smallest
         # gradient entries; a wider step stays inside the 1e-4 contract
         err = grad_check(loss, checked, h=1e-4)
@@ -560,6 +550,19 @@ def test_checkpoint_rejects_corruption(tmp_path):
     cut.write_bytes(short + hashlib.sha256(short).digest()[:8])
     with pytest.raises(ValueError, match="truncated"):
         load_checkpoint(cut)
+
+
+@pytest.mark.parametrize("name", ["layer0.wz.kernel", "decoder.bias"])
+def test_checkpoint_rejects_non_finite_weights(tmp_path, name):
+    """One NaN weight in a well-checksummed checkpoint is rejected at load
+    with a ValueError naming the file and the parameter."""
+    model = build(ModelConfig.for_variant("GRU3DilConv_16", GRID9), seed=0)
+    dict(model.named_parameters())[name].data.flat[0] = np.nan
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(model, path)
+    want = re.escape(f"checkpoint {path}: non-finite values in {name}")
+    with pytest.raises(ValueError, match=want + "$"):
+        load_checkpoint(path)
 
 
 # The config JSON of every variant: the variant name, the egomotion switch
