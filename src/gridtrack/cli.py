@@ -39,14 +39,6 @@ def _uniform_frame_count(batches) -> int:
     return counts.pop()
 
 
-def _check_grid(model, batches, ckpt_path) -> None:
-    if model.config.grid != batches[0].spec:
-        raise ValueError(
-            f"checkpoint {ckpt_path} was trained on grid {model.config.grid}, "
-            f"which does not match the dataset grid {batches[0].spec}"
-        )
-
-
 # ------------------------------------------------------------------- commands
 
 
@@ -128,11 +120,7 @@ def cmd_eval(args) -> int:
     _, batches = read_dataset(args.data)
     frames = _uniform_frame_count(batches)
     schedule = ShowBlankSchedule(total_frames=frames, show=args.show, blank=args.blank)
-    models = []
-    for path in args.ckpt:
-        model = load_checkpoint(path)
-        _check_grid(model, batches, path)
-        models.append(model)
+    models = [load_checkpoint(path) for path in args.ckpt]
     labels = args.label or [
         os.path.splitext(os.path.basename(p))[0] for p in args.ckpt
     ]
@@ -140,10 +128,10 @@ def cmd_eval(args) -> int:
         raise ValueError(f"{len(models)} checkpoints but {len(labels)} labels")
     if len(set(labels)) != len(labels):
         raise ValueError(f"labels must be distinct, got {labels}")
-    os.makedirs(args.out, exist_ok=True)
     curves = [
         f1_horizon(m, batches, schedule, threshold=args.threshold) for m in models
     ]
+    os.makedirs(args.out, exist_ok=True)
     written = []
     for label, curve in zip(labels, curves):
         path = os.path.join(args.out, f"horizon_{label}.txt")
@@ -184,17 +172,17 @@ def cmd_render(args) -> int:
         )
     batch = batches[args.sequence]
     model = load_checkpoint(args.ckpt)
-    _check_grid(model, batches, args.ckpt)
     show = args.show if args.show is not None else batch.frames
     blank = args.blank if args.blank is not None else 0
     schedule = ShowBlankSchedule(total_frames=batch.frames, show=show, blank=blank)
     if args.overlay and batch.truth_occ is None:
         raise ValueError("truth overlay requested but the sequence carries no ground truth")
     with_truth = batch.truth_occ is not None
-    os.makedirs(args.out, exist_ok=True)
     written = 0
     with no_grad():
         for f, (h, pred) in enumerate(unroll(model, batch, schedule)):
+            # after unroll's checks have passed, so a rejected input writes nothing
+            os.makedirs(args.out, exist_ok=True)
             panel = frame_panel(
                 batch.observations[f],
                 pred.data[0, 0],
@@ -217,6 +205,8 @@ def cmd_render(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from .model import variant_names
+    from .simulator import scenario_builders
+    from .training import OPTIMIZERS
 
     parser = argparse.ArgumentParser(
         prog="gridtrack",
@@ -230,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--scenario",
         required=True,
-        choices=("static-crossing", "occlusion", "moving-straight", "moving-turning"),
+        choices=tuple(scenario_builders()),
     )
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--sequences", type=int, default=8)
@@ -254,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--out", required=True, help="checkpoint path to write")
     tr.add_argument("--lr", type=float, default=1e-3)
-    tr.add_argument("--optimizer", choices=("adam", "sgd_momentum"), default="adam")
+    tr.add_argument("--optimizer", choices=OPTIMIZERS, default="adam")
     tr.add_argument("--batch-size", type=int, default=1)
     tr.add_argument("--baseline-override", action="store_true",
                     help="allow --stm off on moving-sensor data")

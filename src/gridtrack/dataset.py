@@ -98,31 +98,31 @@ def write_sequence(batch: SequenceBatch, path) -> None:
         fh.write(MAGIC + _HEADER.pack(m, mm, frames, flags) + rec.tobytes())
 
 
-def _read_header(blob: bytes, path) -> tuple:
-    if blob[: len(MAGIC)] != MAGIC:
-        raise ValueError(f"{path}: bad magic, not a DTSEQ1 sequence")
-    if len(blob) < len(MAGIC) + _HEADER.size:
-        raise ValueError(f"{path}: truncated header")
-    m, mm, frames, flags = _HEADER.unpack_from(blob, len(MAGIC))
-    if flags not in (0, 1):
-        raise ValueError(f"{path}: unknown flags byte {flags:#x}")
-    if frames < 1:
-        raise ValueError(f"{path}: frame count must be positive, got {frames}")
-    spec = GridSpec(size_cells=m, cell_size=mm / 1000.0)
-    return spec, frames, flags
-
-
 def read_sequence(path) -> SequenceBatch:
+    """Load one sequence; any ValueError names the file."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    spec, frames, flags = _read_header(blob, path)
-    m = spec.size_cells
+    try:
+        return _decode_sequence(blob)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _decode_sequence(blob: bytes) -> SequenceBatch:
+    if blob[: len(MAGIC)] != MAGIC:
+        raise ValueError("bad magic, not a DTSEQ1 sequence")
+    if len(blob) < len(MAGIC) + _HEADER.size:
+        raise ValueError("truncated header")
+    m, mm, frames, flags = _HEADER.unpack_from(blob, len(MAGIC))
+    if flags not in (0, 1):
+        raise ValueError(f"unknown flags byte {flags:#x}")
+    if frames < 1:
+        raise ValueError(f"frame count must be positive, got {frames}")
+    spec = GridSpec(size_cells=m, cell_size=mm / 1000.0)
     dtype = _frame_dtype(m, flags)
     expected = len(MAGIC) + _HEADER.size + frames * dtype.itemsize
     if len(blob) != expected:
-        raise ValueError(
-            f"{path}: expected {expected} bytes for {frames} frames, got {len(blob)}"
-        )
+        raise ValueError(f"expected {expected} bytes for {frames} frames, got {len(blob)}")
     rec = np.frombuffer(blob, dtype=dtype, count=frames, offset=len(MAGIC) + _HEADER.size)
 
     def unpack(name):

@@ -21,7 +21,8 @@ grid; the layer stack, decoder input and static bias are read from the
 variant table above. The recurrent state is a plain tuple of per-layer
 (batch, maps, M, M) Tensors, registered to the current sensor frame. Every
 multi-frame run (training loss, evaluation, rendering) goes through one
-unroll: ``unroll`` yields the state and the prediction per frame,
+unroll, which checks each minibatch against the model once, its grid
+included: ``unroll`` yields the state and the prediction per frame,
 ``rollout`` collects the predictions, and models without egomotion
 compensation never warp their state.
 
@@ -217,29 +218,20 @@ def initial_state(model: Model, batch_size: int = 1) -> tuple:
     )
 
 
-def _step_planes(model: Model, h_prev: tuple, x: Tensor, egomotion) -> tuple:
+def _step_planes(model: Model, h_prev: tuple, x: Tensor, poses: list) -> tuple:
+    """One frame; ``step`` or ``unroll`` has checked ``x`` and ``poses``."""
     cfg = model.config
-    batch = h_prev[0].data.shape[0]
-    poses = [egomotion] * batch if isinstance(egomotion, Pose2) else list(egomotion)
-    if len(poses) != batch:
-        raise ValueError(f"got {len(poses)} transforms for a batch of {batch}")
-    identity = all(p.is_identity(1e-12) for p in poses)
-    if not cfg.use_stm and not identity:
-        raise ValueError("egomotion compensation is disabled; pass identity egomotion")
     prev = h_prev
-    if cfg.use_stm and not identity:
+    if cfg.use_stm and not all(p.is_identity(1e-12) for p in poses):
         prev = tuple(bilinear_sample(h, poses, cfg.grid) for h in prev)
     new_layers = []
     inp = x
     for i, _ in enumerate(cfg.layers):
-        bias = model.bias_grids[i] if model.bias_grids else None
         if cfg.is_gated:
+            bias = model.bias_grids[i] if model.bias_grids else None
             h = conv_gru_step(prev[i], inp, model.cells[i], bias)
         else:
-            pre = conv2d(concat_channels([inp, prev[i]]), model.cells[i])
-            if bias is not None:
-                pre = pre + bias
-            h = pre.tanh()
+            h = conv2d(concat_channels([inp, prev[i]]), model.cells[i]).tanh()
         new_layers.append(h)
         inp = h
     return tuple(new_layers)
@@ -248,16 +240,9 @@ def _step_planes(model: Model, h_prev: tuple, x: Tensor, egomotion) -> tuple:
 def _input_planes(model: Model, obs, batch_size: int) -> Tensor:
     """(B, 2, M, M) input planes for one frame: all zero for BLANK, else the
     planes of ``obs``, a list of one ObservationGrid per sample."""
-    m = model.config.grid.size_cells
     if obs is BLANK:
+        m = model.config.grid.size_cells
         return Tensor(np.zeros((batch_size, 2, m, m)))
-    if len(obs) != batch_size:
-        raise ValueError(f"{len(obs)} observation(s) cannot drive a batch of {batch_size}")
-    for g in obs:
-        if not isinstance(g, ObservationGrid):
-            raise TypeError(f"expected ObservationGrid or BLANK, got {type(g).__name__}")
-        if g.size_cells != m:
-            raise ValueError(f"observation is {g.size_cells} cells, model expects {m}")
     return Tensor(np.stack([g.planes(default_dtype()) for g in obs]))
 
 
@@ -267,10 +252,24 @@ def step(model: Model, h_prev: tuple, obs, egomotion) -> tuple:
     all-zero planes). With egomotion compensation enabled, h_prev is first
     resampled under ``egomotion``, one relative transform for all samples or
     one per sample; otherwise it must be identity."""
-    if len(h_prev) != len(model.config.layers):
+    cfg = model.config
+    if len(h_prev) != len(cfg.layers):
         raise ValueError("hidden state layer count does not match model")
-    x = _input_planes(model, obs if obs is BLANK else [obs], h_prev[0].data.shape[0])
-    return _step_planes(model, h_prev, x, egomotion)
+    batch, m = h_prev[0].data.shape[0], cfg.grid.size_cells
+    if obs is not BLANK:
+        if not isinstance(obs, ObservationGrid):
+            raise TypeError(f"expected ObservationGrid or BLANK, got {type(obs).__name__}")
+        if obs.size_cells != m:
+            raise ValueError(f"observation is {obs.size_cells} cells, model expects {m}")
+        if batch != 1:
+            raise ValueError(f"1 observation cannot drive a batch of {batch}")
+        obs = [obs]
+    poses = [egomotion] * batch if isinstance(egomotion, Pose2) else list(egomotion)
+    if len(poses) != batch:
+        raise ValueError(f"got {len(poses)} transforms for a batch of {batch}")
+    if not cfg.use_stm and not all(p.is_identity(1e-12) for p in poses):
+        raise ValueError("egomotion compensation is disabled; pass identity egomotion")
+    return _step_planes(model, h_prev, _input_planes(model, obs, batch), poses)
 
 
 def decode(model: Model, h: tuple) -> Tensor:
@@ -290,10 +289,12 @@ def unroll(model: Model, batches, schedule):
     tuple and a (B,1,M,M) Tensor.
 
     ``batches`` is one SequenceBatch or a list of equal-length ones, stacked
-    into a minibatch. With egomotion compensation each sequence's state is
-    warped by its own transform at every frame, shown or blank; a model
-    without it runs as the no-warp baseline, never warping its state even
-    though the sensor moves (``train`` allows that only as an ablation).
+    into a minibatch, whose sequences must all be on the model's grid: the
+    warp and the targets then share one metric scale. With egomotion
+    compensation each sequence's state is warped by its own transform at
+    every frame, shown or blank; a model without it runs as the no-warp
+    baseline, never warping its state even though the sensor moves
+    (``train`` allows that only as an ablation).
     """
     if hasattr(batches, "observations"):
         batches = [batches]
@@ -307,12 +308,16 @@ def unroll(model: Model, batches, schedule):
         raise ValueError(
             f"schedule covers {schedule.total_frames} frames, batch has {frames}"
         )
+    for b in batches:
+        if b.spec != model.config.grid:
+            raise ValueError(
+                f"model grid {model.config.grid} does not match the dataset grid {b.spec}"
+            )
     h = initial_state(model, batch_size=len(batches))
     for f in range(frames):
         obs = [b.observations[f] for b in batches] if schedule.is_shown(f) else BLANK
         x = _input_planes(model, obs, len(batches))
-        ego = [b.rel_transforms[f] for b in batches] if model.config.use_stm else Pose2.identity()
-        h = _step_planes(model, h, x, ego)
+        h = _step_planes(model, h, x, [b.rel_transforms[f] for b in batches])
         yield h, decode(model, h)
 
 
@@ -407,9 +412,9 @@ def _decode_checkpoint(blob: bytes) -> Model:
     model = build(config, seed=0)
     if count != model.param_count:
         raise ValueError("checkpoint parameter count does not match config")
-    raw = np.frombuffer(payload, dtype="<f4", offset=off, count=count)
     if off + 4 * count != len(payload):
         raise ValueError("checkpoint is truncated or has trailing data")
+    raw = np.frombuffer(payload, dtype="<f4", offset=off, count=count)
     pos = 0
     for name, t in model.named_parameters():
         n = int(np.prod(t.shape))

@@ -621,8 +621,9 @@ def masked_bce(pred: Tensor, target, mask) -> Tensor:
 
     Predictions are clamped to [eps, 1-eps] (1e-7 in float32, 1e-12 in
     float64) and the clamp is honest: the gradient is zero where the clamp is
-    active, and exactly zero (bitwise) wherever mask=0. An all-zero mask
-    yields loss 0 with zero gradients.
+    active, and exactly zero (a signed zero) wherever mask=0. The divisor is
+    the count of scored cells, or 1 when there are none, so an all-zero mask
+    goes through the same formula and gives loss 0 and zero gradients.
     """
     t = target.data if isinstance(target, Tensor) else np.asarray(target)
     mk = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
@@ -633,17 +634,7 @@ def masked_bce(pred: Tensor, target, mask) -> Tensor:
     t = t.astype(pred.dtype)
     mk = mk.astype(pred.dtype)
     eps = 1e-7 if pred.dtype == np.float32 else 1e-12
-    n = float(mk.sum())
-    if n == 0.0:
-        out = _result(np.asarray(0.0, dtype=pred.dtype), (pred,))
-        if out._prev:
-
-            def backward_zero():
-                pred._accum(np.zeros_like(pred.data))
-
-            out._backward = backward_zero
-        return out
-
+    n = float(mk.sum()) or 1.0
     p = np.clip(pred.data, eps, 1.0 - eps)
     cell = -(t * np.log(p) + (1.0 - t) * np.log1p(-p))
     val = np.asarray((mk * cell).sum() / n, dtype=pred.dtype)

@@ -23,6 +23,7 @@ from .model import Model, rollout, save_checkpoint
 from .tensor import Tensor, concat_channels, masked_bce
 
 __all__ = [
+    "OPTIMIZERS",
     "ShowBlankSchedule",
     "target_mask",
     "TrainConfig",
@@ -77,6 +78,9 @@ def target_mask(batch, schedule: ShowBlankSchedule) -> np.ndarray:
     return mask
 
 
+OPTIMIZERS = ("adam", "sgd_momentum")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     schedule: ShowBlankSchedule
@@ -95,7 +99,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.optimizer not in ("adam", "sgd_momentum"):
+        if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.batch_size < 1 or self.max_steps < 0:
             raise ValueError("batch_size >= 1 and max_steps >= 0 required")
@@ -170,9 +174,6 @@ def train(model: Model, dataset, cfg: TrainConfig) -> TrainResult:
     dataset = list(dataset)
     if not dataset:
         raise ValueError("dataset is empty")
-    for b in dataset:
-        if b.spec.size_cells != model.config.grid.size_cells:
-            raise ValueError("dataset grid does not match the model")
     if cfg.moving_sensor and not model.config.use_stm and not cfg.baseline_override:
         raise ValueError(
             "moving-sensor training without egomotion compensation needs "

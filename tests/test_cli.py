@@ -10,15 +10,21 @@ import sys
 import numpy as np
 import pytest
 
-from gridtrack.cli import _apply_thread_override, main
+from gridtrack.cli import _apply_thread_override, build_parser, main
 from gridtrack.dataset import read_dataset, write_dataset
 from gridtrack.evaluation import f1_horizon
 from gridtrack.model import ModelConfig, build, load_checkpoint, rollout, save_checkpoint
 from gridtrack.render import frame_panel, plot_curves, write_ppm
-from gridtrack.simulator import SequenceBatch, moving_straight, moving_turning, static_crossing
+from gridtrack.simulator import (
+    SequenceBatch,
+    moving_straight,
+    moving_turning,
+    scenario_builders,
+    static_crossing,
+)
 from gridtrack.geometry import GridSpec
 from gridtrack.tensor import no_grad
-from gridtrack.training import ShowBlankSchedule
+from gridtrack.training import OPTIMIZERS, ShowBlankSchedule
 
 
 def run(*argv):
@@ -258,6 +264,7 @@ def test_eval_rejects_grid_mismatch(static_ckpt, tmp_path, capsys):
     assert run("eval", "--ckpt", static_ckpt, "--data", other,
                "--show", "3", "--blank", "3", "--out", tmp_path / "x") == 2
     assert "does not match the dataset grid" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_eval_rejects_three_checkpoints(static_data, static_ckpt, tmp_path, capsys):
@@ -362,6 +369,17 @@ def test_render_rejects_zero_scale(static_data, static_ckpt, tmp_path, capsys):
     assert not list(out.glob("*.ppm"))
 
 
+def test_render_rejects_grid_mismatch(static_ckpt, tmp_path, capsys):
+    other = tmp_path / "grid11"
+    assert run(*gen_args(other, grid=11)) == 0
+    out = tmp_path / "imgs"
+    assert run("render", "--ckpt", static_ckpt, "--data", other, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(GridSpec(15, 0.2)) in err and str(GridSpec(11, 0.2)) in err
+    assert not out.exists()
+
+
 def test_render_blanked_schedule(static_data, static_ckpt, tmp_path):
     out = tmp_path / "imgs"
     assert run("render", "--ckpt", static_ckpt, "--data", static_data,
@@ -411,6 +429,15 @@ def test_render_matches_rollout_with_egomotion_warp(tmp_path):
 
 
 # ---------------------------------------------------------------------- misc
+
+
+def test_parser_accepts_every_scenario_and_optimizer():
+    parser = build_parser()
+    for name in scenario_builders():
+        assert parser.parse_args(["gen", "--scenario", name, "--out", "x"]).scenario == name
+    for name in OPTIMIZERS:
+        args = parser.parse_args(["train", "--data", "d", "--out", "x", "--optimizer", name])
+        assert args.optimizer == name
 
 
 def test_thread_override(monkeypatch):

@@ -174,6 +174,31 @@ def test_read_rejects_unknown_flags(tmp_path):
         read_sequence(path)
 
 
+def _patched(blob: bytes, pos: int, raw: bytes) -> bytes:
+    return blob[:pos] + raw + blob[pos + len(raw) :]
+
+
+# Byte patches of an 11x11 file: the header holds the grid side at byte 6,
+# and frame 0's record starts at byte 17 with 16-byte visibility and
+# occupancy planes, then the pose.
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        (lambda b: _patched(b, 6, struct.pack("<H", 10)), "size_cells must be odd and >= 3, got 10"),
+        (lambda b: _patched(b, 17, b"\x00" * 16 + b"\xff"),
+         "occ asserts occupancy in unobserved cells"),
+        (lambda b: _patched(b, 49, struct.pack("<d", float("nan"))), "non-finite pose (nan, "),
+    ],
+    ids=["even-side", "occupied-unobserved", "nan-pose"],
+)
+def test_read_sequence_errors_name_the_file(tmp_path, patch, message):
+    path = tmp_path / "bad.dtseq"
+    write_sequence(moving_turning(seed=4, spec=GridSpec(size_cells=11, cell_size=0.4), frames=4), path)
+    path.write_bytes(patch(path.read_bytes()))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        read_sequence(path)
+
+
 def test_write_rejects_fractional_millimeters(tmp_path):
     spec = GridSpec(size_cells=7, cell_size=0.1234)
     obs = ObservationGrid(vis=np.zeros((7, 7), np.uint8), occ=np.zeros((7, 7), np.uint8))
@@ -552,15 +577,17 @@ def apply_byte_edit(blob: bytes, edit) -> bytes:
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_read_sequence_fuzzed_bytes_give_a_sequence_or_a_value_error(tmp_path, edit):
     """A single flipped, overwritten, cut or inserted byte in a .dtseq file
-    loads as a SequenceBatch or raises ValueError, never another exception.
-    (Without a checksum some edits load as a different sequence.)"""
+    loads as a SequenceBatch or raises a ValueError naming the file, never
+    another exception. (Without a checksum some edits load as a different
+    sequence.)"""
     path = tmp_path / "seq.dtseq"
     spec = GridSpec(size_cells=11, cell_size=0.4)
     write_sequence(moving_turning(seed=4, spec=spec, frames=4), path)
     path.write_bytes(apply_byte_edit(path.read_bytes(), edit))
     try:
         batch = read_sequence(path)
-    except ValueError:
+    except ValueError as exc:
+        assert str(path) in str(exc)
         return
     assert isinstance(batch, SequenceBatch)
 
@@ -569,13 +596,15 @@ def test_read_sequence_fuzzed_bytes_give_a_sequence_or_a_value_error(tmp_path, e
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_load_checkpoint_fuzzed_bytes_give_a_model_or_a_value_error(tmp_path, edit):
     """A single flipped, overwritten, cut or inserted byte in a .ckpt file
-    loads as a Model or raises ValueError, never another exception."""
+    loads as a Model or raises a ValueError naming the file, never another
+    exception."""
     path = tmp_path / "model.ckpt"
     grid = GridSpec(size_cells=9, cell_size=0.5)
     save_checkpoint(build(ModelConfig.for_variant("RNN16", grid), seed=0), path)
     path.write_bytes(apply_byte_edit(path.read_bytes(), edit))
     try:
         model = load_checkpoint(path)
-    except ValueError:
+    except ValueError as exc:
+        assert str(path) in str(exc)
         return
     assert isinstance(model, Model)

@@ -1,5 +1,7 @@
 """Horizon F1 scoring, occlusion tracking error, and model comparison."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from gridtrack.geometry import GridSpec, predictable_mask
 from gridtrack.model import ModelConfig, build
 from gridtrack.simulator import (
     moving_straight,
+    moving_turning,
     occlusion_scenario,
     static_crossing,
 )
@@ -173,6 +176,19 @@ def test_f1_horizon_validation():
     allshown = ShowBlankSchedule(total_frames=12, show=12, blank=0)
     with pytest.raises(ValueError, match="blank"):
         f1_horizon(model, batch, allshown)
+
+
+def test_scoring_rejects_a_grid_with_another_cell_size():
+    """f1_horizon and occlusion_track_error score through the one rollout,
+    which refuses data on another grid even when the side length agrees."""
+    grid, data_grid = GridSpec(size_cells=11, cell_size=0.2), GridSpec(size_cells=11, cell_size=0.25)
+    model = build(ModelConfig.for_variant("GRU3DilConv_16", grid, use_stm=True), seed=0)
+    want = re.escape(f"model grid {grid} does not match the dataset grid {data_grid}")
+    sched = ShowBlankSchedule(total_frames=6, show=2, blank=1)
+    with pytest.raises(ValueError, match=want):
+        f1_horizon(model, [moving_turning(seed=0, spec=data_grid, frames=6)], sched)
+    with pytest.raises(ValueError, match=want):
+        occlusion_track_error(model, occlusion_scenario(seed=1, spec=data_grid, occluded_frames=2))
 
 
 # ------------------------------------------------------- occlusion_track_error

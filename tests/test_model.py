@@ -416,6 +416,22 @@ def test_rollout_validates_lengths_and_chains():
         rollout(model, [], Schedule(4, lambda f: True))
 
 
+def test_rollout_rejects_a_grid_with_another_cell_size():
+    """Same side length, different metric scale: the warp would use the
+    model's cell size and the targets the data's, so the rollout refuses."""
+    from gridtrack.simulator import moving_turning
+
+    grid, data_grid = GridSpec(size_cells=11, cell_size=0.2), GridSpec(size_cells=11, cell_size=0.25)
+    model = build(ModelConfig.for_variant("GRU3DilConv_16", grid, use_stm=True), seed=0)
+    batch = moving_turning(seed=0, spec=data_grid, frames=4)
+    want = re.escape(f"model grid {grid} does not match the dataset grid {data_grid}")
+    with pytest.raises(ValueError, match=want):
+        rollout(model, batch, Schedule(4, lambda f: True))
+    with pytest.raises(ValueError, match=want):
+        rollout(model, [moving_turning(seed=1, spec=grid, frames=4), batch],
+                Schedule(4, lambda f: True))
+
+
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_rollout_batches_sequences_with_different_egomotion(dtype):
     """Each sequence in a minibatch is warped by its own transforms: a batch
@@ -464,7 +480,7 @@ def test_composed_step_decode_loss_gradient():
         from gridtrack.model import _step_planes
 
         def loss(*_):
-            h = _step_planes(model, h0, x, Pose2.identity())
+            h = _step_planes(model, h0, x, [Pose2.identity()])
             return masked_bce(decode(model, h), target, mask)
 
         checked = [x, model.cells[0][2].bias, model.decoder.kernel, model.decoder.bias]
@@ -492,7 +508,7 @@ def test_composed_gradient_with_static_bias_and_stm():
         from gridtrack.model import _step_planes
 
         def loss(*_):
-            h = _step_planes(model, h0, x, ego)
+            h = _step_planes(model, h0, x, [ego])
             return masked_bce(decode(model, h), target, mask)
 
         checked = [x, h0[0], model.bias_grids[1]]
@@ -549,6 +565,12 @@ def test_checkpoint_rejects_corruption(tmp_path):
     cut = tmp_path / "cut.ckpt"
     cut.write_bytes(short + hashlib.sha256(short).digest()[:8])
     with pytest.raises(ValueError, match="truncated"):
+        load_checkpoint(cut)
+    # the parameter block cut by 40 bytes, checksum rebuilt
+    short = good[:-8][:-40]
+    cut.write_bytes(short + hashlib.sha256(short).digest()[:8])
+    want = re.escape(f"checkpoint {cut}: checkpoint is truncated or has trailing data")
+    with pytest.raises(ValueError, match=want + "$"):
         load_checkpoint(cut)
 
 

@@ -2,6 +2,8 @@
 gradient flow through blanked frames, determinism, and small learnable
 problems."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -348,6 +350,21 @@ def test_train_rejects_empty_or_mismatched_dataset():
     other = static_crossing(seed=1, spec=GridSpec(size_cells=9, cell_size=0.5), frames=4)
     with pytest.raises(ValueError):
         train(model, [other], cfg)
+
+
+def test_train_rejects_a_grid_with_another_cell_size():
+    grid, data_grid = GridSpec(size_cells=11, cell_size=0.2), GridSpec(size_cells=11, cell_size=0.25)
+    model = tiny_model(grid, variant="GRU3DilConv_16", use_stm=True)
+    cfg = TrainConfig(
+        schedule=ShowBlankSchedule(total_frames=4, show=2, blank=2),
+        max_steps=2,
+        moving_sensor=True,
+    )
+    before = [p.data.copy() for p in model.parameters()]
+    want = re.escape(f"model grid {grid} does not match the dataset grid {data_grid}")
+    with pytest.raises(ValueError, match=want):
+        train(model, [moving_turning(seed=0, spec=data_grid, frames=4)], cfg)
+    assert all(np.array_equal(p.data, b) for p, b in zip(model.parameters(), before))
 
 
 def test_train_moving_requires_stm_or_override():
