@@ -214,7 +214,8 @@ def initial_state(model: Model, batch_size: int = 1) -> tuple:
     layer."""
     m = model.config.grid.size_cells
     return tuple(
-        Tensor(np.zeros((batch_size, maps, m, m))) for maps, _, _ in model.config.layers
+        Tensor(np.zeros((batch_size, maps, m, m), dtype=default_dtype()))
+        for maps, _, _ in model.config.layers
     )
 
 
@@ -242,7 +243,7 @@ def _input_planes(model: Model, obs, batch_size: int) -> Tensor:
     planes of ``obs``, a list of one ObservationGrid per sample."""
     if obs is BLANK:
         m = model.config.grid.size_cells
-        return Tensor(np.zeros((batch_size, 2, m, m)))
+        return Tensor(np.zeros((batch_size, 2, m, m), dtype=default_dtype()))
     return Tensor(np.stack([g.planes(default_dtype()) for g in obs]))
 
 

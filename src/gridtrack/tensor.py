@@ -19,11 +19,27 @@ only the gates z and r and the candidate h~, not the elementwise
 intermediates of the written-out formula. Neither op keeps a padded copy of
 its input: backward pads the parents' arrays again, which costs a copy and
 saves holding the padded buffers of every frame until backward runs.
+
+The elementwise work around the GEMMs runs in place: the first tap's GEMM
+writes the accumulator, the GRU adds its biases into it, the sigmoid and
+tanh write straight into the gate and candidate arrays, and the GRU blend
+and its backward algebra reuse their own temporaries. Each keeps the
+operations, and their order, of the plain expressions it replaces, so every
+value is bitwise what those expressions give (a reordered float32 sum can
+flip a thresholded prediction). Memory reused across calls is scratch only
+(``_scratch``): the conv accumulator and per-tap product, the padded output
+gradient and the sigmoid's and blend's temporaries, one buffer per role and
+dtype, each consumed before the next call that asks for it. The padded
+inputs are fresh zeros on every call, which measured faster than clearing
+the border of a reused buffer. What an op returns, and what a backward
+closure keeps (z, r, h~), is always a fresh array, never a view of reused
+memory.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -219,7 +235,7 @@ class Tensor:
         return out
 
     def sigmoid(self) -> "Tensor":
-        s = _sigmoid(self.data)
+        s = _sigmoid(self.data, np.empty(self.data.shape, self.data.dtype))
         out = _result(s, (self,))
         if out._prev:
 
@@ -241,10 +257,17 @@ class Tensor:
         return out
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function, numerically stable on both tails."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype)
+def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Logistic function of x written into ``out``, numerically stable on
+    both tails: with e = exp(-|x|), 1/(1+e) where x >= 0 and e/(1+e)
+    elsewhere. The numerator is max(e, x >= 0), which is 1 or e (NaN stays
+    NaN), so one division serves both tails."""
+    e = np.abs(x, out=_scratch("exp", x.shape, x.dtype))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.maximum(e, np.greater_equal(x, 0, out=_scratch("sign", x.shape, np.bool_)), out=out)
+    e += 1.0
+    return np.divide(num, e, out=num)
 
 
 def _released():
@@ -347,6 +370,23 @@ class ConvParams:
         return [self.kernel, self.bias]
 
 
+_SCRATCH = threading.local()  # per thread: {(role, dtype): flat buffer}
+
+
+def _scratch(role: str, shape: tuple, dt) -> np.ndarray:
+    """An uninitialised array of ``shape`` over memory kept per thread for
+    (role, dtype), grown to the largest shape asked for and handed out again
+    on every call with that key. It is scratch space only: the caller
+    consumes it before any other call with the same key, and it never
+    becomes, or is viewed by, a Tensor's data or a backward closure."""
+    cache = _SCRATCH.__dict__
+    n = math.prod(shape)
+    buf = cache.get((role, dt))
+    if buf is None or buf.size < n:
+        buf = cache[(role, dt)] = np.empty(n, dtype=dt)
+    return buf[:n].reshape(shape)
+
+
 def _pad(parts: list, p: int, dt) -> np.ndarray:
     """Zero-pad (B, C_i, H, W) arrays by p on each side, stacked along
     channels, into one (B, sum C_i, H+2p+1, W+2p) buffer. The extra bottom
@@ -371,18 +411,25 @@ def _taps(xp: np.ndarray, kern: np.ndarray, d: int) -> tuple:
     return h_out, w_out, h_out * wp, offsets
 
 
-def _conv_fwd(xp: np.ndarray, kern: np.ndarray, d: int) -> np.ndarray:
-    """Bias-free cross-correlation of a ``_pad`` buffer: the sum over taps of
-    one GEMM per tap, computed at full padded width, then the Wp - Wout
-    columns that run past a row end are dropped. (B, out, Hout, Wout)."""
+def _conv_fwd(xp: np.ndarray, kern: np.ndarray, d: int,
+              bias: np.ndarray | None = None) -> np.ndarray:
+    """Cross-correlation of a ``_pad`` buffer: the sum over taps of one GEMM
+    per tap, in tap order, computed at full padded width, plus ``bias`` per
+    output channel when given, then the Wp - Wout columns that run past a
+    row end are dropped. Returns a (B, out, Hout, Wout) view of a scratch
+    accumulator, which the caller must consume before the next call."""
     b, cin, _, wp = xp.shape
     h_out, w_out, n, offsets = _taps(xp, kern, d)
     xf = xp.reshape(b, cin, -1)
-    acc = np.zeros((b, kern.shape[0], n), dtype=xp.dtype)
-    tmp = np.empty_like(acc)
-    for u, v, off in offsets:
+    acc = _scratch("acc", (b, kern.shape[0], n), xp.dtype)
+    tmp = _scratch("tap", acc.shape, xp.dtype)
+    (u, v, off), *rest = offsets
+    np.matmul(kern[:, :, u, v], xf[:, :, off : off + n], out=acc)
+    for u, v, off in rest:
         np.matmul(kern[:, :, u, v], xf[:, :, off : off + n], out=tmp)
         acc += tmp
+    if bias is not None:
+        acc += bias[:, None]
     return acc.reshape(b, -1, h_out, wp)[..., :w_out]
 
 
@@ -394,17 +441,19 @@ def _conv_bwd(xp: np.ndarray, kern: np.ndarray, d: int, g: np.ndarray,
     b, cin, _, wp = xp.shape
     h_out, w_out, n, offsets = _taps(xp, kern, d)
     xf = xp.reshape(b, cin, -1)
-    gp = np.zeros((b, g.shape[1], h_out, wp), dtype=xp.dtype)
+    gp = _scratch("gpad", (b, g.shape[1], h_out, wp), xp.dtype)
     gp[..., :w_out] = g
+    gp[..., w_out:] = 0
     gf = gp.reshape(b, g.shape[1], n)
     gx = np.zeros_like(xf) if need_x else None
-    gk = np.zeros_like(kern) if need_k else None
+    gk = np.empty_like(kern) if need_k else None
+    tmp = _scratch("tap", (b, cin, n), xp.dtype) if need_x else None
     for u, v, off in offsets:
         sl = xf[:, :, off : off + n]
         if need_k:
             gk[:, :, u, v] = np.matmul(gf, sl.transpose(0, 2, 1)).sum(axis=0)
         if need_x:
-            gx[:, :, off : off + n] += np.matmul(kern[:, :, u, v].T, gf)
+            gx[:, :, off : off + n] += np.matmul(kern[:, :, u, v].T, gf, out=tmp)
     return (None if gx is None else gx.reshape(xp.shape)), gk
 
 
@@ -490,41 +539,58 @@ def conv_gru_step(
         # rebuilt in backward rather than kept: a copy per frame adds up
         return np.concatenate([wz.kernel.data, wr.kernel.data])
 
-    zr = _conv_fwd(padded(hd, wz), stacked_zr_kernel(), wz.dilation)
-    zr = zr + np.concatenate([wz.bias.data, wr.bias.data])[None, :, None, None]
+    pre = _conv_fwd(padded(hd, wz), stacked_zr_kernel(), wz.dilation,
+                    np.concatenate([wz.bias.data, wr.bias.data]))
+    if bias is not None:
+        pre[:, :hc] += bias.data
+        pre[:, hc:] += bias.data
+    zr = _sigmoid(pre, np.empty(pre.shape, pre.dtype))
     z, r = zr[:, :hc], zr[:, hc:]
+    pre = _conv_fwd(padded(r * hd, wh), wh.kernel.data, wh.dilation, wh.bias.data)
     if bias is not None:
-        z, r = z + bias.data, r + bias.data
-    z, r = _sigmoid(z), _sigmoid(r)
-    cand = _conv_fwd(padded(r * hd, wh), wh.kernel.data, wh.dilation)
-    cand = cand + wh.bias.data[None, :, None, None]
-    if bias is not None:
-        cand = cand + bias.data
-    cand = np.tanh(cand)
+        pre += bias.data
+    cand = np.tanh(pre)
 
+    # z*h + (1-z)*h~, summed as (1-z)*h~ + z*h
+    new = np.subtract(1.0, z)
+    new *= cand
+    new += np.multiply(z, hd, out=_scratch("blend", new.shape, new.dtype))
     parents = (h_prev, x, *(t for g in gates for t in g.parameters()))
-    out = _result(z * hd + (1.0 - z) * cand, parents + (() if bias is None else (bias,)))
+    out = _result(new, parents + (() if bias is None else (bias,)))
     if out._prev:
 
         def backward():
             g = out.grad
             need_in = x.requires_grad or h_prev.requires_grad
+            omz = 1.0 - z
+            tmp = np.empty_like(omz)
             gh = g * z
-            dz = (g * hd - g * cand) * z * (1.0 - z)
-            dc = g * (1.0 - z) * (1.0 - cand * cand)
+            # dz = (g*h - g*h~) * z * (1-z) and dr, written side by side
+            dzr = np.empty_like(zr)
+            dz, dr = dzr[:, :hc], dzr[:, hc:]
+            np.multiply(g, hd, out=dz)
+            dz -= np.multiply(g, cand, out=tmp)
+            dz *= z
+            dz *= omz
+            # dc = g * (1-z) * (1 - h~*h~)
+            dc = np.multiply(g, omz)
+            np.multiply(cand, cand, out=tmp)
+            dc *= np.subtract(1.0, tmp, out=tmp)
             gxrh, gk = _conv_bwd(padded(r * hd, wh), wh.kernel.data, wh.dilation, dc, True,
                                  wh.kernel.requires_grad)
             gxrh = gxrh[:, :, wh.padding : wh.padding + h, wh.padding : wh.padding + w]
             grh = gxrh[:, xc:]
-            gh += grh * r
-            dr = grh * hd * r * (1.0 - r)
+            gh += np.multiply(grh, r, out=tmp)
+            # dr = g_(r*h) * h * r * (1-r)
+            np.multiply(grh, hd, out=dr)
+            dr *= r
+            dr *= np.subtract(1.0, r, out=tmp)
             if gk is not None:
                 wh.kernel._accum(gk)
             if wh.bias.requires_grad:
                 wh.bias._accum(dc.sum(axis=(0, 2, 3)))
 
-            gxh, gk = _conv_bwd(padded(hd, wz), stacked_zr_kernel(), wz.dilation,
-                                np.concatenate([dz, dr], axis=1), need_in,
+            gxh, gk = _conv_bwd(padded(hd, wz), stacked_zr_kernel(), wz.dilation, dzr, need_in,
                                 wz.kernel.requires_grad or wr.kernel.requires_grad)
             for gate, lo, dpre in ((wz, 0, dz), (wr, hc, dr)):
                 if gk is not None and gate.kernel.requires_grad:
@@ -538,7 +604,8 @@ def conv_gru_step(
                 if x.requires_grad:
                     x._accum(gxh[:, :xc] + gxrh[:, :xc])
                 if h_prev.requires_grad:
-                    h_prev._accum(gh + gxh[:, xc:])
+                    gh += gxh[:, xc:]
+                    h_prev._accum(gh)
 
         out._backward = backward
     return out

@@ -179,8 +179,6 @@ def train(model: Model, dataset, cfg: TrainConfig) -> TrainResult:
             "moving-sensor training without egomotion compensation needs "
             "baseline_override (ablation runs only)"
         )
-    if cfg.checkpoint_every:
-        os.makedirs(cfg.checkpoint_dir, exist_ok=True)
     named = model.named_parameters()
     params = [p for _, p in named]
     rng = np.random.default_rng(cfg.seed)
@@ -189,50 +187,48 @@ def train(model: Model, dataset, cfg: TrainConfig) -> TrainResult:
     best = np.inf
     best_step = 0
     stop_reason = "max_steps"
-    log_fh = open(cfg.log_path, "a") if cfg.log_path else None
     step_idx = 0
-    try:
-        while step_idx < cfg.max_steps:
-            order = rng.permutation(len(dataset))
-            for lo in range(0, len(dataset), cfg.batch_size):
-                if step_idx >= cfg.max_steps:
-                    break
-                group = [dataset[i] for i in order[lo : lo + cfg.batch_size]]
-                t0 = time.monotonic()
-                model.zero_grad()
-                loss = sequence_loss(model, group, cfg.schedule)
-                value = float(loss.item())
-                if not np.isfinite(value):
-                    raise FloatingPointError(f"training diverged at step {step_idx}")
-                loss.backward()
-                grads = []
-                for name, p in named:
-                    if p.grad is not None and not np.isfinite(p.grad).all():
-                        raise FloatingPointError(
-                            f"non-finite gradient in {name} at step {step_idx}"
-                        )
-                    grads.append(p.grad if p.grad is not None else np.zeros_like(p.data))
-                if cfg.optimizer == "adam":
-                    state = adam_step(params, grads, state, cfg.learning_rate)
-                else:
-                    state = sgd_momentum_step(params, grads, state, cfg.learning_rate)
-                losses.append(value)
-                step_idx += 1
-                if log_fh:
-                    ms = (time.monotonic() - t0) * 1000.0
-                    log_fh.write(f"{step_idx} {value:.6f} {ms:.1f}\n")
-                    log_fh.flush()
-                if value < best - 1e-6:
-                    best = value
-                    best_step = step_idx
-                if cfg.checkpoint_every and step_idx % cfg.checkpoint_every == 0:
-                    save_checkpoint(model, f"{cfg.checkpoint_dir}/step{step_idx:06d}.ckpt")
-                if cfg.plateau_patience and step_idx - best_step >= cfg.plateau_patience:
-                    stop_reason = "plateau"
-                    break
-            if stop_reason == "plateau":
+    # the log and the checkpoint directory appear at their first write, so a
+    # call that fails before its first step leaves nothing behind
+    while step_idx < cfg.max_steps:
+        order = rng.permutation(len(dataset))
+        for lo in range(0, len(dataset), cfg.batch_size):
+            if step_idx >= cfg.max_steps:
                 break
-    finally:
-        if log_fh:
-            log_fh.close()
+            group = [dataset[i] for i in order[lo : lo + cfg.batch_size]]
+            t0 = time.monotonic()
+            model.zero_grad()
+            loss = sequence_loss(model, group, cfg.schedule)
+            value = float(loss.item())
+            if not np.isfinite(value):
+                raise FloatingPointError(f"training diverged at step {step_idx}")
+            loss.backward()
+            grads = []
+            for name, p in named:
+                if p.grad is not None and not np.isfinite(p.grad).all():
+                    raise FloatingPointError(
+                        f"non-finite gradient in {name} at step {step_idx}"
+                    )
+                grads.append(p.grad if p.grad is not None else np.zeros_like(p.data))
+            if cfg.optimizer == "adam":
+                state = adam_step(params, grads, state, cfg.learning_rate)
+            else:
+                state = sgd_momentum_step(params, grads, state, cfg.learning_rate)
+            losses.append(value)
+            step_idx += 1
+            if cfg.log_path:
+                ms = (time.monotonic() - t0) * 1000.0
+                with open(cfg.log_path, "a") as fh:
+                    fh.write(f"{step_idx} {value:.6f} {ms:.1f}\n")
+            if value < best - 1e-6:
+                best = value
+                best_step = step_idx
+            if cfg.checkpoint_every and step_idx % cfg.checkpoint_every == 0:
+                os.makedirs(cfg.checkpoint_dir, exist_ok=True)
+                save_checkpoint(model, f"{cfg.checkpoint_dir}/step{step_idx:06d}.ckpt")
+            if cfg.plateau_patience and step_idx - best_step >= cfg.plateau_patience:
+                stop_reason = "plateau"
+                break
+        if stop_reason == "plateau":
+            break
     return TrainResult(model=model, losses=losses, stop_reason=stop_reason, steps=step_idx)

@@ -132,9 +132,12 @@ def test_add_mul_backward_populates_leaves():
 
 
 def test_sigmoid_matches_written_out_stable_formula():
-    """The sigmoid evaluates exp(-|x|) once; it must equal the formula that
-    evaluated it three times, bit for bit, on both tails and at +-0."""
-    edges = [0.0, -0.0, 1e4, -1e4, 709.0, -709.0, 710.0, -710.0, 1e-30, -1e-30, 88.0, -88.0]
+    """The sigmoid evaluates exp(-|x|) once, with one division for both
+    tails; it must equal the formula that evaluated it three times, bit for
+    bit, on both tails, at +-0, +-inf, NaN and subnormals, on a vector and
+    on a 0-d array."""
+    edges = [0.0, -0.0, 1e4, -1e4, 709.0, -709.0, 710.0, -710.0, 1e-30, -1e-30, 88.0, -88.0,
+             88.7, -88.7, 745.0, -745.0, np.inf, -np.inf, np.nan, 1e-40, -1e-40, 5e-324, -5e-324]
     for dt in (np.float32, np.float64):
         rng = np.random.default_rng(7)
         x = np.concatenate([np.array(edges), rng.normal(scale=8.0, size=500)]).astype(dt)
@@ -143,11 +146,13 @@ def test_sigmoid_matches_written_out_stable_formula():
             1.0 / (1.0 + np.exp(-np.abs(x))),
             np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))),
         ).astype(dt)
-        t = Tensor(x, requires_grad=True, dtype=dt)
-        out = t.sigmoid()
-        assert np.array_equal(out.data, old)
-        out.sum().backward()
-        assert np.array_equal(t.grad, (old * (1.0 - old)).astype(dt))
+        for x, old in ((x, old), (x[-1:].reshape(()), old[-1:].reshape(()))):
+            t = Tensor(x, requires_grad=True, dtype=dt)
+            out = t.sigmoid()
+            assert out.data.shape == x.shape
+            assert np.array_equal(out.data, old, equal_nan=True)
+            out.sum().backward()
+            assert np.array_equal(t.grad, (old * (1.0 - old)).astype(dt), equal_nan=True)
 
 
 def test_broadcast_gradient_reduces():
@@ -336,6 +341,39 @@ def test_conv_float32_matches_tensordot_formula(cin, d, b):
     assert out.data.dtype == np.float32
     for got, ref in zip((out.data, x.grad, params.kernel.grad, params.bias.grad), (want, *grads)):
         np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5 * np.abs(ref).max())
+
+
+def per_tap_conv(x, kernel, bias, d, p):
+    """The conv forward written out as its sum: a zero accumulator, then
+    ``acc += W_uv @ slice`` for each tap (u, v) in row-major order, then the
+    bias."""
+    b, cin, h, w = x.shape
+    cout, _, k, _ = kernel.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    ho, wo = xp.shape[2] - d * (k - 1), xp.shape[3] - d * (k - 1)
+    acc = np.zeros((b, cout, ho * wo), dtype=x.dtype)
+    for u in range(k):
+        for v in range(k):
+            sl = xp[:, :, u * d : u * d + ho, v * d : v * d + wo].reshape(b, cin, -1)
+            acc += kernel[:, :, u, v] @ sl
+    return acc.reshape(b, cout, ho, wo) + bias[None, :, None, None]
+
+
+@pytest.mark.parametrize("cin", [18, 32])
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("b", [1, 4])
+def test_conv_float32_forward_is_the_per_tap_sum_bitwise(cin, d, b):
+    """At the tracker's 51x51 shapes the float32 forward equals the per-tap
+    sum bit for bit: the taps are added in the same order, so no output
+    moves by an ulp (a reordered sum would, and can flip a thresholded
+    prediction)."""
+    rng = np.random.default_rng(cin * d + b)
+    params = ConvParams.initialize(16, cin, 3, rng, dilation=d, dtype=np.float32)
+    x = rng.normal(size=(b, cin, 51, 51)).astype(np.float32)
+    got = conv2d(Tensor(x), params).data
+    want = per_tap_conv(x, params.kernel.data, params.bias.data, d, params.padding)
+    assert got.dtype == want.dtype == np.float32
+    assert np.array_equal(got, want)
 
 
 def test_conv_same_padding_preserves_size():
@@ -527,6 +565,99 @@ def test_gru_step_is_one_graph_node(with_bias):
     want = [h, x] + [t for g in gates for t in g.parameters()] + ([bias] if with_bias else [])
     assert len(out._prev) == len(want)
     assert all(a is b for a, b in zip(out._prev, want))
+
+
+# ---------------------------------------------------------------- scratch reuse
+# The conv and GRU kernels accumulate in, and keep temporaries in, memory
+# they reuse across calls. None of it may show: outputs and the arrays a
+# backward closure keeps are the caller's own.
+
+
+def test_conv_and_gru_outputs_survive_a_later_call_of_the_same_shape():
+    rng = np.random.default_rng(21)
+    params = ConvParams.initialize(4, 3, 3, rng, dilation=2, dtype=np.float32)
+    gates = random_gates(rng, 3, 4, dilation=2, dtype=np.float32)
+    x1, x2 = (Tensor(rng.normal(size=(2, 3, 11, 11))) for _ in range(2))
+    h1, h2 = (Tensor(rng.normal(size=(2, 4, 11, 11))) for _ in range(2))
+    for grad in (False, True):
+        for t in (x1, x2, h1, h2):
+            t.requires_grad = grad
+        c1 = conv2d(x1, params)
+        g1 = conv_gru_step(h1, x1, gates)
+        keep = c1.data.copy(), g1.data.copy()
+        c2 = conv2d(x2, params)
+        g2 = conv_gru_step(h2, x2, gates)
+        for first, second, kept in ((c1, c2, keep[0]), (g1, g2, keep[1])):
+            assert np.array_equal(first.data, kept)
+            assert not np.shares_memory(first.data, second.data)
+
+
+def test_float32_and_float64_calls_of_one_shape_interleave():
+    """The same shapes alternating between precisions: each result is what
+    its own precision gives from scratch (the per-tap sum for conv2d, the
+    written-out GRU formula)."""
+    rng = np.random.default_rng(22)
+    x = rng.normal(size=(1, 3, 13, 13))
+    h = rng.normal(size=(1, 4, 13, 13))
+    kern, bias = rng.normal(size=(4, 3, 3, 3)) * 0.3, rng.normal(size=4)
+    gate_arrays = [(rng.normal(size=(4, 7, 3, 3)) * 0.3, rng.normal(size=4)) for _ in range(3)]
+    for dt in (np.float32, np.float64, np.float32, np.float64):
+        with precision(dt):
+            params = ConvParams(Tensor(kern), Tensor(bias), dilation=2, padding=2)
+            gates = tuple(ConvParams(Tensor(k), Tensor(b), padding=1) for k, b in gate_arrays)
+            got = conv2d(Tensor(x), params).data
+            want = per_tap_conv(x.astype(dt), kern.astype(dt), bias.astype(dt), 2, 2)
+            assert got.dtype == dt and np.array_equal(got, want)
+            got = conv_gru_step(Tensor(h), Tensor(x), gates).data
+            want = gru_step_unbiased(Tensor(h), Tensor(x), gates).data
+            assert got.dtype == dt and np.array_equal(got, want)
+
+
+def test_gru_backward_after_another_forward_of_the_same_shape():
+    """Backward recomputes from what the closure kept (z, r, h~ and the
+    parents); a forward of the same shape between the two, which reuses
+    the same scratch memory, must not change the gradients."""
+    rng = np.random.default_rng(23)
+    gates = random_gates(rng, 2, 3, dilation=2, dtype=np.float32)
+    bias = Tensor(rng.normal(size=(3, 9, 9)), requires_grad=True)
+    h, x, w = (Tensor(rng.normal(size=(2, c, 9, 9)), requires_grad=True) for c in (3, 2, 3))
+    leaves = [h, x, bias] + [t for g in gates for t in g.parameters()]
+
+    def grads(interleave: bool):
+        for t in leaves:
+            t.zero_grad()
+        loss = (conv_gru_step(h, x, gates, bias) * w).sum()
+        if interleave:
+            other = conv_gru_step(Tensor(rng.normal(size=(2, 3, 9, 9))),
+                                  Tensor(rng.normal(size=(2, 2, 9, 9))), gates, bias)
+            (other * w).sum()
+        loss.backward()
+        return [t.grad.copy() for t in leaves]
+
+    for a, b in zip(grads(False), grads(True)):
+        assert np.array_equal(a, b)
+
+
+def test_convs_of_one_padded_width_stay_exact_in_turn():
+    """A 53x53 input padded by 1 and a 51x51 input padded by 2 have one
+    padded width, 55, but 53 and 51 output columns. Backward lays the
+    output gradient out at the padded width in reused memory, and the
+    columns one conv fills there must read as zero in the other's."""
+    rng = np.random.default_rng(24)
+    cases = []
+    for size, k in ((53, 3), (51, 5)):
+        p = ConvParams.same_padding(k)
+        params = ConvParams.initialize(2, 3, k, rng, dtype=np.float64)
+        cases.append((Tensor(rng.normal(size=(1, 3, size, size)), requires_grad=True, dtype=np.float64),
+                      params, rng.normal(size=(1, 2, size, size)), p))
+    for x, params, g, p in cases + cases:
+        x.zero_grad()
+        out = conv2d(x, params)
+        (out * Tensor(g, dtype=np.float64)).sum().backward()
+        want = tensordot_conv(x.data, params.kernel.data, params.bias.data, 1, p)
+        np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12)
+        gx = tensordot_conv_grads(x.data, params.kernel.data, g, 1, p)[0]
+        np.testing.assert_allclose(x.grad, gx, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------- bilinear

@@ -445,6 +445,22 @@ def test_train_periodic_checkpoints_create_missing_directory(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["step000001.ckpt", "step000002.ckpt"]
 
 
+def test_train_rejected_grid_leaves_no_log_or_checkpoint_dir(tmp_path):
+    batch = static_crossing(seed=1, spec=GRID9, frames=4)
+    log, out = tmp_path / "train.log", tmp_path / "ckpt"
+    cfg = TrainConfig(
+        schedule=ShowBlankSchedule(total_frames=4, show=2, blank=2),
+        max_steps=2,
+        checkpoint_every=1,
+        checkpoint_dir=str(out),
+        log_path=str(log),
+    )
+    with pytest.raises(ValueError, match="does not match the dataset grid"):
+        train(tiny_model(GridSpec(size_cells=11, cell_size=0.2)), [batch], cfg)
+    assert not log.exists()
+    assert not out.exists()
+
+
 def test_train_divergence_guard():
     spec = GridSpec(size_cells=11, cell_size=0.5)
     model = tiny_model(spec)
