@@ -1,10 +1,8 @@
 """Command line pipeline: generate corpora, train models, evaluate them, and
 render frame-by-frame pixmaps.
 
-Heavy modules are imported inside each command so the thread-count override
-(GRIDTRACK_THREADS) is applied to the BLAS environment before numpy starts
-any pools. Every command is deterministic given its arguments and seeds, and
-exits 0 only when all requested outputs were written.
+Every command is deterministic given its arguments and seeds, and exits 0
+only when all requested outputs were written.
 """
 
 from __future__ import annotations
@@ -13,20 +11,14 @@ import argparse
 import os
 import sys
 
-_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
-
-
-def _apply_thread_override() -> None:
-    n = os.environ.get("GRIDTRACK_THREADS")
-    if n:
-        for var in _THREAD_VARS:
-            os.environ[var] = n
+from .dataset import read_dataset, write_dataset
+from .evaluation import compare_models, f1_horizon
+from .geometry import GridSpec
+from .model import ModelConfig, build, load_checkpoint, save_checkpoint, unroll, variant_names
+from .render import frame_panel, hidden_tiles, plot_curves, write_ppm
+from .simulator import scenario_builders
+from .tensor import no_grad
+from .training import OPTIMIZERS, ShowBlankSchedule, TrainConfig, train
 
 
 def _uniform_frame_count(batches) -> int:
@@ -43,10 +35,6 @@ def _uniform_frame_count(batches) -> int:
 
 
 def cmd_gen(args) -> int:
-    from .dataset import write_dataset
-    from .geometry import GridSpec
-    from .simulator import scenario_builders
-
     if args.sequences < 1:
         raise ValueError("--sequences must be at least 1")
     spec = GridSpec(size_cells=args.grid, cell_size=args.cell_size)
@@ -71,10 +59,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .dataset import read_dataset
-    from .model import ModelConfig, build, save_checkpoint
-    from .training import ShowBlankSchedule, TrainConfig, train
-
     _, batches = read_dataset(args.data)
     frames = _uniform_frame_count(batches)
     schedule = ShowBlankSchedule(total_frames=frames, show=args.show, blank=args.blank)
@@ -109,12 +93,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .dataset import read_dataset
-    from .evaluation import compare_models, f1_horizon
-    from .model import load_checkpoint
-    from .render import plot_curves
-    from .training import ShowBlankSchedule
-
     if len(args.ckpt) > 2:
         raise ValueError("eval compares at most two checkpoints")
     _, batches = read_dataset(args.data)
@@ -159,12 +137,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_render(args) -> int:
-    from .dataset import read_dataset
-    from .model import load_checkpoint, unroll
-    from .render import frame_panel, hidden_tiles, write_ppm
-    from .tensor import no_grad
-    from .training import ShowBlankSchedule
-
     _, batches = read_dataset(args.data)
     if not (0 <= args.sequence < len(batches)):
         raise ValueError(
@@ -204,15 +176,10 @@ def cmd_render(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .model import variant_names
-    from .simulator import scenario_builders
-    from .training import OPTIMIZERS
-
     parser = argparse.ArgumentParser(
         prog="gridtrack",
         description="occupancy-grid tracking: data generation, training, "
         "evaluation, rendering",
-        epilog="environment: GRIDTRACK_THREADS=N caps the numpy/BLAS thread pools",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -285,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_override()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -31,7 +31,7 @@ __all__ = [
 class HorizonCurve:
     """The pooled (tp, fp, fn, scored) counts at each blanked-frame offset,
     with precision, recall and F1 derived from them. Offsets with no scored
-    cells carry F1=0 and a raised zero_count flag."""
+    cells carry F1=0 and a scored count of 0."""
 
     offsets: tuple
     counts: tuple  # per offset: (tp, fp, fn, scored)
@@ -59,10 +59,6 @@ class HorizonCurve:
     @property
     def scored(self) -> tuple:
         return tuple(int(n) for _, _, _, n in self.counts)
-
-    @property
-    def zero_count(self) -> tuple:
-        return tuple(n == 0 for _, _, _, n in self.counts)
 
     def table(self) -> str:
         lines = ["offset\tprecision\trecall\tf1\tn_cells"]

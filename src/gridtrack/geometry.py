@@ -145,10 +145,6 @@ class GridSpec:
         """Metric coordinates of cell centers along one axis."""
         return (np.arange(self.size_cells) - self.center) * self.cell_size
 
-    def cell_center(self, i: int, j: int) -> tuple[float, float]:
-        c = self.center
-        return ((i - c) * self.cell_size, (j - c) * self.cell_size)
-
     def in_grid(self, i: int, j: int) -> bool:
         return 0 <= i < self.size_cells and 0 <= j < self.size_cells
 

@@ -49,7 +49,6 @@ from .tensor import (
     ConvParams,
     Tensor,
     bilinear_sample,
-    concat_channels,
     conv2d,
     conv_gru_step,
     default_dtype,
@@ -97,6 +96,7 @@ _VARIANTS = {
     "GRU3DilConvBias_16": (((16, 3, 1), (16, 3, 2), (16, 3, 4)), False, True),
     "GRU3DilConvBias_48": (((16, 3, 1), (16, 3, 2), (16, 3, 4)), True, True),
 }
+_DECODER_KERNEL = 3
 
 
 def variant_names() -> tuple:
@@ -144,6 +144,18 @@ class ModelConfig:
     @property
     def decoder_in(self) -> int:
         return self.hidden_maps if self.decode_full_state else self.layers[-1][0]
+
+    @property
+    def param_count(self) -> int:
+        """The parameters ``build`` gives this config, counted without
+        allocating them."""
+        convs, n, in_ch = (3 if self.is_gated else 1), 0, 2
+        for maps, k, _ in self.layers:
+            n += convs * maps * ((in_ch + maps) * k * k + 1)
+            in_ch = maps
+        if self.static_bias:
+            n += self.hidden_maps * self.grid.size_cells**2
+        return n + self.decoder_in * _DECODER_KERNEL**2 + 1
 
 
 @dataclass(frozen=True)
@@ -205,7 +217,7 @@ def build(config: ModelConfig, seed: int) -> Model:
         for maps, _, _ in config.layers:
             z = np.zeros((maps, m, m))
             bias_grids.append(Tensor(z, requires_grad=True))
-    decoder = ConvParams.initialize(1, config.decoder_in, 3, rng, dilation=1)
+    decoder = ConvParams.initialize(1, config.decoder_in, _DECODER_KERNEL, rng, dilation=1)
     return Model(config=config, cells=tuple(cells), bias_grids=tuple(bias_grids), decoder=decoder)
 
 
@@ -232,7 +244,7 @@ def _step_planes(model: Model, h_prev: tuple, x: Tensor, poses: list) -> tuple:
             bias = model.bias_grids[i] if model.bias_grids else None
             h = conv_gru_step(prev[i], inp, model.cells[i], bias)
         else:
-            h = conv2d(concat_channels([inp, prev[i]]), model.cells[i]).tanh()
+            h = conv2d([inp, prev[i]], model.cells[i]).tanh()
         new_layers.append(h)
         inp = h
     return tuple(new_layers)
@@ -277,11 +289,8 @@ def decode(model: Model, h: tuple) -> Tensor:
     """Per-cell occupancy probability, shape (batch, 1, M, M), strictly in
     (0,1). Decodes the top layer, or the full concatenated state when the
     model was configured for it."""
-    if model.config.decode_full_state:
-        inp = concat_channels(list(h)) if len(h) > 1 else h[0]
-    else:
-        inp = h[-1]
-    return conv2d(inp, model.decoder).sigmoid()
+    parts = list(h) if model.config.decode_full_state else [h[-1]]
+    return conv2d(parts, model.decoder).sigmoid()
 
 
 def unroll(model: Model, batches, schedule):
@@ -410,11 +419,12 @@ def _decode_checkpoint(blob: bytes) -> Model:
     off += cfg_len
     (count,) = struct.unpack_from("<Q", payload, off)
     off += 8
-    model = build(config, seed=0)
-    if count != model.param_count:
+    # both checks before build(), whose static bias grids scale with the grid
+    if count != config.param_count:
         raise ValueError("checkpoint parameter count does not match config")
     if off + 4 * count != len(payload):
         raise ValueError("checkpoint is truncated or has trailing data")
+    model = build(config, seed=0)
     raw = np.frombuffer(payload, dtype="<f4", offset=off, count=count)
     pos = 0
     for name, t in model.named_parameters():

@@ -10,18 +10,21 @@ as soon as its loss is dropped. Values are float32 by default; wrap code in
 ``precision("float64")`` for verification runs (gradient checking needs the
 extra headroom).
 
-The convolution is k*k accumulated GEMMs, one per kernel tap, over
-contiguous slices of a once-padded input (no im2col buffer). ``conv2d`` and
-the GRU step share that kernel and its per-tap backward. The GRU step is one
+Every convolution keeps the grid: an odd k x k kernel at dilation d is
+zero-padded by d*(k-1)/2 (derived in ``ConvParams``, never stored), so hidden
+maps stay registered to the grid the warp resamples. ``conv2d`` and the GRU
+step share one path: a list of input parts, read as their channel
+concatenation, is padded into one buffer, and the output, bias included, is
+k*k accumulated GEMMs, one per kernel tap, over contiguous slices of it (no
+im2col buffer). The per-tap backward pads the parts again rather than keep
+every frame's buffer until backward runs, and returns each part's gradient
+at its own size, so no concatenation enters the graph. The GRU step is one
 graph node with a hand-written backward: its update and reset gates come
 from one per-tap pass with both kernels stacked, and for backward it stores
-only the gates z and r and the candidate h~, not the elementwise
-intermediates of the written-out formula. Neither op keeps a padded copy of
-its input: backward pads the parents' arrays again, which costs a copy and
-saves holding the padded buffers of every frame until backward runs.
+only the gates z and r and the candidate h~.
 
 The elementwise work around the GEMMs runs in place: the first tap's GEMM
-writes the accumulator, the GRU adds its biases into it, the sigmoid and
+writes the accumulator, the biases are added into it, the sigmoid and
 tanh write straight into the gate and candidate arrays, and the GRU blend
 and its backward algebra reuse their own temporaries. Each keeps the
 operations, and their order, of the plain expressions it replaces, so every
@@ -33,13 +36,12 @@ dtype, each consumed before the next call that asks for it. The padded
 inputs are fresh zeros on every call, which measured faster than clearing
 the border of a reused buffer. What an op returns, and what a backward
 closure keeps (z, r, h~), is always a fresh array, never a view of reused
-memory.
+memory: ``conv2d`` copies its output out of the accumulator.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -304,27 +306,24 @@ def concat_channels(tensors: list[Tensor]) -> Tensor:
 
 @dataclass
 class ConvParams:
-    """Weights for one dilated 2D convolution, stride fixed to 1.
-
-    kernel has shape (out_ch, in_ch, k, k); padding is symmetric zero padding.
-    With odd k and padding = dilation*(k-1)/2 the output keeps the input's
-    spatial size.
+    """Weights for one dilated 2D convolution that keeps the grid: stride 1
+    and zero padding of dilation*(k-1)/2 on each side, so every output map
+    stays registered to its input's cells (the warp of the recurrent state
+    depends on that). kernel has shape (out_ch, in_ch, k, k) with k odd.
     """
 
     kernel: Tensor
     bias: Tensor
     dilation: int = 1
-    padding: int = 0
 
     def __post_init__(self):
-        if self.kernel.data.ndim != 4:
-            raise ValueError(f"kernel must be 4D, got shape {self.kernel.shape}")
-        if self.bias.data.shape != (self.kernel.data.shape[0],):
+        shape = self.kernel.data.shape
+        if len(shape) != 4 or shape[2] != shape[3] or shape[2] % 2 == 0:
+            raise ValueError(f"kernel must be (out, in, k, k) with k odd, got shape {shape}")
+        if self.bias.data.shape != (shape[0],):
             raise ValueError("bias must have one entry per output channel")
         if self.dilation < 1:
             raise ValueError(f"dilation must be >= 1, got {self.dilation}")
-        if self.padding < 0:
-            raise ValueError(f"padding must be >= 0, got {self.padding}")
 
     @property
     def out_channels(self) -> int:
@@ -338,11 +337,9 @@ class ConvParams:
     def kernel_size(self) -> int:
         return self.kernel.data.shape[2]
 
-    @staticmethod
-    def same_padding(kernel_size: int, dilation: int = 1) -> int:
-        if kernel_size % 2 == 0:
-            raise ValueError("same padding needs an odd kernel")
-        return dilation * (kernel_size - 1) // 2
+    @property
+    def padding(self) -> int:
+        return self.dilation * (self.kernel_size - 1) // 2
 
     @classmethod
     def initialize(
@@ -354,7 +351,7 @@ class ConvParams:
         dilation: int = 1,
         dtype=None,
     ) -> "ConvParams":
-        """Same-padded conv with weights and bias uniform in +-1/sqrt(fan_in)."""
+        """Weights and bias uniform in +-1/sqrt(fan_in)."""
         dt = dtype or _DEFAULT_DTYPE
         bound = 1.0 / math.sqrt(in_ch * kernel_size * kernel_size)
         k = rng.uniform(-bound, bound, size=(out_ch, in_ch, kernel_size, kernel_size))
@@ -363,27 +360,25 @@ class ConvParams:
             kernel=Tensor(k, requires_grad=True, dtype=dt),
             bias=Tensor(b, requires_grad=True, dtype=dt),
             dilation=dilation,
-            padding=cls.same_padding(kernel_size, dilation),
         )
 
     def parameters(self) -> list[Tensor]:
         return [self.kernel, self.bias]
 
 
-_SCRATCH = threading.local()  # per thread: {(role, dtype): flat buffer}
+_SCRATCH: dict = {}  # {(role, dtype): flat buffer}
 
 
 def _scratch(role: str, shape: tuple, dt) -> np.ndarray:
-    """An uninitialised array of ``shape`` over memory kept per thread for
-    (role, dtype), grown to the largest shape asked for and handed out again
-    on every call with that key. It is scratch space only: the caller
-    consumes it before any other call with the same key, and it never
-    becomes, or is viewed by, a Tensor's data or a backward closure."""
-    cache = _SCRATCH.__dict__
+    """An uninitialised array of ``shape`` over memory kept for (role,
+    dtype), grown to the largest shape asked for and handed out again on
+    every call with that key. It is scratch space only: the caller consumes
+    it before any other call with the same key, and it never becomes, or is
+    viewed by, a Tensor's data or a backward closure."""
     n = math.prod(shape)
-    buf = cache.get((role, dt))
+    buf = _SCRATCH.get((role, dt))
     if buf is None or buf.size < n:
-        buf = cache[(role, dt)] = np.empty(n, dtype=dt)
+        buf = _SCRATCH[(role, dt)] = np.empty(n, dtype=dt)
     return buf[:n].reshape(shape)
 
 
@@ -392,6 +387,8 @@ def _pad(parts: list, p: int, dt) -> np.ndarray:
     channels, into one (B, sum C_i, H+2p+1, W+2p) buffer. The extra bottom
     row keeps the last tap's flat slice in bounds."""
     b, _, h, w = parts[0].shape
+    if any(a.shape[0] != b or a.shape[2:] != (h, w) for a in parts):
+        raise ValueError(f"inputs must share batch and grid size, got {[a.shape for a in parts]}")
     xp = np.zeros((b, sum(a.shape[1] for a in parts), h + 2 * p + 1, w + 2 * p), dtype=dt)
     lo = 0
     for a in parts:
@@ -411,13 +408,12 @@ def _taps(xp: np.ndarray, kern: np.ndarray, d: int) -> tuple:
     return h_out, w_out, h_out * wp, offsets
 
 
-def _conv_fwd(xp: np.ndarray, kern: np.ndarray, d: int,
-              bias: np.ndarray | None = None) -> np.ndarray:
+def _conv_fwd(xp: np.ndarray, kern: np.ndarray, d: int, bias: np.ndarray) -> np.ndarray:
     """Cross-correlation of a ``_pad`` buffer: the sum over taps of one GEMM
     per tap, in tap order, computed at full padded width, plus ``bias`` per
-    output channel when given, then the Wp - Wout columns that run past a
-    row end are dropped. Returns a (B, out, Hout, Wout) view of a scratch
-    accumulator, which the caller must consume before the next call."""
+    output channel, then the Wp - Wout columns that run past a row end are
+    dropped. Returns a (B, out, Hout, Wout) view of a scratch accumulator,
+    which the caller must consume before the next call."""
     b, cin, _, wp = xp.shape
     h_out, w_out, n, offsets = _taps(xp, kern, d)
     xf = xp.reshape(b, cin, -1)
@@ -428,16 +424,17 @@ def _conv_fwd(xp: np.ndarray, kern: np.ndarray, d: int,
     for u, v, off in rest:
         np.matmul(kern[:, :, u, v], xf[:, :, off : off + n], out=tmp)
         acc += tmp
-    if bias is not None:
-        acc += bias[:, None]
+    acc += bias[:, None]
     return acc.reshape(b, -1, h_out, wp)[..., :w_out]
 
 
-def _conv_bwd(xp: np.ndarray, kern: np.ndarray, d: int, g: np.ndarray,
+def _conv_bwd(parts: list, p: int, kern: np.ndarray, d: int, g: np.ndarray,
               need_x: bool, need_k: bool) -> tuple:
-    """Per-tap backward of ``_conv_fwd`` for the output gradient g: the
-    gradient w.r.t. the padded buffer (shaped like xp) and w.r.t. the kernel,
-    each None unless asked for. Slices of xp are re-read per tap."""
+    """Per-tap backward of ``_conv_fwd`` over ``parts`` padded by p, for the
+    output gradient g: the list of each part's gradient, at the part's own
+    size, and the kernel gradient, each None unless asked for. The parts are
+    padded here again, and slices of that buffer are re-read per tap."""
+    xp = _pad(parts, p, g.dtype)
     b, cin, _, wp = xp.shape
     h_out, w_out, n, offsets = _taps(xp, kern, d)
     xf = xp.reshape(b, cin, -1)
@@ -454,42 +451,50 @@ def _conv_bwd(xp: np.ndarray, kern: np.ndarray, d: int, g: np.ndarray,
             gk[:, :, u, v] = np.matmul(gf, sl.transpose(0, 2, 1)).sum(axis=0)
         if need_x:
             gx[:, :, off : off + n] += np.matmul(kern[:, :, u, v].T, gf, out=tmp)
-    return (None if gx is None else gx.reshape(xp.shape)), gk
+    if not need_x:
+        return None, gk
+    gx = gx.reshape(xp.shape)[:, :, p : p + h_out, p : p + w_out]
+    grads, lo = [], 0
+    for a in parts:
+        grads.append(gx[:, lo : lo + a.shape[1]])
+        lo += a.shape[1]
+    return grads, gk
 
 
-def conv2d(x: Tensor, params: ConvParams) -> Tensor:
-    """Cross-correlate a (B, Cin, H, W) tensor with a dilated kernel, stride 1,
-    zero padding. Differentiable w.r.t. input, kernel, and bias.
+def conv2d(parts: list, params: ConvParams) -> Tensor:
+    """Cross-correlate (B, C_i, H, W) tensors, read as one input stacked
+    along channels, with a dilated kernel that keeps the grid (see
+    ConvParams). Differentiable w.r.t. every part, the kernel and the bias.
 
-    The input is padded once into a (B, Cin, Hp+1, Wp) buffer whose rows are
-    flattened, so tap (u, v) reads the contiguous slice starting at
-    u*d*Wp + v*d of length Hout*Wp; the output is one GEMM per tap (see
-    ``_conv_fwd``). Backward pads x again rather than keep the buffer.
+    The parts are padded into one (B, sum C_i, H+2p+1, W+2p) buffer whose
+    rows are flattened, so tap (u, v) reads the contiguous slice starting at
+    u*d*Wp + v*d of length H*Wp; the output, bias included, is one GEMM per
+    tap (see ``_conv_fwd``), copied out of the scratch accumulator. Backward
+    pads the parts again rather than keep the buffer, and hands each part
+    its own gradient, so no concatenation enters the graph.
     """
-    _, cin, h, w = x.data.shape
+    arrays = [t.data for t in parts]
+    cin = sum(a.shape[1] for a in arrays)
     if cin != params.in_channels:
         raise ValueError(f"input has {cin} channels, kernel expects {params.in_channels}")
-    k, d, p = params.kernel_size, params.dilation, params.padding
-    if min(h, w) + 2 * p < d * (k - 1) + 1:
-        raise ValueError("kernel span exceeds padded input")
+    kern, bias, d, p = params.kernel.data, params.bias.data, params.dilation, params.padding
+    dt = np.result_type(*arrays, kern, bias)
+    out_data = _conv_fwd(_pad(arrays, p, dt), kern, d, bias).copy()
 
-    kern = params.kernel.data
-    dt = np.result_type(x.data, kern)
-    out_data = _conv_fwd(_pad([x.data], p, dt), kern, d) + params.bias.data[None, :, None, None]
-
-    out = _result(out_data, (x, params.kernel, params.bias))
+    out = _result(out_data, (*parts, params.kernel, params.bias))
     if out._prev:
 
         def backward():
-            xp = _pad([x.data], p, dt)
             g = out.grad
             if params.bias.requires_grad:
                 params.bias._accum(g.sum(axis=(0, 2, 3)))
-            gx, gk = _conv_bwd(xp, kern, d, g, x.requires_grad, params.kernel.requires_grad)
+            gx, gk = _conv_bwd(arrays, p, kern, d, g, any(t.requires_grad for t in parts),
+                               params.kernel.requires_grad)
             if gk is not None:
                 params.kernel._accum(gk)
-            if gx is not None:
-                x._accum(gx[:, :, p : p + h, p : p + w])
+            for t, gt in zip(parts, gx or ()):
+                if t.requires_grad:
+                    t._accum(gt)
 
         out._backward = backward
     return out
@@ -517,36 +522,31 @@ def conv_gru_step(
     pads [x, h] and [x, r*h] again from the parents' arrays.
     """
     wz, wr, wh = gates
-    _, hc, h, w = h_prev.data.shape
-    xc = x.data.shape[1]
+    hc, xc = h_prev.data.shape[1], x.data.shape[1]
     for g in (wz, wr, wh):
         if g.out_channels != hc:
             raise ValueError(f"gate produces {g.out_channels} channels, state has {hc}")
         if g.in_channels != xc + hc:
             raise ValueError(f"gate expects {g.in_channels} input channels, got {xc + hc}")
-        if 2 * g.padding != g.dilation * (g.kernel_size - 1):
-            raise ValueError("gate convolutions must keep the grid size")
     if (wz.kernel_size, wz.dilation) != (wr.kernel_size, wr.dilation):
-        raise ValueError("update and reset gates need the same kernel size, dilation and padding")
+        raise ValueError("update and reset gates need the same kernel size and dilation")
 
     hd = h_prev.data
     dt = np.result_type(x.data, hd, *(t.data for g in gates for t in g.parameters()))
-
-    def padded(state: np.ndarray, gate: ConvParams) -> np.ndarray:
-        return _pad([x.data, state], gate.padding, dt)
 
     def stacked_zr_kernel() -> np.ndarray:
         # rebuilt in backward rather than kept: a copy per frame adds up
         return np.concatenate([wz.kernel.data, wr.kernel.data])
 
-    pre = _conv_fwd(padded(hd, wz), stacked_zr_kernel(), wz.dilation,
+    pre = _conv_fwd(_pad([x.data, hd], wz.padding, dt), stacked_zr_kernel(), wz.dilation,
                     np.concatenate([wz.bias.data, wr.bias.data]))
     if bias is not None:
         pre[:, :hc] += bias.data
         pre[:, hc:] += bias.data
     zr = _sigmoid(pre, np.empty(pre.shape, pre.dtype))
     z, r = zr[:, :hc], zr[:, hc:]
-    pre = _conv_fwd(padded(r * hd, wh), wh.kernel.data, wh.dilation, wh.bias.data)
+    pre = _conv_fwd(_pad([x.data, r * hd], wh.padding, dt), wh.kernel.data, wh.dilation,
+                    wh.bias.data)
     if bias is not None:
         pre += bias.data
     cand = np.tanh(pre)
@@ -576,10 +576,8 @@ def conv_gru_step(
             dc = np.multiply(g, omz)
             np.multiply(cand, cand, out=tmp)
             dc *= np.subtract(1.0, tmp, out=tmp)
-            gxrh, gk = _conv_bwd(padded(r * hd, wh), wh.kernel.data, wh.dilation, dc, True,
-                                 wh.kernel.requires_grad)
-            gxrh = gxrh[:, :, wh.padding : wh.padding + h, wh.padding : wh.padding + w]
-            grh = gxrh[:, xc:]
+            (gx_c, grh), gk = _conv_bwd([x.data, r * hd], wh.padding, wh.kernel.data,
+                                        wh.dilation, dc, True, wh.kernel.requires_grad)
             gh += np.multiply(grh, r, out=tmp)
             # dr = g_(r*h) * h * r * (1-r)
             np.multiply(grh, hd, out=dr)
@@ -590,8 +588,8 @@ def conv_gru_step(
             if wh.bias.requires_grad:
                 wh.bias._accum(dc.sum(axis=(0, 2, 3)))
 
-            gxh, gk = _conv_bwd(padded(hd, wz), stacked_zr_kernel(), wz.dilation, dzr, need_in,
-                                wz.kernel.requires_grad or wr.kernel.requires_grad)
+            gxh, gk = _conv_bwd([x.data, hd], wz.padding, stacked_zr_kernel(), wz.dilation, dzr,
+                                need_in, wz.kernel.requires_grad or wr.kernel.requires_grad)
             for gate, lo, dpre in ((wz, 0, dz), (wr, hc, dr)):
                 if gk is not None and gate.kernel.requires_grad:
                     gate.kernel._accum(gk[lo : lo + hc])
@@ -600,11 +598,11 @@ def conv_gru_step(
             if bias is not None and bias.requires_grad:
                 bias._accum(dz + dr + dc)
             if need_in:
-                gxh = gxh[:, :, wz.padding : wz.padding + h, wz.padding : wz.padding + w]
+                gx_zr, gh_zr = gxh
                 if x.requires_grad:
-                    x._accum(gxh[:, :xc] + gxrh[:, :xc])
+                    x._accum(gx_zr + gx_c)
                 if h_prev.requires_grad:
-                    gh += gxh[:, xc:]
+                    gh += gh_zr
                     h_prev._accum(gh)
 
         out._backward = backward

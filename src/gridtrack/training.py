@@ -97,8 +97,8 @@ class TrainConfig:
     log_path: str | None = None
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.batch_size < 1 or self.max_steps < 0:

@@ -120,9 +120,8 @@ def test_criterion_1_gradient_correctness(capsys):
                 xc = Tensor(rng.normal(size=(1, 2, 7, 7)), requires_grad=True)
                 track(f"conv_d{dil}", grad_check(
                     lambda xc, k, bb, _p=p: conv2d(
-                        xc,
-                        ConvParams(kernel=k, bias=bb, dilation=_p.dilation,
-                                   padding=_p.padding),
+                        [xc],
+                        ConvParams(kernel=k, bias=bb, dilation=_p.dilation),
                     ).tanh().sum(),
                     [xc, p.kernel, p.bias]))
 
@@ -132,7 +131,7 @@ def test_criterion_1_gradient_correctness(capsys):
             track("gru", grad_check(
                 lambda hp, xg, k, bb: conv_gru_step(
                     hp, xg,
-                    (ConvParams(kernel=k, bias=bb, padding=gates[0].padding),
+                    (ConvParams(kernel=k, bias=bb),
                      gates[1], gates[2]),
                 ).sum(),
                 [hp, xg, gates[0].kernel, gates[0].bias]))

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from gridtrack.cli import _apply_thread_override, build_parser, main
+from gridtrack.cli import build_parser, main
 from gridtrack.dataset import read_dataset, write_dataset
 from gridtrack.evaluation import f1_horizon
 from gridtrack.model import ModelConfig, build, load_checkpoint, rollout, save_checkpoint
@@ -195,6 +195,14 @@ def test_train_rejects_negative_counts(static_data, tmp_path, capsys, flag):
     args = train_args(static_data, tmp_path / "m.ckpt", **{flag: -1})
     assert run(*args) == 2
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_train_rejects_non_finite_learning_rate(static_data, tmp_path, capsys, lr):
+    assert run(*train_args(static_data, tmp_path / "m.ckpt", **{"--lr": lr})) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "learning_rate" in err
     assert not (tmp_path / "m.ckpt").exists()
 
 
@@ -440,15 +448,6 @@ def test_parser_accepts_every_scenario_and_optimizer():
         assert args.optimizer == name
 
 
-def test_thread_override(monkeypatch):
-    monkeypatch.setenv("GRIDTRACK_THREADS", "3")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    _apply_thread_override()
-    assert os.environ["OMP_NUM_THREADS"] == "3"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
-
-
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "gridtrack.cli", "--help"],
@@ -456,4 +455,3 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "gen" in proc.stdout and "train" in proc.stdout
-    assert "GRIDTRACK_THREADS" in proc.stdout

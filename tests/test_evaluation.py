@@ -40,7 +40,6 @@ def test_from_counts_half_overlap():
     assert curve.recall == (0.5,)
     assert curve.f1 == (0.5,)
     assert curve.scored == (3,)
-    assert curve.zero_count == (False,)
 
 
 def test_from_counts_perfect_and_empty():
@@ -48,7 +47,6 @@ def test_from_counts_perfect_and_empty():
     assert curve.f1[0] == 1.0
     assert curve.precision[0] == 1.0 and curve.recall[0] == 1.0
     assert curve.f1[1] == 0.0
-    assert curve.zero_count == (False, True)
 
 
 def test_from_counts_orders_offsets():
@@ -144,7 +142,6 @@ def test_f1_horizon_structure_and_range():
     assert curve.offsets == (1, 2)
     assert all(0.0 <= v <= 1.0 for v in curve.f1)
     assert all(n > 0 for n in curve.scored)
-    assert curve.zero_count == (False, False)
 
 
 def test_f1_horizon_order_invariant():

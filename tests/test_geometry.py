@@ -219,8 +219,7 @@ def test_grid_spec_defaults_and_helpers():
     assert spec.max_range == pytest.approx(1.25)
     assert spec.center == 2
     assert spec.half_extent == pytest.approx(0.625)
-    assert spec.cell_center(2, 2) == (0.0, 0.0)
-    assert spec.cell_center(3, 2) == (0.25, 0.0)
+    assert spec.axis_centers()[2] == 0.0 and spec.axis_centers()[3] == 0.25
     assert spec.in_grid(0, 4) and not spec.in_grid(-1, 2) and not spec.in_grid(2, 5)
 
 

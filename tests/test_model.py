@@ -24,6 +24,7 @@ from gridtrack.model import (
     rollout,
     save_checkpoint,
     step,
+    variant_names,
 )
 from gridtrack.simulator import static_crossing
 from gridtrack.tensor import Tensor, grad_check, masked_bce, precision
@@ -719,6 +720,29 @@ def test_checkpoint_rejects_malformed_config(tmp_path, edit):
     rewrite_config(path, bad, edit)
     with pytest.raises(ValueError, match="bad.ckpt"):
         load_checkpoint(bad)
+
+
+def test_config_param_count_matches_built_model():
+    for variant in variant_names():
+        for grid in (GRID9, GRID21):
+            config = ModelConfig.for_variant(variant, grid)
+            assert config.param_count == build(config, seed=0).param_count
+
+
+def test_checkpoint_claiming_a_huge_grid_is_rejected_before_allocating(tmp_path):
+    """A static-bias checkpoint whose config claims a 10000001-cell grid
+    would need petabytes of bias grids; the parameter count the config
+    implies is checked against the file before anything grid-sized is
+    allocated, so loading raises ValueError, not MemoryError."""
+    model = build(ModelConfig.for_variant("GRU3DilConvBias_16", GRID9), seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    huge = tmp_path / "huge.ckpt"
+    rewrite_config(path, huge, lambda doc: {
+        **doc, "grid": {**doc["grid"], "size_cells": 10000001},
+    })
+    with pytest.raises(ValueError, match="huge.ckpt: checkpoint parameter count does not match"):
+        load_checkpoint(huge)
 
 
 def test_checkpoint_in_parent_format_loads(tmp_path):

@@ -289,7 +289,7 @@ def test_occupied_cells_lie_near_shape_boundaries():
         shapes.append(Disc(radius=0.6, cx=1.0, cy=cy))
         tol = math.sqrt(2.0) * spec.cell_size
         for i, j in zip(*np.nonzero(obs.occ)):
-            px, py = spec.cell_center(int(i), int(j))
+            px, py = spec.axis_centers()[i], spec.axis_centers()[j]
             d = min(boundary_distance(px, py, s) for s in shapes)
             assert d <= tol, f"frame {f} cell ({i},{j}) is {d:.3f} from any boundary"
 

@@ -203,13 +203,13 @@ def test_backward_releases_graph_without_gc():
     x = Tensor(rng.normal(size=(1, 2, 6, 6)), requires_grad=True)
     gc.disable()
     try:
-        mid = conv2d(x, params)
+        mid = conv2d([x], params)
         kept = weakref.ref(mid)
         loss = mid.tanh().sum()
         del mid, loss
         assert kept() is not None  # no backward: the closures form a cycle
 
-        mid = conv2d(x, params)
+        mid = conv2d([x], params)
         freed = weakref.ref(mid)
         loss = mid.tanh().sum()
         del mid
@@ -244,7 +244,7 @@ def test_conv_identity_kernel():
         kernel=Tensor(np.ones((1, 1, 1, 1), dtype=np.float32)),
         bias=Tensor(np.zeros(1, dtype=np.float32)),
     )
-    np.testing.assert_array_equal(conv2d(x, params).data, x.data)
+    np.testing.assert_array_equal(conv2d([x], params).data, x.data)
 
 
 def test_conv_ones_kernel_constant_input():
@@ -253,9 +253,8 @@ def test_conv_ones_kernel_constant_input():
     params = ConvParams(
         kernel=Tensor(np.ones((1, 1, 3, 3), dtype=np.float32)),
         bias=Tensor(np.zeros(1, dtype=np.float32)),
-        padding=1,
     )
-    out = conv2d(x, params).data
+    out = conv2d([x], params).data
     assert out.shape == (1, 1, 6, 6)
     np.testing.assert_allclose(out[0, 0, 1:-1, 1:-1], 9 * c, rtol=1e-6)
     np.testing.assert_allclose(out[0, 0, 0, 0], 4 * c, rtol=1e-6)
@@ -268,9 +267,8 @@ def test_conv_dilated_impulse_response():
         kernel=Tensor(np.ones((1, 1, 3, 3), dtype=np.float32)),
         bias=Tensor(np.zeros(1, dtype=np.float32)),
         dilation=2,
-        padding=2,
     )
-    out = conv2d(Tensor(x), params).data[0, 0]
+    out = conv2d([Tensor(x)], params).data[0, 0]
     nz = np.argwhere(out != 0)
     assert len(nz) == 9
     offs = nz - 4
@@ -285,7 +283,7 @@ def test_conv_matches_loop_oracle(seed):
     cout = int(rng.integers(1, 3))
     k = int(rng.choice([1, 3]))
     d = int(rng.choice([1, 2]))
-    p = int(rng.integers(0, 3))
+    p = d * (k - 1) // 2
     h = int(rng.integers(d * (k - 1) + 1, 7))
     w = int(rng.integers(d * (k - 1) + 1, 7))
     x = rng.normal(size=(b, cin, h, w))
@@ -293,9 +291,8 @@ def test_conv_matches_loop_oracle(seed):
         kernel=Tensor(rng.normal(size=(cout, cin, k, k)), dtype=np.float64),
         bias=Tensor(rng.normal(size=cout), dtype=np.float64),
         dilation=d,
-        padding=p,
     )
-    got = conv2d(Tensor(x, dtype=np.float64), params).data
+    got = conv2d([Tensor(x, dtype=np.float64)], params).data
     want = conv_oracle(x, params.kernel.data, params.bias.data, d, p)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
@@ -304,8 +301,12 @@ def test_conv_matches_loop_oracle(seed):
 @pytest.mark.parametrize("d", [1, 2, 4])
 @pytest.mark.parametrize("pad", ["zero", "same", "same+2"])
 def test_conv_loop_oracle_sweep(k, d, pad):
+    """The loop oracle at padding 0, same and same+2 against the one conv,
+    which keeps the grid: padding 0 is its output with the outer `same`
+    rows and columns cropped, same+2 its output on an input zero-padded by
+    2."""
     rng = np.random.default_rng(100 * k + 10 * d + len(pad))
-    same = ConvParams.same_padding(k, d)
+    same = d * (k - 1) // 2
     p = {"zero": 0, "same": same, "same+2": same + 2}[pad]
     span = d * (k - 1) + 1
     h = max(4, span - 2 * p + 1)
@@ -316,9 +317,12 @@ def test_conv_loop_oracle_sweep(k, d, pad):
             kernel=Tensor(rng.normal(size=(3, 2, k, k)), dtype=np.float64),
             bias=Tensor(rng.normal(size=3), dtype=np.float64),
             dilation=d,
-            padding=p,
         )
-        got = conv2d(Tensor(x, dtype=np.float64), params).data
+        extra = max(p - same, 0)
+        xe = np.pad(x, ((0, 0), (0, 0), (extra, extra), (extra, extra)))
+        got = conv2d([Tensor(xe, dtype=np.float64)], params).data
+        crop = max(same - p, 0)
+        got = got[:, :, crop : got.shape[2] - crop, crop : got.shape[3] - crop]
         want = conv_oracle(x, params.kernel.data, params.bias.data, d, p)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
@@ -334,7 +338,7 @@ def test_conv_float32_matches_tensordot_formula(cin, d, b):
     params = ConvParams.initialize(16, cin, 3, rng, dilation=d, dtype=np.float32)
     x = Tensor(rng.normal(size=(b, cin, 51, 51)), requires_grad=True, dtype=np.float32)
     g = rng.normal(size=(b, 16, 51, 51)).astype(np.float32)
-    out = conv2d(x, params)
+    out = conv2d([x], params)
     (out * Tensor(g)).sum().backward()
     want = tensordot_conv(x.data, params.kernel.data, params.bias.data, d, params.padding)
     grads = tensordot_conv_grads(x.data, params.kernel.data, g, d, params.padding)
@@ -370,10 +374,46 @@ def test_conv_float32_forward_is_the_per_tap_sum_bitwise(cin, d, b):
     rng = np.random.default_rng(cin * d + b)
     params = ConvParams.initialize(16, cin, 3, rng, dilation=d, dtype=np.float32)
     x = rng.normal(size=(b, cin, 51, 51)).astype(np.float32)
-    got = conv2d(Tensor(x), params).data
+    got = conv2d([Tensor(x)], params).data
     want = per_tap_conv(x, params.kernel.data, params.bias.data, d, params.padding)
     assert got.dtype == want.dtype == np.float32
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_parts", [2, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_conv_parts_match_concatenated_input_bitwise(n_parts, dtype, b, d):
+    """conv2d over a list of parts is conv2d over their channel
+    concatenation, bit for bit: the output and the gradients of every part,
+    the kernel and the bias."""
+    rng = np.random.default_rng(10 * n_parts + d + b)
+    chans = (2, 3, 1)[:n_parts]
+    arrays = [rng.normal(size=(b, c, 9, 11)) for c in chans]
+    kern = rng.normal(size=(4, sum(chans), 3, 3))
+    bias = rng.normal(size=4)
+    g = rng.normal(size=(b, 4, 9, 11))
+
+    def run(concat: bool) -> list:
+        parts = [Tensor(a, requires_grad=True, dtype=dtype) for a in arrays]
+        params = ConvParams(Tensor(kern, requires_grad=True, dtype=dtype),
+                            Tensor(bias, requires_grad=True, dtype=dtype), dilation=d)
+        out = conv2d([concat_channels(parts)] if concat else parts, params)
+        (out * Tensor(g, dtype=dtype)).sum().backward()
+        return [out.data] + [t.grad for t in parts] + [params.kernel.grad, params.bias.grad]
+
+    for got, want in zip(run(False), run(True)):
+        assert got.dtype == dtype and np.array_equal(got, want)
+
+
+def test_conv_rejects_parts_of_different_batch_or_grid():
+    rng = np.random.default_rng(0)
+    params = ConvParams.initialize(2, 3, 3, rng)
+    x = Tensor(np.zeros((2, 1, 5, 5)))
+    for other in ((1, 2, 5, 5), (2, 2, 5, 6)):
+        with pytest.raises(ValueError, match="share batch and grid"):
+            conv2d([x, Tensor(np.zeros(other))], params)
 
 
 def test_conv_same_padding_preserves_size():
@@ -381,7 +421,7 @@ def test_conv_same_padding_preserves_size():
     for k, d in ((3, 1), (3, 2), (3, 4), (5, 1), (9, 1)):
         params = ConvParams.initialize(2, 2, k, rng, dilation=d)
         x = Tensor(rng.normal(size=(1, 2, 15, 15)).astype(np.float32))
-        assert conv2d(x, params).shape == (1, 2, 15, 15)
+        assert conv2d([x], params).shape == (1, 2, 15, 15)
         assert params.padding == d * (k - 1) // 2
 
 
@@ -389,15 +429,15 @@ def test_conv_linearity_in_input():
     rng = np.random.default_rng(7)
     params = ConvParams.initialize(2, 2, 3, rng, dtype=np.float64)
     zero_bias = ConvParams(
-        kernel=params.kernel, bias=Tensor(np.zeros(2, dtype=np.float64)), dilation=1, padding=1
+        kernel=params.kernel, bias=Tensor(np.zeros(2, dtype=np.float64)), dilation=1
     )
     x = rng.normal(size=(1, 2, 6, 6))
     y = rng.normal(size=(1, 2, 6, 6))
     a, b = 1.3, -0.4
-    combined = conv2d(Tensor(a * x + b * y, dtype=np.float64), params).data
+    combined = conv2d([Tensor(a * x + b * y, dtype=np.float64)], params).data
     parts = (
-        a * conv2d(Tensor(x, dtype=np.float64), zero_bias).data
-        + b * conv2d(Tensor(y, dtype=np.float64), zero_bias).data
+        a * conv2d([Tensor(x, dtype=np.float64)], zero_bias).data
+        + b * conv2d([Tensor(y, dtype=np.float64)], zero_bias).data
         + params.bias.data[None, :, None, None]
     )
     np.testing.assert_allclose(combined, parts, atol=1e-5)
@@ -407,7 +447,7 @@ def test_conv_rejects_channel_mismatch():
     rng = np.random.default_rng(0)
     params = ConvParams.initialize(2, 3, 3, rng)
     with pytest.raises(ValueError):
-        conv2d(Tensor(np.zeros((1, 2, 5, 5), dtype=np.float32)), params)
+        conv2d([Tensor(np.zeros((1, 2, 5, 5), dtype=np.float32))], params)
 
 
 def test_conv_params_validation():
@@ -417,8 +457,13 @@ def test_conv_params_validation():
         ConvParams(kernel=Tensor(np.zeros((2, 2, 3, 3))), bias=Tensor(np.zeros(3)))
     with pytest.raises(ValueError):
         ConvParams(kernel=Tensor(np.zeros((2, 2, 3, 3))), bias=Tensor(np.zeros(2)), dilation=0)
-    with pytest.raises(ValueError):
-        ConvParams.same_padding(4, 1)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 4, 4), (2, 2, 2, 2), (2, 2, 3, 5), (2, 2, 5, 3)])
+def test_conv_params_rejects_even_and_non_square_kernels(shape):
+    """Only an odd square kernel has a padding that keeps the grid."""
+    with pytest.raises(ValueError, match="k odd"):
+        ConvParams(kernel=Tensor(np.zeros(shape)), bias=Tensor(np.zeros(2)))
 
 
 # ---------------------------------------------------------------- conv GRU
@@ -429,7 +474,6 @@ def zero_gates(x_ch, h_ch, k=1, dtype=np.float32):
         ConvParams(
             kernel=Tensor(np.zeros((h_ch, x_ch + h_ch, k, k), dtype=dtype)),
             bias=Tensor(np.zeros(h_ch, dtype=dtype)),
-            padding=ConvParams.same_padding(k),
         )
         for _ in range(3)
     )
@@ -446,7 +490,7 @@ def test_gru_saturated_update_gate_preserves_state():
     rng = np.random.default_rng(1)
     gates = list(zero_gates(1, 2))
     gates[0] = ConvParams(
-        kernel=gates[0].kernel, bias=Tensor(np.full(2, 50.0, dtype=np.float32)), padding=0
+        kernel=gates[0].kernel, bias=Tensor(np.full(2, 50.0, dtype=np.float32))
     )
     h = Tensor(rng.normal(size=(1, 2, 4, 4)).astype(np.float32))
     x = Tensor(rng.normal(size=(1, 1, 4, 4)).astype(np.float32))
@@ -487,18 +531,18 @@ def test_gru_rejects_mismatched_update_reset_gates():
 def gru_step_unbiased(h_prev, x, gates):
     wz, wr, wh = gates
     xh = concat_channels([x, h_prev])
-    z = conv2d(xh, wz).sigmoid()
-    r = conv2d(xh, wr).sigmoid()
-    cand = conv2d(concat_channels([x, r * h_prev]), wh).tanh()
+    z = conv2d([xh], wz).sigmoid()
+    r = conv2d([xh], wr).sigmoid()
+    cand = conv2d([concat_channels([x, r * h_prev])], wh).tanh()
     return z * h_prev + (1.0 - z) * cand
 
 
 def gru_step_with_bias(h_prev, x, gates, bias):
     wz, wr, wh = gates
     xh = concat_channels([x, h_prev])
-    z = (conv2d(xh, wz) + bias).sigmoid()
-    r = (conv2d(xh, wr) + bias).sigmoid()
-    cand = (conv2d(concat_channels([x, r * h_prev]), wh) + bias).tanh()
+    z = (conv2d([xh], wz) + bias).sigmoid()
+    r = (conv2d([xh], wr) + bias).sigmoid()
+    cand = (conv2d([concat_channels([x, r * h_prev])], wh) + bias).tanh()
     return z * h_prev + (1.0 - z) * cand
 
 
@@ -582,10 +626,10 @@ def test_conv_and_gru_outputs_survive_a_later_call_of_the_same_shape():
     for grad in (False, True):
         for t in (x1, x2, h1, h2):
             t.requires_grad = grad
-        c1 = conv2d(x1, params)
+        c1 = conv2d([x1], params)
         g1 = conv_gru_step(h1, x1, gates)
         keep = c1.data.copy(), g1.data.copy()
-        c2 = conv2d(x2, params)
+        c2 = conv2d([x2], params)
         g2 = conv_gru_step(h2, x2, gates)
         for first, second, kept in ((c1, c2, keep[0]), (g1, g2, keep[1])):
             assert np.array_equal(first.data, kept)
@@ -603,9 +647,9 @@ def test_float32_and_float64_calls_of_one_shape_interleave():
     gate_arrays = [(rng.normal(size=(4, 7, 3, 3)) * 0.3, rng.normal(size=4)) for _ in range(3)]
     for dt in (np.float32, np.float64, np.float32, np.float64):
         with precision(dt):
-            params = ConvParams(Tensor(kern), Tensor(bias), dilation=2, padding=2)
-            gates = tuple(ConvParams(Tensor(k), Tensor(b), padding=1) for k, b in gate_arrays)
-            got = conv2d(Tensor(x), params).data
+            params = ConvParams(Tensor(kern), Tensor(bias), dilation=2)
+            gates = tuple(ConvParams(Tensor(k), Tensor(b)) for k, b in gate_arrays)
+            got = conv2d([Tensor(x)], params).data
             want = per_tap_conv(x.astype(dt), kern.astype(dt), bias.astype(dt), 2, 2)
             assert got.dtype == dt and np.array_equal(got, want)
             got = conv_gru_step(Tensor(h), Tensor(x), gates).data
@@ -646,13 +690,12 @@ def test_convs_of_one_padded_width_stay_exact_in_turn():
     rng = np.random.default_rng(24)
     cases = []
     for size, k in ((53, 3), (51, 5)):
-        p = ConvParams.same_padding(k)
         params = ConvParams.initialize(2, 3, k, rng, dtype=np.float64)
         cases.append((Tensor(rng.normal(size=(1, 3, size, size)), requires_grad=True, dtype=np.float64),
-                      params, rng.normal(size=(1, 2, size, size)), p))
+                      params, rng.normal(size=(1, 2, size, size)), params.padding))
     for x, params, g, p in cases + cases:
         x.zero_grad()
-        out = conv2d(x, params)
+        out = conv2d([x], params)
         (out * Tensor(g, dtype=np.float64)).sum().backward()
         want = tensordot_conv(x.data, params.kernel.data, params.bias.data, 1, p)
         np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12)
@@ -883,13 +926,11 @@ def test_grad_check_conv(seed):
     rng = np.random.default_rng(200 + seed)
     x = Tensor(rng.normal(size=(1, 2, 5, 5)), requires_grad=True, dtype=np.float64)
     params = ConvParams.initialize(3, 2, 3, rng, dilation=1, dtype=np.float64)
-    err = grad_check(lambda x_, k_, b_: conv2d(x_, params).sum(), [x, params.kernel, params.bias])
+    err = grad_check(lambda x_, k_, b_: conv2d([x_], params).sum(), [x, params.kernel, params.bias])
     assert err < 1e-6
 
 
-@pytest.mark.parametrize(
-    "d,p,hw", [(2, 2, (6, 5)), (4, 4, (5, 7)), (2, 0, (7, 8)), (4, 0, (10, 11))]
-)
+@pytest.mark.parametrize("d,p,hw", [(2, 2, (6, 5)), (4, 4, (5, 7))])
 def test_grad_check_conv_dilated_non_square(d, p, hw):
     rng = np.random.default_rng(10 * d + p)
     x = Tensor(rng.normal(size=(2, 2, *hw)), requires_grad=True, dtype=np.float64)
@@ -897,11 +938,11 @@ def test_grad_check_conv_dilated_non_square(d, p, hw):
         kernel=Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True, dtype=np.float64),
         bias=Tensor(rng.normal(size=3), requires_grad=True, dtype=np.float64),
         dilation=d,
-        padding=p,
     )
-    weights = Tensor(rng.normal(size=conv2d(x, params).shape), dtype=np.float64)
+    assert params.padding == p
+    weights = Tensor(rng.normal(size=conv2d([x], params).shape), dtype=np.float64)
     err = grad_check(
-        lambda x_, k_, b_: (conv2d(x_, params) * weights).sum(), [x, params.kernel, params.bias]
+        lambda x_, k_, b_: (conv2d([x_], params) * weights).sum(), [x, params.kernel, params.bias]
     )
     assert err < 1e-6
 

@@ -313,8 +313,9 @@ def test_sgd_momentum_accumulates():
 
 def test_train_config_validation():
     sched = ShowBlankSchedule(total_frames=4, show=2, blank=2)
-    with pytest.raises(ValueError):
-        TrainConfig(schedule=sched, learning_rate=0.0)
+    for lr in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(schedule=sched, learning_rate=lr)
     with pytest.raises(ValueError):
         TrainConfig(schedule=sched, optimizer="adagrad")
     with pytest.raises(ValueError):
