@@ -16,12 +16,16 @@ maps stay registered to the grid the warp resamples. ``conv2d`` and the GRU
 step share one path: a list of input parts, read as their channel
 concatenation, is padded into one buffer, and the output, bias included, is
 k*k accumulated GEMMs, one per kernel tap, over contiguous slices of it (no
-im2col buffer). The per-tap backward pads the parts again rather than keep
-every frame's buffer until backward runs, and returns each part's gradient
-at its own size, so no concatenation enters the graph. The GRU step is one
-graph node with a hand-written backward: its update and reset gates come
-from one per-tap pass with both kernels stacked, and for backward it stores
-only the gates z and r and the candidate h~.
+im2col buffer). Backward pads the output gradient the same way, so both
+buffers share one flat layout: per tap, the kernel gradient is one GEMM of
+the gradient's interior against the input slice, and the input gradient one
+GEMM of the flipped tap's slice, added contiguously into an accumulator at
+the output size. It pads the parts again rather than keep every frame's
+buffer until backward runs, and returns each part's gradient at its own
+size, so no concatenation enters the graph. The GRU step is one graph node
+with a hand-written backward: its update and reset gates come from one
+per-tap pass with both kernels stacked, and for backward it stores only the
+gates z and r and the candidate h~.
 
 The elementwise work around the GEMMs runs in place: the first tap's GEMM
 writes the accumulator, the biases are added into it, the sigmoid and
@@ -30,13 +34,13 @@ and its backward algebra reuse their own temporaries. Each keeps the
 operations, and their order, of the plain expressions it replaces, so every
 value is bitwise what those expressions give (a reordered float32 sum can
 flip a thresholded prediction). Memory reused across calls is scratch only
-(``_scratch``): the conv accumulator and per-tap product, the padded output
-gradient and the sigmoid's and blend's temporaries, one buffer per role and
-dtype, each consumed before the next call that asks for it. The padded
-inputs are fresh zeros on every call, which measured faster than clearing
-the border of a reused buffer. What an op returns, and what a backward
-closure keeps (z, r, h~), is always a fresh array, never a view of reused
-memory: ``conv2d`` copies its output out of the accumulator.
+(``_scratch``): the conv accumulator and per-tap product and the sigmoid's
+and blend's temporaries, one buffer per role and dtype, each consumed before
+the next call that asks for it. The padded inputs and output gradients are
+fresh zeros on every call, which measured faster than clearing the border of
+a reused buffer. What an op returns, and what a backward closure keeps (z,
+r, h~), is always a fresh array, never a view of reused memory: ``conv2d``
+copies its output out of the accumulator.
 """
 
 from __future__ import annotations
@@ -432,28 +436,38 @@ def _conv_bwd(parts: list, p: int, kern: np.ndarray, d: int, g: np.ndarray,
               need_x: bool, need_k: bool) -> tuple:
     """Per-tap backward of ``_conv_fwd`` over ``parts`` padded by p, for the
     output gradient g: the list of each part's gradient, at the part's own
-    size, and the kernel gradient, each None unless asked for. The parts are
-    padded here again, and slices of that buffer are re-read per tap."""
-    xp = _pad(parts, p, g.dtype)
-    b, cin, _, wp = xp.shape
-    h_out, w_out, n, offsets = _taps(xp, kern, d)
-    xf = xp.reshape(b, cin, -1)
-    gp = _scratch("gpad", (b, g.shape[1], h_out, wp), xp.dtype)
-    gp[..., :w_out] = g
-    gp[..., w_out:] = 0
-    gf = gp.reshape(b, g.shape[1], n)
-    gx = np.zeros_like(xf) if need_x else None
-    gk = np.empty_like(kern) if need_k else None
-    tmp = _scratch("tap", (b, cin, n), xp.dtype) if need_x else None
-    for u, v, off in offsets:
-        sl = xf[:, :, off : off + n]
-        if need_k:
-            gk[:, :, u, v] = np.matmul(gf, sl.transpose(0, 2, 1)).sum(axis=0)
-        if need_x:
-            gx[:, :, off : off + n] += np.matmul(kern[:, :, u, v].T, gf, out=tmp)
+    size, and the kernel gradient, each None unless asked for.
+
+    g is zero-padded by p like the input, so both buffers share one flat
+    layout. Tap (u, v)'s kernel gradient is one GEMM of g's slice at
+    p*Wp + p, whose right padding supplies the zero wrap columns, against
+    the input slice at u*d*Wp + v*d (the parts are padded here again). The
+    input gradient is the correlation of padded g with the flipped kernel:
+    tap (u, v) reads g at (k-1-u)*d*Wp + (k-1-v)*d, the first tap's GEMM
+    writes the accumulator and each later one is added to it, in tap order,
+    so each element is the sum, in the same order, that scattering each
+    tap's product into a zeroed padded gradient gives."""
+    gp = _pad([g], p, g.dtype)
+    b, cout, _, wp = gp.shape
+    h_out, w_out, n, offsets = _taps(gp, kern, d)
+    gf = gp.reshape(b, cout, -1)
+    gk = None
+    if need_k:
+        xf = _pad(parts, p, g.dtype).reshape(b, -1, gf.shape[2])
+        gout = gf[:, :, p * wp + p : p * wp + p + n]
+        gk = np.empty_like(kern)
+        for u, v, off in offsets:
+            sl = xf[:, :, off : off + n]
+            gk[:, :, u, v] = np.matmul(gout, sl.transpose(0, 2, 1)).sum(axis=0)
     if not need_x:
         return None, gk
-    gx = gx.reshape(xp.shape)[:, :, p : p + h_out, p : p + w_out]
+    last = offsets[-1][2]
+    (u, v, off), *rest = [(u, v, last - off) for u, v, off in offsets]
+    gx = np.matmul(kern[:, :, u, v].T, gf[:, :, off : off + n])
+    tmp = _scratch("tap", gx.shape, gx.dtype)
+    for u, v, off in rest:
+        gx += np.matmul(kern[:, :, u, v].T, gf[:, :, off : off + n], out=tmp)
+    gx = gx.reshape(b, -1, h_out, wp)[..., :w_out]
     grads, lo = [], 0
     for a in parts:
         grads.append(gx[:, lo : lo + a.shape[1]])

@@ -206,6 +206,21 @@ def test_train_rejects_non_finite_learning_rate(static_data, tmp_path, capsys, l
     assert not (tmp_path / "m.ckpt").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_train_reports_divergence(tmp_path, capsys):
+    """A finite learning rate large enough to blow up the loss ends train
+    with exit 2 and an error line, not a traceback, and writes no
+    checkpoint."""
+    data = tmp_path / "d"
+    assert run(*gen_args(data, grid=11, frames=4)) == 0
+    args = train_args(data, tmp_path / "m.ckpt", **{
+        "--show": 2, "--blank": 2, "--steps": 3, "--lr": 1e38})
+    assert run(*args) == 2
+    assert capsys.readouterr().err == "error: training diverged at step 1\n"
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def test_train_writes_log(static_data, tmp_path):
     log = tmp_path / "loss.log"
     assert run(*train_args(static_data, tmp_path / "m.ckpt"), "--log", str(log)) == 0

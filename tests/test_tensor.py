@@ -28,6 +28,7 @@ from gridtrack.tensor import (
     no_grad,
     precision,
 )
+from gridtrack.tensor import _conv_bwd
 
 # ---------------------------------------------------------------- oracles
 
@@ -407,6 +408,80 @@ def test_conv_parts_match_concatenated_input_bitwise(n_parts, dtype, b, d):
         assert got.dtype == dtype and np.array_equal(got, want)
 
 
+def scatter_conv_bwd(parts, p, kern, d, g, need_x, need_k):
+    """The per-tap conv backward written with a padded input gradient: the
+    parts zero-padded into one (B, sum C_i, H+2p+1, W+2p) buffer read as
+    flat rows, the output gradient laid out at the padded width Wp with
+    zero wrap columns, and per tap (u, v) in row-major order the kernel
+    gradient from one GEMM against the input slice at u*d*Wp + v*d and
+    ``K_uv^T @ g`` added into a zero input gradient at that offset. Each
+    part's gradient is its channels of the padded interior."""
+    b, _, h, w = parts[0].shape
+    xp = np.zeros((b, sum(a.shape[1] for a in parts), h + 2 * p + 1, w + 2 * p), dtype=g.dtype)
+    lo = 0
+    for a in parts:
+        xp[:, lo : lo + a.shape[1], p : p + h, p : p + w] = a
+        lo += a.shape[1]
+    cin, wp, k = xp.shape[1], xp.shape[3], kern.shape[2]
+    n = h * wp
+    xf = xp.reshape(b, cin, -1)
+    gf = np.zeros((b, g.shape[1], h, wp), dtype=g.dtype)
+    gf[..., :w] = g
+    gf = gf.reshape(b, g.shape[1], n)
+    gx = np.zeros_like(xf) if need_x else None
+    gk = np.empty_like(kern) if need_k else None
+    for u in range(k):
+        for v in range(k):
+            off = u * d * wp + v * d
+            sl = xf[:, :, off : off + n]
+            if need_k:
+                gk[:, :, u, v] = np.matmul(gf, sl.transpose(0, 2, 1)).sum(axis=0)
+            if need_x:
+                gx[:, :, off : off + n] += np.matmul(kern[:, :, u, v].T, gf)
+    if not need_x:
+        return None, gk
+    gx = gx.reshape(xp.shape)[:, :, p : p + h, p : p + w]
+    bounds = np.cumsum([0] + [a.shape[1] for a in parts])
+    return [gx[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])], gk
+
+
+# (channels of each input part, output channels, dilation): the convs of
+# GRU3DilConv_16 (each layer's stacked update/reset gates and candidate,
+# then the decoder), plus a three-part input
+MODEL_CONV_SHAPES = [
+    ((2, 16), 32, 1), ((2, 16), 16, 1), ((16, 16), 32, 2), ((16, 16), 16, 2),
+    ((16, 16), 32, 4), ((16, 16), 16, 4), ((16,), 1, 1), ((2, 8, 6), 16, 2),
+]
+
+
+@pytest.mark.parametrize("chans,cout,d", MODEL_CONV_SHAPES)
+@pytest.mark.parametrize("b,m", [(1, 51), (4, 33)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_backward_matches_scatter_reference_bitwise(chans, cout, d, b, m, dtype):
+    """Every gradient the conv backward returns equals the padded-gradient
+    reference bit for bit, at the tracker's shapes and with either gradient
+    left out: each element sums the same per-tap GEMM values in the same
+    order."""
+    rng = np.random.default_rng(100 * sum(chans) + 10 * cout + d + b)
+    parts = [rng.normal(size=(b, c, m, m)).astype(dtype) for c in chans]
+    kern = (rng.normal(size=(cout, sum(chans), 3, 3)) * 0.2).astype(dtype)
+    g = rng.normal(size=(b, cout, m, m)).astype(dtype)
+    for need_x, need_k in ((True, True), (False, True), (True, False)):
+        (gx, gk), (want_x, want_k) = (
+            f(parts, d, kern, d, g, need_x, need_k) for f in (_conv_bwd, scatter_conv_bwd))
+        if need_k:
+            assert gk.dtype == dtype and np.array_equal(gk, want_k)
+        else:
+            assert gk is None
+        if need_x:
+            assert len(gx) == len(parts)
+            for got, want, a in zip(gx, want_x, parts):
+                assert got.shape == a.shape and got.dtype == dtype
+                assert np.array_equal(got, want)
+        else:
+            assert gx is None
+
+
 def test_conv_rejects_parts_of_different_batch_or_grid():
     rng = np.random.default_rng(0)
     params = ConvParams.initialize(2, 3, 3, rng)
@@ -684,9 +759,10 @@ def test_gru_backward_after_another_forward_of_the_same_shape():
 
 def test_convs_of_one_padded_width_stay_exact_in_turn():
     """A 53x53 input padded by 1 and a 51x51 input padded by 2 have one
-    padded width, 55, but 53 and 51 output columns. Backward lays the
-    output gradient out at the padded width in reused memory, and the
-    columns one conv fills there must read as zero in the other's."""
+    padded width, 55, but 53 and 51 output columns. Convs of the two in
+    turn reuse the same scratch accumulator and per-tap product at one
+    flat row layout, and each must still give its own exact output and
+    input gradient."""
     rng = np.random.default_rng(24)
     cases = []
     for size, k in ((53, 3), (51, 5)):
