@@ -52,6 +52,7 @@ from .tensor import (
     conv2d,
     conv_gru_step,
     default_dtype,
+    sample_plan,
 )
 
 __all__ = [
@@ -232,11 +233,13 @@ def initial_state(model: Model, batch_size: int = 1) -> tuple:
 
 
 def _step_planes(model: Model, h_prev: tuple, x: Tensor, poses: list) -> tuple:
-    """One frame; ``step`` or ``unroll`` has checked ``x`` and ``poses``."""
+    """One frame; ``step`` or ``unroll`` has checked ``x`` and ``poses``.
+    Every layer's state is warped with the frame's one sampling plan."""
     cfg = model.config
     prev = h_prev
     if cfg.use_stm and not all(p.is_identity(1e-12) for p in poses):
-        prev = tuple(bilinear_sample(h, poses, cfg.grid) for h in prev)
+        plan = sample_plan(poses, cfg.grid, prev[0].dtype)
+        prev = tuple(bilinear_sample(h, plan, cfg.grid) for h in prev)
     new_layers = []
     inp = x
     for i, _ in enumerate(cfg.layers):

@@ -34,13 +34,23 @@ and its backward algebra reuse their own temporaries. Each keeps the
 operations, and their order, of the plain expressions it replaces, so every
 value is bitwise what those expressions give (a reordered float32 sum can
 flip a thresholded prediction). Memory reused across calls is scratch only
-(``_scratch``): the conv accumulator and per-tap product and the sigmoid's
-and blend's temporaries, one buffer per role and dtype, each consumed before
-the next call that asks for it. The padded inputs and output gradients are
-fresh zeros on every call, which measured faster than clearing the border of
-a reused buffer. What an op returns, and what a backward closure keeps (z,
-r, h~), is always a fresh array, never a view of reused memory: ``conv2d``
-copies its output out of the accumulator.
+(``_scratch``): the conv accumulator and per-tap product, the sigmoid's and
+blend's temporaries and the warp's gathered corner, one buffer per role and
+dtype, each consumed before the next call that asks for it. The padded
+inputs and output gradients are fresh zeros on every call, which measured
+faster than clearing the border of a reused buffer. What an op returns, and
+what a backward closure keeps (z, r, h~), is always a fresh array, never a
+view of reused memory: ``conv2d`` copies its output out of the accumulator.
+
+The warp reads its geometry from a ``SamplePlan``: per corner of the
+bilinear stencil, the source cell and weight of every output cell, for one
+pose shared by the batch or one per sample. The model builds one plan per
+frame and warps every layer with it. Forward, each corner is one gather
+with a cell vector all channels share; backward gathers the output
+gradient through the plan's inverse map, built on the first backward only,
+so no-grad rollouts never pay for it. Targets that several live sources share
+are summed in float64 and rounded once, which gives, for finite gradients,
+the bits of a float64 scatter-add (``np.bincount``) of the weighted gradient.
 """
 
 from __future__ import annotations
@@ -58,6 +68,8 @@ __all__ = [
     "ConvParams",
     "conv2d",
     "conv_gru_step",
+    "SamplePlan",
+    "sample_plan",
     "bilinear_sample",
     "masked_bce",
     "grad_check",
@@ -639,54 +651,164 @@ def _sample_coords(transforms, spec: GridSpec, dtype) -> tuple[np.ndarray, np.nd
     return u.astype(dtype), v.astype(dtype)
 
 
+class SamplePlan:
+    """Where each output cell of a bilinear warp reads its source, for P
+    source-coordinate maps (one shared by the batch, or one per sample).
+
+    ``cells`` is (4, P, M*M): per corner, the flat source cell each output
+    cell reads, clipped into the grid; ``weights`` is (4, P, 1, M*M) in the
+    coordinates' dtype: the corner's bilinear weight, zero where the corner
+    lies off the grid. A warp gathers each corner with one cell vector that
+    all channels share and adds the four weighted corners in corner order.
+
+    Backward needs the inverse map, built on the first backward only and
+    then kept: per corner and map, each target cell's first live source (a
+    nonzero weight) in source order, or source 0 at weight 0 when it has
+    none, and the targets that more than one live source shares, with all
+    of their sources in source order. Gathering g at the first source and
+    scaling by its weight gives the one-source targets; each shared target
+    is summed in float64 in source order and rounded once. That is what a
+    float64 ``np.bincount`` scatter of the weighted gradient from +0.0 gives,
+    but for the sign of a zero (a zero-weight source only adds a signed zero),
+    and the sign is lost when the corner is added into the input gradient,
+    which starts at +0.0. A rigid warp of the square grid gives a target at
+    most two live sources in a corner: any three points of a rotated unit
+    lattice include two at least sqrt(2) apart, and no two points of one
+    half-open unit cell are that far apart.
+    """
+
+    def __init__(self, u: np.ndarray, v: np.ndarray, batch: int | None = None):
+        """Plan the warp that reads (P, M, M) fractional source coordinates
+        (u, v). ``batch`` is the batch size the plan serves, or None for any
+        batch when P is 1."""
+        p, m = u.shape[0], u.shape[-1]
+        i0, j0 = np.floor(u).astype(np.int64), np.floor(v).astype(np.int64)
+        fu, fv = u - i0, v - j0
+        cells, weights = [], []
+        for di, dj, wgt in (
+            (0, 0, (1 - fu) * (1 - fv)),
+            (0, 1, (1 - fu) * fv),
+            (1, 0, fu * (1 - fv)),
+            (1, 1, fu * fv),
+        ):
+            ii, jj = i0 + di, j0 + dj
+            valid = (ii >= 0) & (ii < m) & (jj >= 0) & (jj < m)
+            cells.append(np.clip(ii, 0, m - 1) * m + np.clip(jj, 0, m - 1))
+            weights.append((wgt * valid).astype(u.dtype))
+        self.cells = np.stack(cells).reshape(4, p, m * m)
+        self.weights = np.stack(weights).reshape(4, p, 1, m * m)
+        self.size, self.batch = m, batch
+        self._inverse = None
+
+    @property
+    def dtype(self):
+        return self.weights.dtype
+
+    def inverse(self) -> tuple:
+        """(first, first_weight, shared), built once: the (4, P, M*M) first
+        live source of each target and its weight, and the targets that
+        more than one live source shares, as their (corner, map, target)
+        and their sources in levels, first sources first: per level, the
+        group each source adds to and its map, cell and weight."""
+        if self._inverse is None:
+            w = self.weights.ravel()
+            n, p = self.size * self.size, self.cells.shape[1]
+            src = np.flatnonzero(w)  # flat (corner, map, source), in source order
+            key = src - src % n + self.cells.ravel()[src]  # flat (corner, map, target)
+            first = np.full(w.size, w.size)
+            np.minimum.at(first, key, src)
+            later = src != first[key]
+            lk, ls = key[later], src[later]
+            order = np.argsort(lk, kind="stable")
+            lk, ls = lk[order], ls[order]
+            groups, lg = np.unique(lk, return_inverse=True)
+            rank = np.arange(lk.size) - np.searchsorted(lk, lk)
+            levels = [(np.arange(groups.size), first[groups])]
+            levels += [(lg[rank == r], ls[rank == r]) for r in range(rank.max(initial=-1) + 1)]
+            corner, rest = np.divmod(groups, p * n)
+            shared = (corner, *np.divmod(rest, n),
+                      [(grp, f // n % p, f % n, w[f]) for grp, f in levels])
+            self._inverse = (
+                (first % w.size % n).reshape(self.cells.shape),  # no source: cell 0
+                np.append(w, w.dtype.type(0))[first].reshape(self.weights.shape),
+                shared,
+            )
+        return self._inverse
+
+
+def sample_plan(transform, spec: GridSpec, dtype) -> SamplePlan:
+    """The SamplePlan of a warp into the frame reached by ``transform``: one
+    Pose2 for any batch, or a sequence of B, one per sample (planned once
+    when all B are equal), on the grid of ``spec`` in ``dtype``."""
+    if isinstance(transform, Pose2):
+        poses, batch = [transform], None
+    else:
+        poses = list(transform)
+        batch = len(poses)
+        if poses and all(p == poses[0] for p in poses):
+            poses = poses[:1]
+    return SamplePlan(*_sample_coords(poses, spec, dtype), batch)
+
+
 def bilinear_sample(x: Tensor, transform, spec: GridSpec) -> Tensor:
     """Resample (B, C, M, M) feature maps into the frame reached by an SE(2)
     transform: each output cell center is mapped through the inverse transform
     into the source frame and bilinearly interpolated there. ``transform`` is
-    one Pose2 for every sample or a sequence of B, one per sample. Samples
-    outside the source grid read as zero. Differentiable w.r.t. x only."""
+    one Pose2 for every sample, a sequence of B, one per sample, or a
+    SamplePlan of either (``sample_plan``), which several maps of one frame
+    can share. Samples outside the source grid read as zero. Differentiable
+    w.r.t. x only.
+
+    Each corner is one gather per plan map with the cell vector its channels
+    share, scaled by the corner's weights and added in corner order, so the
+    output is the per-element sum of the plain fancy-indexed formula. The
+    backward gathers the output gradient through the plan's inverse map
+    (see SamplePlan), bitwise what a float64 scatter-add gives for finite
+    gradients."""
     b, ch, h, w = x.data.shape
     m = spec.size_cells
     if h != m or w != m:
         raise ValueError(f"input is {h}x{w}, grid expects {m}x{m}")
-    poses = [transform] if isinstance(transform, Pose2) else list(transform)
-    if not isinstance(transform, Pose2) and len(poses) != b:
-        raise ValueError(f"got {len(poses)} transforms for a batch of {b}")
+    plan = transform if isinstance(transform, SamplePlan) else sample_plan(transform, spec, x.dtype)
+    if plan.batch not in (None, b):
+        raise ValueError(f"got {plan.batch} transforms for a batch of {b}")
+    if plan.size != m or plan.dtype != x.dtype:
+        raise ValueError(f"plan is for {plan.size}x{plan.size} {plan.dtype}, "
+                         f"input is {m}x{m} {x.dtype}")
 
-    u, v = _sample_coords(poses, spec, x.dtype)
-    i0, j0 = np.floor(u).astype(np.int64), np.floor(v).astype(np.int64)
-    fu, fv = u - i0, v - j0
-
-    # per corner: (P, M*M) int32 source cells and weights, offset by base into
-    # a flat (B, C, M*M) index only while gathering or scattering
-    base = (np.arange(b * ch) * (m * m)).reshape(b, ch, 1)
-    corners = []
-    for di, dj, wgt in (
-        (0, 0, (1 - fu) * (1 - fv)),
-        (0, 1, (1 - fu) * fv),
-        (1, 0, fu * (1 - fv)),
-        (1, 1, fu * fv),
-    ):
-        ii, jj = i0 + di, j0 + dj
-        valid = (ii >= 0) & (ii < m) & (jj >= 0) & (jj < m)
-        cells = np.clip(ii, 0, m - 1) * m + np.clip(jj, 0, m - 1)
-        wv = (wgt * valid).astype(x.dtype)
-        corners.append((cells.reshape(-1, m * m).astype(np.int32), wv.reshape(-1, 1, m * m)))
-
-    out_data = np.zeros((b, ch, m * m), dtype=x.dtype)
-    for cells, wv in corners:
-        out_data += np.take(x.data, base + cells[:, None, :]) * wv
-    out = _result(out_data.reshape(b, ch, m, m), (x,))
+    # (P, rows, M*M): one row block per plan map
+    shape = (plan.cells.shape[1], -1, m * m)
+    xs = x.data.reshape(shape)
+    out_data = np.zeros(xs.shape, dtype=x.dtype)
+    tmp = _scratch("warp", xs.shape, x.dtype)
+    for cells, wv in zip(plan.cells, plan.weights):
+        for src, idx, dst in zip(xs, cells, tmp):
+            np.take(src, idx, axis=1, out=dst, mode="wrap")
+        tmp *= wv
+        out_data += tmp
+    out = _result(out_data.reshape(x.data.shape), (x,))
     if out._prev:
 
         def backward():
-            g = out.grad.reshape(b, ch, m * m)
-            gx_flat = np.zeros(b * ch * m * m, dtype=x.dtype)
-            for cells, wv in corners:
-                idx = (base + cells[:, None, :]).ravel()
-                wgrad = (g * wv).ravel()
-                gx_flat += np.bincount(idx, weights=wgrad, minlength=gx_flat.size).astype(x.dtype)
-            x._accum(gx_flat.reshape(b, ch, m, m))
+            g = out.grad.reshape(shape)
+            first, first_w, (corner, tmap, target, levels) = plan.inverse()
+            # shared targets: each source's weighted gradient summed in float64
+            # in source order, then rounded once
+            fix = np.zeros((corner.size, g.shape[1]))
+            for grp, smap, source, sw in levels:
+                fix[grp] += g[smap, :, source] * sw[:, None]
+            fix = fix.astype(x.dtype)
+            bounds = np.searchsorted(corner, range(5))
+            gx = np.zeros(g.shape, dtype=x.dtype)
+            tmp = _scratch("warp", g.shape, x.dtype)
+            for k in range(4):
+                for src, idx, dst in zip(g, first[k], tmp):
+                    np.take(src, idx, axis=1, out=dst, mode="wrap")
+                tmp *= first_w[k]
+                sl = slice(bounds[k], bounds[k + 1])
+                tmp[tmap[sl], :, target[sl]] = fix[sl]
+                gx += tmp
+            x._accum(gx.reshape(x.data.shape))
 
         out._backward = backward
     return out

@@ -17,6 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from gridtrack.geometry import GridSpec, Pose2, se2_inverse
 from gridtrack.tensor import (
     ConvParams,
+    SamplePlan,
     Tensor,
     bilinear_sample,
     concat_channels,
@@ -27,8 +28,9 @@ from gridtrack.tensor import (
     masked_bce,
     no_grad,
     precision,
+    sample_plan,
 )
-from gridtrack.tensor import _conv_bwd
+from gridtrack.tensor import _conv_bwd, _result
 
 # ---------------------------------------------------------------- oracles
 
@@ -854,10 +856,9 @@ def parent_bilinear(x, transform, spec):
     corner indices gathered with fancy indexing, gradient by bincount.
     Returns the output and a function from output gradient to input
     gradient."""
-    b, ch, m, _ = x.shape
     inv = se2_inverse(transform)
     c, cs = spec.center, spec.cell_size
-    ax = (np.arange(m, dtype=np.float64) - c) * cs
+    ax = (np.arange(spec.size_cells, dtype=np.float64) - c) * cs
     gx, gy = np.meshgrid(ax, ax, indexing="ij")
     co, si = math.cos(inv.theta), math.sin(inv.theta)
     u = (co * gx - si * gy + inv.x) / cs + c
@@ -866,7 +867,12 @@ def parent_bilinear(x, transform, spec):
         snapped = np.rint(arr)
         near = np.abs(arr - snapped) < 1e-9
         arr[near] = snapped[near]
-    u, v = u.astype(x.dtype), v.astype(x.dtype)
+    return parent_sample(x, u.astype(x.dtype), v.astype(x.dtype))
+
+
+def parent_sample(x, u, v):
+    """``parent_bilinear`` from given (M, M) source coordinates."""
+    b, ch, m, _ = x.shape
     i0, j0 = np.floor(u).astype(np.int64), np.floor(v).astype(np.int64)
     fu, fv = u - i0, v - j0
     corners = []
@@ -892,6 +898,7 @@ def parent_bilinear(x, transform, spec):
 
 
 POSES = [Pose2(0.13, -0.07, 0.3), Pose2(-0.41, 0.2, -1.2), Pose2(0.6, 0.0, 0.0), Pose2.identity()]
+SHARING_POSE = Pose2(0.05, 0.03, 0.7)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -907,6 +914,21 @@ def test_bilinear_shared_transform_matches_reference_bitwise(m, dtype):
         want, want_grad = parent_bilinear(x.data, t, spec)
         assert np.array_equal(out.data, want)
         assert np.array_equal(x.grad, want_grad(g))
+    # byte for byte, signed zeros included: a pose under which two live
+    # corners share a target, -0.0 in the maps and gradients, and one plan
+    # warping maps of 1 and of 3 channels
+    plan = sample_plan(SHARING_POSE, spec, dtype)
+    assert plan.inverse()[2][0].size > 0
+    for ch in (1, 3):
+        x = Tensor(rng.normal(size=(2, ch, m, m)), requires_grad=True, dtype=dtype)
+        x.data[:, :, :, ::4] = -0.0
+        g = rng.normal(size=(2, ch, m, m)).astype(dtype)
+        g[:, :, ::3] = -0.0
+        out = bilinear_sample(x, plan, spec)
+        (out * Tensor(g, dtype=dtype)).sum().backward()
+        want, want_grad = parent_bilinear(x.data, SHARING_POSE, spec)
+        assert out.data.tobytes() == want.tobytes()
+        assert x.grad.tobytes() == want_grad(g).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -928,11 +950,101 @@ def test_bilinear_per_sample_transforms_match_single_calls(dtype):
     assert np.array_equal(same.data, bilinear_sample(x, POSES[0], spec).data)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_plan_sums_targets_of_three_or_more_sources_in_source_order(dtype):
+    """A warp that shrinks the grid (no rigid warp does) sends up to four
+    live sources of one corner to a target; the plan's float64 sum in
+    source order still gives the bincount reference's bytes."""
+    m = 15
+    rng = np.random.default_rng(21)
+    ii, jj = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+    u, v = (0.3 * ii + 2.1).astype(dtype), (0.35 * jj - 0.4 * ii + 6.3).astype(dtype)
+    plan = SamplePlan(u[None], v[None])
+    *_, levels = plan.inverse()[2]
+    assert len(levels) >= 3
+    x = Tensor(rng.normal(size=(2, 3, m, m)), requires_grad=True, dtype=dtype)
+    g = rng.normal(size=(2, 3, m, m)).astype(dtype)
+    out = bilinear_sample(x, plan, spec_for(m))
+    (out * Tensor(g, dtype=dtype)).sum().backward()
+    want, want_grad = parent_sample(x.data, u, v)
+    assert out.data.tobytes() == want.tobytes()
+    assert x.grad.tobytes() == want_grad(g).tobytes()
+
+
+@pytest.mark.parametrize("m", [9, 33])
+def test_rigid_warps_give_a_target_at_most_two_live_sources(m):
+    """The bound SamplePlan's docstring argues, over rotations, whole and
+    sub-cell shifts and near-axis angles, in both dtypes."""
+    spec = spec_for(m)
+    rng = np.random.default_rng(m)
+    near_axis = [k * math.pi / 2 + s * e for k in range(4) for s in (1, -1)
+                 for e in (1e-9, 1e-7, 1e-5)]
+    shifts = [(0, 0), (0.5, 0.5), (1e-7, -1e-7), (0.9999999, 0.9999999), *rng.uniform(-3, 3, (3, 2))]
+    for theta in [*np.linspace(-math.pi, math.pi, 61), *near_axis]:
+        for fx, fy in shifts:
+            for dtype in (np.float32, np.float64):
+                plan = sample_plan(Pose2(fx * spec.cell_size, fy * spec.cell_size, theta), spec, dtype)
+                *_, levels = plan.inverse()[2]
+                assert len(levels) <= 2, (theta, fx, fy, dtype)
+
+
+def per_sample_parent_warp(x, poses, spec):
+    """A warp Tensor op made of one ``parent_bilinear`` call per sample."""
+    runs = [parent_bilinear(x.data[i : i + 1], t, spec) for i, t in enumerate(poses)]
+    out = _result(np.concatenate([o for o, _ in runs]), (x,))
+    if out._prev:
+
+        def backward():
+            x._accum(np.concatenate([grad(out.grad[i : i + 1]) for i, (_, grad) in enumerate(runs)]))
+
+        out._backward = backward
+    return out
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("shared_chain", [False, True])
+def test_model_gradients_match_per_sample_parent_warp(dtype, shared_chain, monkeypatch):
+    """sequence_loss plus backward on a 2-sequence moving minibatch gives
+    the same parameter gradients with each frame's plan as with the
+    reference sampler warping each sample on its own."""
+    from gridtrack import model as model_mod
+    from gridtrack.model import ModelConfig, build
+    from gridtrack.simulator import moving_straight, moving_turning
+    from gridtrack.training import ShowBlankSchedule, sequence_loss
+
+    spec = GridSpec(size_cells=15, cell_size=0.4)
+    second = moving_turning(seed=1, spec=spec, frames=6) if shared_chain else \
+        moving_straight(seed=1, spec=spec, frames=6)
+    batches = [moving_turning(seed=0, spec=spec, frames=6), second]
+    sched = ShowBlankSchedule(total_frames=6, show=2, blank=1)
+
+    def grads():
+        with precision(dtype):
+            model = build(ModelConfig.for_variant("GRU3DilConv_16", spec, use_stm=True), seed=3)
+            sequence_loss(model, batches, sched).backward()
+        return [(name, t.grad) for name, t in model.named_parameters()]
+
+    planned = grads()
+    monkeypatch.setattr(model_mod, "sample_plan", lambda poses, spec, dtype: poses)
+    monkeypatch.setattr(model_mod, "bilinear_sample", per_sample_parent_warp)
+    for (name, got), (_, want) in zip(planned, grads()):
+        assert np.array_equal(got, want), name
+
+
 def test_bilinear_rejects_transform_count_mismatch():
     x = Tensor(np.zeros((3, 1, 7, 7), dtype=np.float32))
     for poses in ([Pose2.identity()] * 2, [Pose2.identity()] * 4, [Pose2.identity()], []):
         with pytest.raises(ValueError, match="batch of 3"):
             bilinear_sample(x, poses, spec_for(7))
+
+
+def test_bilinear_rejects_a_plan_for_another_batch_grid_or_dtype():
+    plan = sample_plan([Pose2(0.1, 0.0, 0.2)] * 2, spec_for(7), np.float32)
+    for shape, dtype in (((3, 1, 7, 7), np.float32), ((2, 1, 9, 9), np.float32),
+                         ((2, 1, 7, 7), np.float64)):
+        x = Tensor(np.zeros(shape), dtype=dtype)
+        with pytest.raises(ValueError):
+            bilinear_sample(x, plan, spec_for(shape[-1]))
 
 
 # ---------------------------------------------------------------- masked BCE
