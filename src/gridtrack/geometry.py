@@ -7,6 +7,22 @@ sensor-left y. Cell ``[0, 0]`` sits at the most negative (x, y) corner and the
 sensor occupies the exact center cell, so ``size_cells`` must be odd. The
 center of cell ``(i, j)`` is at ``((i - c) * cell_size, (j - c) * cell_size)``
 with ``c = size_cells // 2``.
+
+Scan encoding walks each beam from the center cell through every cell whose
+open interior the beam passes: it crosses a cell boundary only where the
+beam extends strictly past it, steps diagonally where a crossing lands
+exactly on a cell corner, and stops at the grid boundary or the beam's end.
+``encode_observation`` walks all beams of a scan in one numpy pass, with the
+same result bit for bit as walking them one at a time. Per beam, the
+crossing times along each axis are the first crossing, half a cell out,
+plus one cell's time per later crossing, added up in the same order. After
+its k-th crossing along one axis a beam is k cells out along that axis and
+as many cells out along the other as that axis has crossings no later,
+which is also the diagonal cell at a corner tie. The walk takes a crossing
+iff it comes before the beam's end and lands in the grid; since time only
+grows and the beam only moves away from the center, that holds for a prefix
+of the crossings in time order, so the two places a single walk stops
+become masks.
 """
 
 from __future__ import annotations
@@ -129,7 +145,7 @@ class GridSpec:
             raise ValueError(f"cell_size must be positive, got {self.cell_size}")
         if self.max_range == 0.0:
             object.__setattr__(self, "max_range", self.size_cells * self.cell_size)
-        if self.max_range <= 0.0:
+        if not self.max_range > 0.0:  # NaN too; +inf means no clipping
             raise ValueError(f"max_range must be positive, got {self.max_range}")
 
     @property
@@ -163,7 +179,7 @@ def _check_binary(name: str, arr: np.ndarray, m: int) -> np.ndarray:
     a = np.asarray(arr, dtype=np.uint8)
     if a.shape != (m, m):
         raise ValueError(f"{name} must be {m}x{m}, got {a.shape}")
-    if not np.isin(a, (0, 1)).all():
+    if (a > 1).any():
         raise ValueError(f"{name} must be binary")
     return a
 
@@ -197,99 +213,113 @@ class ObservationGrid:
         return np.stack([self.vis, self.occ]).astype(dtype)
 
 
-def _traverse_ray(bearing: float, t_end: float, spec: GridSpec) -> list[tuple[int, int]]:
-    """Cells whose open interior the ray segment [0, t_end] from the grid
-    center passes through, in traversal order.
-
-    Exact cell walking: a boundary is crossed into the next cell only if the
-    segment extends strictly past the crossing, and a crossing that lands
-    exactly on a cell corner steps diagonally, so a ray grazing a corner never
-    claims the two side cells it merely touches.
-    """
-    m, cs, c = spec.size_cells, spec.cell_size, spec.center
-    dx, dy = math.cos(bearing), math.sin(bearing)
-    i = j = c
-    cells = [(i, j)]
-    if t_end <= 0.0:
-        return cells
-
-    step_i = 1 if dx > 0 else -1
-    step_j = 1 if dy > 0 else -1
-    # Parametric distance to the first boundary crossing along each axis,
-    # then a constant increment per cell. The origin is a cell center, so the
-    # first crossing is half a cell away.
-    t_max_x = (0.5 * cs) / abs(dx) if dx != 0.0 else math.inf
-    t_max_y = (0.5 * cs) / abs(dy) if dy != 0.0 else math.inf
-    t_delta_x = cs / abs(dx) if dx != 0.0 else math.inf
-    t_delta_y = cs / abs(dy) if dy != 0.0 else math.inf
-
-    while True:
-        if t_max_x < t_max_y:
-            t_next = t_max_x
-            ni, nj = i + step_i, j
-        elif t_max_y < t_max_x:
-            t_next = t_max_y
-            ni, nj = i, j + step_j
-        else:
-            # exact corner crossing: step diagonally
-            t_next = t_max_x
-            ni, nj = i + step_i, j + step_j
-        if t_next >= t_end:
-            break
-        if not spec.in_grid(ni, nj):
-            break
-        if ni != i:
-            t_max_x += t_delta_x
-        if nj != j:
-            t_max_y += t_delta_y
-        i, j = ni, nj
-        cells.append((i, j))
-    return cells
-
-
 def encode_observation(
-    ranges: list[tuple[float, float]], spec: GridSpec
+    ranges: list[tuple[float, float]] | np.ndarray, spec: GridSpec
 ) -> ObservationGrid:
-    """Encode a set of range measurements into visibility/occupancy grids.
+    """Encode one scan into visibility/occupancy grids.
 
-    Each entry is (bearing radians, range meters); ``math.inf`` means the beam
-    returned nothing. The terminal cell of a returning beam is marked occupied
-    and visible, all cells walked before it are marked free and visible, and a
-    non-returning beam marks everything it walks (up to the grid boundary or
-    ``max_range``) as free. A measured range beyond ``max_range`` or ending
-    outside the grid is treated as a non-return within the grid. Cells no ray
-    walks stay unobserved.
+    ``ranges`` is a sequence of (bearing radians, range meters) pairs or an
+    (N, 2) float array of them; ``math.inf`` means the beam returned nothing.
+    Each beam walks the cells whose open interior the segment from the grid
+    center to ``min(range, max_range)`` passes through: a boundary is crossed
+    only if the segment extends strictly past it, and a crossing that lands
+    exactly on a cell corner steps diagonally, so a beam grazing a corner
+    never claims the two side cells it merely touches. The walk stops at the
+    grid boundary.
 
-    When at least one beam was cast, the sensor's own cell is forced visible
-    and free. If a cell is walked as free by one beam and terminal for
-    another, occupied wins.
+    The terminal cell of a returning beam is marked occupied and visible, all
+    cells walked before it are marked free and visible, and a non-returning
+    beam marks everything it walks as free. A measured range beyond
+    ``max_range`` or ending outside the grid is treated as a non-return
+    within the grid. Cells no beam walks stay unobserved. When at least one
+    beam was cast, the sensor's own cell is forced visible and free. If a
+    cell is walked as free by one beam and terminal for another, occupied
+    wins.
+
+    All beams are walked at once, with the same cells bit for bit as a walk
+    beam by beam (the module docstring says why): each crossing time is the
+    walk's own float64 sum, and each crossing's cell follows from how many
+    crossings of the other axis come no later.
+
+    Raises ValueError for an input that is not (N, 2) pairs, and for the
+    first entry, in input order, with a non-finite bearing (checked first)
+    or a NaN or negative range.
     """
-    m = spec.size_cells
+    m, c, cs = spec.size_cells, spec.center, spec.cell_size
     vis = np.zeros((m, m), dtype=np.uint8)
     occ = np.zeros((m, m), dtype=np.uint8)
+    scan = np.asarray(ranges, dtype=float)
+    if scan.shape == (0,):
+        scan = scan.reshape(0, 2)
+    if scan.ndim != 2 or scan.shape[1] != 2:
+        raise ValueError(f"a scan must be (bearing, range) pairs, got shape {scan.shape}")
+    bearing, rng = scan[:, 0], scan[:, 1]
+    bad_bearing = ~np.isfinite(bearing)
+    bad = bad_bearing | np.isnan(rng) | (rng < 0.0)
+    if bad.any():
+        k = int(bad.argmax())
+        if bad_bearing[k]:
+            raise ValueError(f"non-finite bearing {float(bearing[k])}")
+        raise ValueError(f"invalid range {float(rng[k])}")
+    if not len(scan):
+        return ObservationGrid(vis=vis, occ=occ)
+
+    # d[a, n]: beam n's direction along axis a (x, then y)
+    b = bearing.tolist()
+    d = np.empty((2, len(b)))
+    d[0] = np.fromiter(map(math.cos, b), float, len(b))
+    d[1] = np.fromiter(map(math.sin, b), float, len(b))
+    ad = np.abs(d)
+    t_end = np.minimum(rng, spec.max_range)
     hx = spec.half_extent
-    any_ray = False
-    for bearing, rng in ranges:
-        if not math.isfinite(bearing):
-            raise ValueError(f"non-finite bearing {bearing}")
-        if math.isnan(rng) or rng < 0.0:
-            raise ValueError(f"invalid range {rng}")
-        any_ray = True
-        hit = rng <= spec.max_range
-        t_end = min(rng, spec.max_range)
-        if hit and math.isfinite(rng):
-            ex = rng * math.cos(bearing)
-            ey = rng * math.sin(bearing)
-            hit = abs(ex) < hx and abs(ey) < hx  # endpoint strictly inside grid
-        cells = _traverse_ray(bearing, t_end, spec)
-        for ci, cj in cells:
-            vis[ci, cj] = 1
-        if hit:
-            occ[cells[-1]] = 1
-    if any_ray:
-        c = spec.center
-        vis[c, c] = 1
-        occ[c, c] = 0
+    hit = np.isfinite(rng) & (rng <= spec.max_range)
+    end = np.where(hit, rng, 0.0) * d  # the endpoint must lie strictly inside the grid
+    hit &= (np.abs(end) < hx).all(axis=0)
+
+    # t[k, a, n]: beam n's k-th crossing of a cell boundary along axis a,
+    # the first half a cell out from the center, then one cell apart: the
+    # same float64 additions, in the same order, as a walk beam by beam. A
+    # beam leaves the grid by its c + 1-th crossing along either axis. Along
+    # an axis the beam (almost) does not move, the crossings are inf.
+    t = np.empty((c + 1, 2, len(b)))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        step = cs / ad
+        t[0] = (0.5 * cs) / ad
+        t[1:] = step
+        np.add.accumulate(t, axis=0, out=t)
+
+    # n_other[k, a, n]: how many crossings along the other axis come no
+    # later than t[k, a, n], for the c crossings that can land in the grid.
+    # The other axis crosses at (l + 1/2) of its steps, so e below counts
+    # them up to the rounding of a few dozen additions: it is off by at most
+    # one, and the count is e - (other[e - 1] > t) + (other[e] <= t),
+    # reading the other axis's crossings padded with -inf in front and +inf
+    # behind. The clip keeps e an index where the quotient is inf or NaN.
+    inside = t[:c]
+    padded = np.empty((c + 3, 2, len(b)))
+    padded[0], padded[1:-1], padded[-1] = -np.inf, t[:, ::-1], np.inf
+    padded = padded.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = np.floor(inside / step[::-1] + 0.5)
+    e = np.fmin(np.fmax(est, 0.0), c + 1).astype(np.intp)
+    at = e * ad.size + np.arange(ad.size).reshape(ad.shape)
+    n_other = e - (padded[at] > inside) + (padded[at + ad.size] <= inside)
+
+    # After crossing k along axis a the beam is k + 1 cells out along a and
+    # n_other cells out along the other axis. The walk takes a crossing iff
+    # it comes before t_end and lands in the grid; both hold for a prefix of
+    # the crossings in time order, so the walked cells are exactly those, a
+    # tie on both axes gives the same diagonal cell from either side, and
+    # the last cell is as many cells out along each axis as were walked.
+    walked = (inside < t_end) & (n_other <= c)
+    steps = np.arange(1, c + 1)[:, None, None]
+    sign = np.where(d > 0.0, 1, -1) * np.array([[m], [1]])  # flat index per cell out
+    cells = c * (m + 1) + sign * steps + sign[::-1] * n_other
+    vis.reshape(-1)[cells[walked]] = 1
+    last = c * (m + 1) + (sign * walked.sum(axis=0)).sum(axis=0)
+    occ.reshape(-1)[last[hit]] = 1
+    vis[c, c] = 1
+    occ[c, c] = 0
     return ObservationGrid(vis=vis, occ=occ)
 
 

@@ -332,9 +332,7 @@ def simulate_sequence(
             noise = rng.uniform(-noise_half_width, noise_half_width, size=n_beams)
             hit = np.isfinite(ranges)
             ranges = np.where(hit, np.maximum(ranges + noise, 0.0), ranges)
-        observations.append(
-            encode_observation(list(zip(bearings.tolist(), ranges.tolist())), spec)
-        )
+        observations.append(encode_observation(np.column_stack([bearings, ranges]), spec))
         rel_transforms.append(
             Pose2.identity() if f == 0 else se2_relative(poses[f - 1], pose)
         )

@@ -341,6 +341,23 @@ def test_eval_and_render_reject_non_finite_checkpoint(static_data, tmp_path, cap
         assert f"{ckpt}: non-finite values in {name}" in err
 
 
+def test_eval_rejects_checkpoint_with_nan_max_range(static_data, tmp_path, capsys):
+    """JSON decoding accepts NaN, so a well-checksummed checkpoint can claim
+    ``"max_range": NaN``; eval stops with exit 2 and an error naming it."""
+    _, batches = read_dataset(static_data)
+    grid = dataclasses.replace(batches[0].spec)
+    object.__setattr__(grid, "max_range", float("nan"))  # what GridSpec now refuses
+    ckpt = tmp_path / "nan_range.ckpt"
+    save_checkpoint(build(ModelConfig.for_variant("GRU3DilConv_16", grid), seed=0), ckpt)
+    assert b'"max_range": NaN' in ckpt.read_bytes()
+    with pytest.raises(ValueError, match="max_range must be positive, got nan"):
+        load_checkpoint(ckpt)
+    assert run("eval", "--show", "3", "--blank", "3", "--ckpt", ckpt, "--data", static_data,
+               "--out", tmp_path / "eval") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(ckpt) in err and "max_range" in err
+
+
 # --------------------------------------------------------------------- render
 
 

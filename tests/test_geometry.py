@@ -214,6 +214,14 @@ def test_grid_spec_validation():
         GridSpec(size_cells=5, cell_size=0.2, max_range=-1.0)
 
 
+def test_grid_spec_rejects_nan_max_range():
+    """``nan <= 0`` is False, so a plain sign check let NaN through, and a
+    beam then walked but never marked its hit. +inf means no clipping."""
+    with pytest.raises(ValueError, match="max_range must be positive, got nan"):
+        GridSpec(size_cells=5, cell_size=0.25, max_range=math.nan)
+    assert GridSpec(size_cells=5, cell_size=0.25, max_range=math.inf).max_range == math.inf
+
+
 def test_grid_spec_defaults_and_helpers():
     spec = GridSpec(size_cells=5, cell_size=0.25)
     assert spec.max_range == pytest.approx(1.25)
@@ -238,6 +246,22 @@ def test_observation_grid_rejects_non_binary():
     bad = np.full((3, 3), 2, dtype=np.uint8)
     with pytest.raises(ValueError):
         ObservationGrid(vis=bad, occ=np.zeros((3, 3), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("value", [2, 255])
+def test_observation_grid_rejects_values_above_one(value):
+    for name in ("vis", "occ"):
+        planes = {"vis": np.ones((3, 3), dtype=np.uint8), "occ": np.zeros((3, 3), dtype=np.uint8)}
+        planes[name][1, 2] = value
+        with pytest.raises(ValueError, match=f"{name} must be binary"):
+            ObservationGrid(**planes)
+
+
+def test_observation_grid_accepts_bool_planes():
+    vis = np.eye(3, dtype=bool)
+    g = ObservationGrid(vis=vis, occ=np.zeros((3, 3), dtype=bool))
+    assert g.vis.dtype == np.uint8 and np.array_equal(g.vis, vis)
+    assert g.occ.dtype == np.uint8 and not g.occ.any()
 
 
 def test_observation_grid_planes():
@@ -395,6 +419,258 @@ def test_encode_occ_subset_vis_property(seed, m):
     spec = GridSpec(size_cells=m, cell_size=float(rng.uniform(0.05, 0.5)))
     g = encode_observation(random_rays(rng, spec), spec)
     assert not (g.occ > g.vis).any()
+
+
+# ------------------------------------------------- the per-beam walk, kept
+#
+# ``encode_observation`` walks every beam of a scan in one numpy pass. The
+# two functions below are the walk it replaced, one beam at a time, kept
+# verbatim as the reference it must match byte for byte.
+
+
+def _traverse_ray(bearing: float, t_end: float, spec: GridSpec) -> list[tuple[int, int]]:
+    """Cells whose open interior the ray segment [0, t_end] from the grid
+    center passes through, in traversal order.
+
+    Exact cell walking: a boundary is crossed into the next cell only if the
+    segment extends strictly past the crossing, and a crossing that lands
+    exactly on a cell corner steps diagonally, so a ray grazing a corner never
+    claims the two side cells it merely touches.
+    """
+    m, cs, c = spec.size_cells, spec.cell_size, spec.center
+    dx, dy = math.cos(bearing), math.sin(bearing)
+    i = j = c
+    cells = [(i, j)]
+    if t_end <= 0.0:
+        return cells
+
+    step_i = 1 if dx > 0 else -1
+    step_j = 1 if dy > 0 else -1
+    # Parametric distance to the first boundary crossing along each axis,
+    # then a constant increment per cell. The origin is a cell center, so the
+    # first crossing is half a cell away.
+    t_max_x = (0.5 * cs) / abs(dx) if dx != 0.0 else math.inf
+    t_max_y = (0.5 * cs) / abs(dy) if dy != 0.0 else math.inf
+    t_delta_x = cs / abs(dx) if dx != 0.0 else math.inf
+    t_delta_y = cs / abs(dy) if dy != 0.0 else math.inf
+
+    while True:
+        if t_max_x < t_max_y:
+            t_next = t_max_x
+            ni, nj = i + step_i, j
+        elif t_max_y < t_max_x:
+            t_next = t_max_y
+            ni, nj = i, j + step_j
+        else:
+            # exact corner crossing: step diagonally
+            t_next = t_max_x
+            ni, nj = i + step_i, j + step_j
+        if t_next >= t_end:
+            break
+        if not spec.in_grid(ni, nj):
+            break
+        if ni != i:
+            t_max_x += t_delta_x
+        if nj != j:
+            t_max_y += t_delta_y
+        i, j = ni, nj
+        cells.append((i, j))
+    return cells
+
+
+def loop_encode_observation(
+    ranges: list[tuple[float, float]], spec: GridSpec
+) -> ObservationGrid:
+    """Encode a set of range measurements into visibility/occupancy grids.
+
+    Each entry is (bearing radians, range meters); ``math.inf`` means the beam
+    returned nothing. The terminal cell of a returning beam is marked occupied
+    and visible, all cells walked before it are marked free and visible, and a
+    non-returning beam marks everything it walks (up to the grid boundary or
+    ``max_range``) as free. A measured range beyond ``max_range`` or ending
+    outside the grid is treated as a non-return within the grid. Cells no ray
+    walks stay unobserved.
+
+    When at least one beam was cast, the sensor's own cell is forced visible
+    and free. If a cell is walked as free by one beam and terminal for
+    another, occupied wins.
+    """
+    m = spec.size_cells
+    vis = np.zeros((m, m), dtype=np.uint8)
+    occ = np.zeros((m, m), dtype=np.uint8)
+    hx = spec.half_extent
+    any_ray = False
+    for bearing, rng in ranges:
+        if not math.isfinite(bearing):
+            raise ValueError(f"non-finite bearing {bearing}")
+        if math.isnan(rng) or rng < 0.0:
+            raise ValueError(f"invalid range {rng}")
+        any_ray = True
+        hit = rng <= spec.max_range
+        t_end = min(rng, spec.max_range)
+        if hit and math.isfinite(rng):
+            ex = rng * math.cos(bearing)
+            ey = rng * math.sin(bearing)
+            hit = abs(ex) < hx and abs(ey) < hx  # endpoint strictly inside grid
+        cells = _traverse_ray(bearing, t_end, spec)
+        for ci, cj in cells:
+            vis[ci, cj] = 1
+        if hit:
+            occ[cells[-1]] = 1
+    if any_ray:
+        c = spec.center
+        vis[c, c] = 1
+        occ[c, c] = 0
+    return ObservationGrid(vis=vis, occ=occ)
+
+
+def assert_encodes_like_the_walk(scan, spec: GridSpec):
+    want = loop_encode_observation(scan, spec)
+    for given_as in (scan, np.asarray(scan, dtype=float).reshape(-1, 2)):
+        got = encode_observation(given_as, spec)
+        assert np.array_equal(got.vis, want.vis)
+        assert np.array_equal(got.occ, want.occ)
+
+
+# axis bearings, signed zeros, a bearing whose sine is 1e-17, and the
+# diagonals atan2(p, q) of the cell lattice, where corner ties are exact at
+# cell sizes 0.25 and 0.5
+EDGE_BEARINGS = [0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, 1e-17, -1e-17]
+LATTICE_BEARINGS = [
+    math.atan2(p, q) for p in range(-4, 5) for q in range(-4, 5) if (p, q) != (0, 0)
+]
+
+
+def walk_scan(rng: np.random.Generator, spec: GridSpec, n: int) -> list:
+    """``n`` (bearing, range) pairs mixing edge, lattice and random bearings
+    with ranges of 0, inf, exactly max_range, beyond it, on half-cell
+    boundaries along an axis or a diagonal, and uniform ones."""
+    cs, m, max_r = spec.cell_size, spec.size_cells, spec.max_range
+    scan = []
+    for _ in range(n):
+        u = rng.random()
+        if u < 0.2:
+            bearing = EDGE_BEARINGS[rng.integers(len(EDGE_BEARINGS))]
+        elif u < 0.5:
+            bearing = LATTICE_BEARINGS[rng.integers(len(LATTICE_BEARINGS))]
+        else:
+            bearing = float(rng.uniform(-math.pi, math.pi))
+        v = rng.random()
+        if v < 0.1:
+            r = 0.0
+        elif v < 0.25:
+            r = math.inf
+        elif v < 0.3:
+            r = max_r
+        elif v < 0.4:
+            r = max_r * float(rng.uniform(1.0, 1.5))
+        elif v < 0.6:
+            r = (int(rng.integers(0, m)) + 0.5) * cs * float(rng.choice([1.0, math.sqrt(2.0)]))
+        else:
+            r = float(rng.uniform(0.0, 1.2 * m * cs))
+        scan.append((bearing, r))
+    return scan
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_encode_matches_the_per_beam_walk(seed):
+    """Every odd grid from 3 to 51, cell sizes where corner ties are exact
+    and random ones, max_range inside the grid, past its corners and the
+    default, and scans of 1-40 beams."""
+    rng = np.random.default_rng(3000 + seed)
+    for m in range(3, 53, 2):
+        for cs in (0.25, 0.5, float(rng.uniform(0.05, 0.6))):
+            for max_r in (0.3 * m * cs, 0.0, 1.6 * m * cs):
+                spec = GridSpec(size_cells=m, cell_size=cs, max_range=max_r)
+                assert_encodes_like_the_walk(walk_scan(rng, spec, int(rng.integers(1, 41))), spec)
+
+
+@pytest.mark.parametrize("n_beams", [240, 720])
+@pytest.mark.parametrize("m", [33, 51])
+def test_encode_full_scans_match_the_per_beam_walk(n_beams, m):
+    """Scans as the simulator casts them: equally spaced bearings from -pi,
+    one per beam, with random and edge-case ranges."""
+    rng = np.random.default_rng(n_beams + m)
+    spec = GridSpec(size_cells=m, cell_size=0.2)
+    bearings = -math.pi + 2.0 * math.pi * np.arange(n_beams) / n_beams
+    for _ in range(3):
+        ranges = [r for _, r in walk_scan(rng, spec, n_beams)]
+        assert_encodes_like_the_walk(list(zip(bearings.tolist(), ranges)), spec)
+
+
+@pytest.mark.parametrize("builder, m, n_beams", [
+    ("static_crossing", 51, 240), ("moving_turning", 33, 240), ("occlusion_scenario", 51, 720),
+])
+def test_encode_builder_scans_match_the_per_beam_walk(monkeypatch, builder, m, n_beams):
+    from gridtrack import simulator
+
+    scans = []
+    encode = simulator.encode_observation
+
+    def record(ranges, spec):
+        scans.append(ranges)
+        return encode(ranges, spec)
+
+    monkeypatch.setattr(simulator, "encode_observation", record)
+    spec = GridSpec(size_cells=m, cell_size=0.2)
+    kw = {} if builder == "occlusion_scenario" else {"frames": 8}
+    getattr(simulator, builder)(seed=1, spec=spec, n_beams=n_beams, **kw)
+    assert scans
+    for scan in scans:
+        assert_encodes_like_the_walk(np.asarray(scan).tolist(), spec)
+
+
+def test_encode_infinite_max_range_matches_oracle():
+    """With max_range inf nothing clips a beam but the grid. A beam that
+    returned nothing then marks no cell occupied, as the brute-force oracle
+    says; the per-beam walk marked the cell it stopped in."""
+    rng = np.random.default_rng(7)
+    for m in (3, 5, 9, 15):
+        spec = GridSpec(size_cells=m, cell_size=0.25, max_range=math.inf)
+        rays = walk_scan(rng, spec, 24)
+        got = encode_observation(rays, spec)
+        want_vis, want_occ = encode_oracle(rays, spec)
+        np.testing.assert_array_equal(got.vis, want_vis)
+        np.testing.assert_array_equal(got.occ, want_occ)
+        assert np.array_equal(got.vis, loop_encode_observation(rays, spec).vis)
+    g = encode_observation([(0.0, math.inf)], GridSpec(size_cells=5, cell_size=0.25, max_range=math.inf))
+    assert not g.occ.any() and g.vis.sum() == 3
+
+
+BAD_ENTRIES = [
+    (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 0.5), (0.5, -0.1), (0.5, math.nan),
+    (0.5, -math.inf), (math.nan, math.nan), (math.inf, -1.0),
+]
+
+
+@pytest.mark.parametrize("k", [0, 1, 6])
+@pytest.mark.parametrize("bad", BAD_ENTRIES, ids=str)
+def test_encode_error_text_and_order_match_the_walk(k, bad):
+    """The first bad entry in input order raises, its bearing checked before
+    its range, with the walk's message; a later bad entry never wins."""
+    spec = grid5()
+    scan = [(0.1 * i, 0.3) for i in range(8)]
+    scan[k] = bad
+    scan[k + 1] = (0.2, -5.0) if math.isfinite(bad[0]) else (math.nan, 1.0)
+    with pytest.raises(ValueError) as want:
+        loop_encode_observation(scan, spec)
+    for given_as in (scan, np.array(scan)):
+        with pytest.raises(ValueError) as got:
+            encode_observation(given_as, spec)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("scan", [
+    np.zeros((4, 3)), np.zeros(6), np.zeros((2, 2, 2)), [(0.0, 1.0, 2.0)], [0.0, 1.0], np.zeros((0, 3)),
+], ids=["4x3", "flat-6", "2x2x2", "triple", "flat-pair", "0x3"])
+def test_encode_rejects_scans_that_are_not_pairs(scan):
+    with pytest.raises(ValueError, match="bearing, range"):
+        encode_observation(scan, grid5())
+
+
+def test_encode_empty_scan_as_array_is_all_zeros():
+    g = encode_observation(np.zeros((0, 2)), grid5())
+    assert not g.vis.any() and not g.occ.any()
 
 
 # ---------------------------------------------------------------- predictable mask

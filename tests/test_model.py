@@ -696,6 +696,7 @@ def _with(key, value):
         _with("variant", ["GRU3DilConv_16"]),
         _with("variant", "GRU9_THICC"),
         lambda doc: [doc],
+        _with("grid", {"size_cells": 9, "cell_size": 0.5, "max_range": float("nan")}),
     ],
     ids=[
         "missing-use_stm",
@@ -705,6 +706,7 @@ def _with(key, value):
         "variant-list",
         "variant-unknown",
         "top-level-list",
+        "max_range-nan",
     ],
 )
 def test_checkpoint_rejects_malformed_config(tmp_path, edit):
