@@ -175,10 +175,21 @@ def json_field(doc: dict, key: str, kind):
     return value
 
 
+def _shape(arr) -> str:
+    return str(arr.shape) if isinstance(arr, np.ndarray) else type(arr).__name__
+
+
 def _check_binary(name: str, arr: np.ndarray, m: int) -> np.ndarray:
-    a = np.asarray(arr, dtype=np.uint8)
-    if a.shape != (m, m):
-        raise ValueError(f"{name} must be {m}x{m}, got {a.shape}")
+    """``arr`` as a uint8 (m, m) plane of 0s and 1s. A plane of another dtype
+    must hold exactly those values: a cast that wraps or truncates raises."""
+    if not isinstance(arr, np.ndarray) or arr.shape != (m, m):
+        raise ValueError(f"{name} must be a {m}x{m} array, got {_shape(arr)}")
+    a = arr
+    if a.dtype != np.uint8:
+        with np.errstate(invalid="ignore"):  # NaN is rejected below, not warned about
+            a = arr.astype(np.uint8)
+        if not np.array_equal(a, arr):
+            raise ValueError(f"{name} must be binary")
     if (a > 1).any():
         raise ValueError(f"{name} must be binary")
     return a
@@ -196,6 +207,8 @@ class ObservationGrid:
     occ: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.vis, np.ndarray) or self.vis.ndim != 2:
+            raise ValueError(f"vis must be a square 2-D array, got {_shape(self.vis)}")
         m = self.vis.shape[0]
         object.__setattr__(self, "vis", _check_binary("vis", self.vis, m))
         object.__setattr__(self, "occ", _check_binary("occ", self.occ, m))

@@ -257,11 +257,38 @@ def test_observation_grid_rejects_values_above_one(value):
             ObservationGrid(**planes)
 
 
+@pytest.mark.parametrize("value", [257, 2, -1, 0.7, np.nan])
+def test_observation_grid_rejects_values_a_uint8_cast_would_change(value):
+    # int64 and float64 planes: 257 would wrap to 1, 0.7 and NaN truncate to 0
+    for name in ("vis", "occ"):
+        planes = {"vis": np.ones((3, 3)), "occ": np.zeros((3, 3))}
+        planes[name] = planes[name].astype(np.asarray(value).dtype)
+        planes[name][1, 2] = value
+        with pytest.raises(ValueError, match=f"{name} must be binary"):
+            ObservationGrid(**planes)
+
+
 def test_observation_grid_accepts_bool_planes():
     vis = np.eye(3, dtype=bool)
     g = ObservationGrid(vis=vis, occ=np.zeros((3, 3), dtype=bool))
     assert g.vis.dtype == np.uint8 and np.array_equal(g.vis, vis)
     assert g.occ.dtype == np.uint8 and not g.occ.any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+def test_observation_grid_accepts_zero_one_numeric_planes(dtype):
+    vis = np.eye(3, dtype=dtype)
+    g = ObservationGrid(vis=vis, occ=vis.copy())
+    assert g.vis.dtype == g.occ.dtype == np.uint8
+    assert np.array_equal(g.vis, np.eye(3)) and np.array_equal(g.occ, np.eye(3))
+
+
+@pytest.mark.parametrize("plane", [np.array(1, dtype=np.uint8), [[0, 1], [0, 0]]], ids=["0-d", "list"])
+def test_observation_grid_requires_square_2d_arrays(plane):
+    with pytest.raises(ValueError, match="vis must be"):
+        ObservationGrid(vis=plane, occ=np.zeros((2, 2), dtype=np.uint8))
+    with pytest.raises(ValueError, match="occ must be"):
+        ObservationGrid(vis=np.zeros((2, 2), dtype=np.uint8), occ=plane)
 
 
 def test_observation_grid_planes():

@@ -1,6 +1,6 @@
 """The timing scripts under scripts/ still run: each ``bench_*.py`` exits 0
-with ``--calls 4`` and prints one JSON document with an entry per shape in
-its ``SHAPES`` table."""
+with ``--calls 4`` and prints one JSON document in the one layout, with an
+entry per shape in its ``SHAPES`` table."""
 
 import ast
 import json
@@ -12,6 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("bench_*.py"))
+HEADER = {"schema", "python", "numpy", "blas", "blas_threads", "machine", "calls", "shapes"}
 
 
 def shape_count(path: Path) -> int:
@@ -31,4 +32,9 @@ def test_bench_script_runs_and_reports_every_shape(path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
+    assert HEADER <= doc.keys() and doc["schema"] == 1 and doc["calls"] == 4
     assert len(doc["shapes"]) == shape_count(path)
+    for entry in doc["shapes"]:
+        assert {"op", "shape", "timings"} <= entry.keys() and entry["timings"], entry
+        for phase, t in entry["timings"].items():
+            assert t["q1_ms"] <= t["median_ms"] <= t["q3_ms"], (entry["shape"], phase, t)
