@@ -153,8 +153,6 @@ def cmd_render(args) -> int:
     written = 0
     with no_grad():
         for f, (h, pred) in enumerate(unroll(model, batch, schedule)):
-            # after unroll's checks have passed, so a rejected input writes nothing
-            os.makedirs(args.out, exist_ok=True)
             panel = frame_panel(
                 batch.observations[f],
                 pred.data[0, 0],
@@ -162,6 +160,9 @@ def cmd_render(args) -> int:
                 threshold=args.threshold,
                 scale=args.scale,
             )
+            # after unroll's and frame_panel's checks have passed, so a
+            # rejected input writes nothing
+            os.makedirs(args.out, exist_ok=True)
             write_ppm(os.path.join(args.out, f"frame_{f:03d}.ppm"), panel)
             written += 1
             if args.hidden:

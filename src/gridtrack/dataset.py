@@ -305,10 +305,16 @@ def import_scans(
     y theta`` in a fixed world frame. Timestamps must be finite and strictly
     increasing. Each scan is paired with the odometry pose nearest in time;
     pairs further apart than the tolerance (half the frame period unless
-    given) are an error. Egomotion transforms come from consecutive paired
-    poses; no ground truth is attached. Every error in a row is a ValueError
-    naming its file and line.
+    given) are an error. A given ``frame_period`` must be positive and
+    finite, a given ``tolerance`` positive (inf accepts any pairing); both
+    are checked before the files are read. Egomotion transforms come from
+    consecutive paired poses; no ground truth is attached. Every error in a
+    row is a ValueError naming its file and line.
     """
+    if frame_period is not None and not 0.0 < frame_period < math.inf:
+        raise ValueError(f"frame_period must be positive and finite, got {frame_period}")
+    if tolerance is not None and not tolerance > 0.0:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
     scan_rows = _parse_rows(scan_file)
     odom_rows = _parse_rows(odom_file)
     if not scan_rows:
@@ -335,7 +341,7 @@ def import_scans(
     if frame_period is None and len(scan_t) >= 2:
         frame_period = float(np.median(np.diff(scan_t)))
     if tolerance is None:
-        tolerance = frame_period / 2.0 if frame_period else math.inf
+        tolerance = math.inf if frame_period is None else frame_period / 2.0
 
     matched = []
     for (lineno, _), t in zip(scan_rows, scan_t):

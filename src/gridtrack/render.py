@@ -127,7 +127,10 @@ def overlay_rgb(pred_occupied: np.ndarray, truth_occupied: np.ndarray, scale: in
 
 def frame_panel(obs, prediction, truth=None, threshold: float = 0.5, scale: int = 4) -> np.ndarray:
     """Side-by-side panels for one frame: visibility, observed occupancy,
-    predicted probability, and (with truth) the overlay."""
+    predicted probability, and (with truth) the overlay of the cells at or
+    above ``threshold``, which must lie inside (0, 1)."""
+    if not (0.0 < threshold < 1.0):
+        raise ValueError(f"threshold must be inside (0,1), got {threshold}")
     panels = [
         grid_to_rgb(obs.vis, color=(120, 120, 130), scale=scale),
         grid_to_rgb(obs.occ, color=(250, 210, 90), scale=scale),

@@ -48,8 +48,8 @@ pose shared by the batch or one per sample. The model builds one plan per
 frame and warps every layer with it. Forward, each corner is one gather
 with a cell vector all channels share; backward gathers the output
 gradient through the plan's inverse map, built on the first backward only,
-so no-grad rollouts never pay for it. Targets that several live sources share
-are summed in float64 and rounded once, which gives, for finite gradients,
+so no-grad rollouts never pay for it. A rigid warp gives a target at most
+two live sources per corner, added in the input dtype: for finite gradients,
 the bits of a float64 scatter-add (``np.bincount``) of the weighted gradient.
 """
 
@@ -664,17 +664,16 @@ class SamplePlan:
     Backward needs the inverse map, built on the first backward only and
     then kept: per corner and map, each target cell's first live source (a
     nonzero weight) in source order, or source 0 at weight 0 when it has
-    none, and the targets that more than one live source shares, with all
-    of their sources in source order. Gathering g at the first source and
-    scaling by its weight gives the one-source targets; each shared target
-    is summed in float64 in source order and rounded once. That is what a
-    float64 ``np.bincount`` scatter of the weighted gradient from +0.0 gives,
-    but for the sign of a zero (a zero-weight source only adds a signed zero),
-    and the sign is lost when the corner is added into the input gradient,
-    which starts at +0.0. A rigid warp of the square grid gives a target at
-    most two live sources in a corner: any three points of a rotated unit
-    lattice include two at least sqrt(2) apart, and no two points of one
-    half-open unit cell are that far apart.
+    none, and the second live source of each target that has one. A rigid
+    warp of the square grid gives a target at most two live sources in a
+    corner: any three points of a rotated unit lattice include two at least
+    sqrt(2) apart, and no two points of one half-open unit cell are that far
+    apart; ``inverse`` rejects a plan with a third. Two float32 summands are
+    exact in float64 unless their exponents differ by more than about 29
+    bits, and then both sums round to the larger, so adding the second
+    source in the input dtype gives a float64 ``np.bincount`` scatter of the
+    weighted gradient from +0.0, but for the sign of a zero, which is lost
+    when the corner is added into the input gradient (it starts at +0.0).
     """
 
     def __init__(self, u: np.ndarray, v: np.ndarray, batch: int | None = None):
@@ -705,11 +704,9 @@ class SamplePlan:
         return self.weights.dtype
 
     def inverse(self) -> tuple:
-        """(first, first_weight, shared), built once: the (4, P, M*M) first
-        live source of each target and its weight, and the targets that
-        more than one live source shares, as their (corner, map, target)
-        and their sources in levels, first sources first: per level, the
-        group each source adds to and its map, cell and weight."""
+        """(first, first_weight, second), built once: the (4, P, M*M) first
+        live source of each target and its weight, and the second sources'
+        corner, map, target, cell and weight, in source order (so by corner)."""
         if self._inverse is None:
             w = self.weights.ravel()
             n, p = self.size * self.size, self.cells.shape[1]
@@ -718,20 +715,14 @@ class SamplePlan:
             first = np.full(w.size, w.size)
             np.minimum.at(first, key, src)
             later = src != first[key]
-            lk, ls = key[later], src[later]
-            order = np.argsort(lk, kind="stable")
-            lk, ls = lk[order], ls[order]
-            groups, lg = np.unique(lk, return_inverse=True)
-            rank = np.arange(lk.size) - np.searchsorted(lk, lk)
-            levels = [(np.arange(groups.size), first[groups])]
-            levels += [(lg[rank == r], ls[rank == r]) for r in range(rank.max(initial=-1) + 1)]
-            corner, rest = np.divmod(groups, p * n)
-            shared = (corner, *np.divmod(rest, n),
-                      [(grp, f // n % p, f % n, w[f]) for grp, f in levels])
+            sk, ss = key[later], src[later]
+            if np.bincount(sk).max(initial=0) > 1:
+                raise ValueError("a target has three or more live sources: the warp must be rigid")
+            corner, rest = np.divmod(sk, p * n)
             self._inverse = (
                 (first % w.size % n).reshape(self.cells.shape),  # no source: cell 0
                 np.append(w, w.dtype.type(0))[first].reshape(self.weights.shape),
-                shared,
+                (corner, *np.divmod(rest, n), ss % n, w[ss]),
             )
         return self._inverse
 
@@ -791,13 +782,7 @@ def bilinear_sample(x: Tensor, transform, spec: GridSpec) -> Tensor:
 
         def backward():
             g = out.grad.reshape(shape)
-            first, first_w, (corner, tmap, target, levels) = plan.inverse()
-            # shared targets: each source's weighted gradient summed in float64
-            # in source order, then rounded once
-            fix = np.zeros((corner.size, g.shape[1]))
-            for grp, smap, source, sw in levels:
-                fix[grp] += g[smap, :, source] * sw[:, None]
-            fix = fix.astype(x.dtype)
+            first, first_w, (corner, tmap, target, source, sw) = plan.inverse()
             bounds = np.searchsorted(corner, range(5))
             gx = np.zeros(g.shape, dtype=x.dtype)
             tmp = _scratch("warp", g.shape, x.dtype)
@@ -806,7 +791,7 @@ def bilinear_sample(x: Tensor, transform, spec: GridSpec) -> Tensor:
                     np.take(src, idx, axis=1, out=dst, mode="wrap")
                 tmp *= first_w[k]
                 sl = slice(bounds[k], bounds[k + 1])
-                tmp[tmap[sl], :, target[sl]] = fix[sl]
+                tmp[tmap[sl], :, target[sl]] += g[tmap[sl], :, source[sl]] * sw[sl, None]
                 gx += tmp
             x._accum(gx.reshape(x.data.shape))
 

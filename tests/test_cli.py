@@ -407,6 +407,16 @@ def test_render_rejects_zero_scale(static_data, static_ckpt, tmp_path, capsys):
                "--out", out, "--scale", "0") == 2
     assert "scale must be at least 1" in capsys.readouterr().err
     assert not list(out.glob("*.ppm"))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threshold", ["7", "0", "1", "-0.5", "nan"])
+def test_render_rejects_bad_threshold(static_data, static_ckpt, tmp_path, capsys, threshold):
+    out = tmp_path / "imgs"
+    assert run("render", "--ckpt", static_ckpt, "--data", static_data,
+               "--out", out, "--threshold", threshold) == 2
+    assert "threshold" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_render_rejects_grid_mismatch(static_ckpt, tmp_path, capsys):

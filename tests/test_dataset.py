@@ -2,6 +2,7 @@
 byte-level fuzzing of the two binary decoders (.dtseq and .ckpt)."""
 
 import json
+import math
 import re
 import struct
 
@@ -437,9 +438,26 @@ def test_import_tolerance_violation(tmp_path):
     write_lines(odom, ["0.0 0.0 0.0 0.0", "5.0 1.0 0.0 0.0"])
     with pytest.raises(ValueError, match="no odometry within"):
         import_scans(scan, odom, SPEC)
-    # widening the tolerance accepts the pairing
-    batch = import_scans(scan, odom, SPEC, tolerance=10.0)
-    assert batch.frames == 2
+    # widening the tolerance accepts the pairing; inf accepts any pairing
+    for tolerance in (10.0, math.inf):
+        assert import_scans(scan, odom, SPEC, tolerance=tolerance).frames == 2
+
+
+@pytest.mark.parametrize("option, value", [
+    ("frame_period", math.nan), ("frame_period", 0.0), ("frame_period", -0.125),
+    ("frame_period", math.inf), ("tolerance", math.nan), ("tolerance", 0.0), ("tolerance", -1.0),
+])
+def test_import_rejects_a_bad_frame_period_or_tolerance(tmp_path, option, value):
+    """The scan at t=1 s is 1 s from its nearest pose: such values must not
+    let it pair unchecked, and they are refused before the files are read."""
+    scan, odom = tmp_path / "scan.txt", tmp_path / "odom.txt"
+    write_lines(scan, ["0.0 0.0 1.0", "1.0 0.0 1.0"])
+    write_lines(odom, ["0.0 0.0 0.0 0.0", "50.0 1.0 0.0 0.0"])
+    with pytest.raises(ValueError, match="no odometry within 0.5"):
+        import_scans(scan, odom, SPEC)
+    for scan_file in (scan, tmp_path / "missing.txt"):
+        with pytest.raises(ValueError, match=f"{option} must be positive"):
+            import_scans(scan_file, odom, SPEC, **{option: value})
 
 
 def test_import_malformed_rows(tmp_path):

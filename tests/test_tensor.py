@@ -929,6 +929,25 @@ def test_bilinear_shared_transform_matches_reference_bitwise(m, dtype):
         want, want_grad = parent_bilinear(x.data, SHARING_POSE, spec)
         assert out.data.tobytes() == want.tobytes()
         assert x.grad.tobytes() == want_grad(g).tobytes()
+    # byte for byte under seeded random rigid poses: angles over (-pi, pi]
+    # and near the axes, sub-cell shifts, each pose shared by the batch and
+    # in pairs of per-sample poses, -0.0 rows in g
+    sweep = np.random.default_rng(100 + m)
+    angles = [*(math.pi - sweep.uniform(0, 2 * math.pi, 6)),
+              *(k * math.pi / 2 + sweep.choice([-1, 1]) * 10.0 ** -sweep.integers(5, 10)
+                for k in range(-1, 3))]
+    poses = [Pose2(*(sweep.uniform(-2, 2, 2) * spec.cell_size), a) for a in angles]
+    for transform in [*poses, *zip(poses[::2], poses[1::2])]:
+        per_sample = isinstance(transform, tuple)
+        x = Tensor(rng.normal(size=(2, 2, m, m)), requires_grad=True, dtype=dtype)
+        g = rng.normal(size=(2, 2, m, m)).astype(dtype)
+        g[:, :, ::3] = -0.0
+        out = bilinear_sample(x, list(transform) if per_sample else transform, spec)
+        (out * Tensor(g, dtype=dtype)).sum().backward()
+        for i, t in enumerate(transform if per_sample else [transform] * 2):
+            want, want_grad = parent_bilinear(x.data[i : i + 1], t, spec)
+            assert out.data[i : i + 1].tobytes() == want.tobytes(), (t, i)
+            assert x.grad[i : i + 1].tobytes() == want_grad(g[i : i + 1]).tobytes(), (t, i)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -951,41 +970,44 @@ def test_bilinear_per_sample_transforms_match_single_calls(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_plan_sums_targets_of_three_or_more_sources_in_source_order(dtype):
-    """A warp that shrinks the grid (no rigid warp does) sends up to four
-    live sources of one corner to a target; the plan's float64 sum in
-    source order still gives the bincount reference's bytes."""
+def test_plan_rejects_targets_of_three_or_more_sources(dtype):
+    """A warp that shrinks the grid (no rigid warp does) sends up to twelve
+    live sources of one corner to a target: the forward still gives the
+    reference's bytes, but the backward, which adds at most two sources per
+    target, refuses the plan."""
     m = 15
     rng = np.random.default_rng(21)
     ii, jj = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
     u, v = (0.3 * ii + 2.1).astype(dtype), (0.35 * jj - 0.4 * ii + 6.3).astype(dtype)
     plan = SamplePlan(u[None], v[None])
-    *_, levels = plan.inverse()[2]
-    assert len(levels) >= 3
     x = Tensor(rng.normal(size=(2, 3, m, m)), requires_grad=True, dtype=dtype)
     g = rng.normal(size=(2, 3, m, m)).astype(dtype)
     out = bilinear_sample(x, plan, spec_for(m))
-    (out * Tensor(g, dtype=dtype)).sum().backward()
-    want, want_grad = parent_sample(x.data, u, v)
+    want, _ = parent_sample(x.data, u, v)
     assert out.data.tobytes() == want.tobytes()
-    assert x.grad.tobytes() == want_grad(g).tobytes()
+    with pytest.raises(ValueError, match="rigid"):
+        (out * Tensor(g, dtype=dtype)).sum().backward()
 
 
 @pytest.mark.parametrize("m", [9, 33])
 def test_rigid_warps_give_a_target_at_most_two_live_sources(m):
     """The bound SamplePlan's docstring argues, over rotations, whole and
-    sub-cell shifts and near-axis angles, in both dtypes."""
+    sub-cell shifts and near-axis angles, in both dtypes: counted from the
+    plan's cells and weights, and accepted by its inverse map."""
     spec = spec_for(m)
     rng = np.random.default_rng(m)
     near_axis = [k * math.pi / 2 + s * e for k in range(4) for s in (1, -1)
                  for e in (1e-9, 1e-7, 1e-5)]
     shifts = [(0, 0), (0.5, 0.5), (1e-7, -1e-7), (0.9999999, 0.9999999), *rng.uniform(-3, 3, (3, 2))]
+    block = np.arange(4)[:, None] * (m * m)  # one key range per corner
     for theta in [*np.linspace(-math.pi, math.pi, 61), *near_axis]:
         for fx, fy in shifts:
             for dtype in (np.float32, np.float64):
                 plan = sample_plan(Pose2(fx * spec.cell_size, fy * spec.cell_size, theta), spec, dtype)
-                *_, levels = plan.inverse()[2]
-                assert len(levels) <= 2, (theta, fx, fy, dtype)
+                live = plan.weights[:, 0, 0] != 0
+                sources = np.bincount((block + plan.cells[:, 0])[live])
+                assert sources.max() <= 2, (theta, fx, fy, dtype)
+                plan.inverse()
 
 
 def per_sample_parent_warp(x, poses, spec):
