@@ -10,6 +10,7 @@ only those counts; its precision, recall and F1 are derived from them.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +71,10 @@ class HorizonCurve:
 
 def pooled_counts(preds, batch, schedule, threshold: float, counts: dict | None = None) -> dict:
     """Accumulate per-offset (tp, fp, fn, scored) from one sequence's
-    per-frame prediction grids (arrays of probabilities, shape M×M)."""
+    per-frame prediction grids (arrays of probabilities, shape M×M), one
+    grid per frame of the sequence."""
+    if len(preds) != batch.frames:
+        raise ValueError(f"got {len(preds)} prediction grids for a {batch.frames}-frame sequence")
     if counts is None:
         counts = {k: [0, 0, 0, 0] for k in schedule.offsets()}
     masks = target_mask(batch, schedule)
@@ -88,10 +92,43 @@ def pooled_counts(preds, batch, schedule, threshold: float, counts: dict | None 
     return counts
 
 
+# The variables README lists for pinning the BLAS thread pools.
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                     "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def _workers(sequences: int) -> int:
+    """How many threads score ``sequences`` at once: the usable CPUs
+    divided by the threads each BLAS call may use (the largest pinned
+    count), and at most one thread per sequence. With no BLAS variable set,
+    or one that is not a positive integer, BLAS may already use every core,
+    so this gives 1."""
+    try:
+        blas = max((int(os.environ[v]) for v in _BLAS_THREAD_VARS if v in os.environ),
+                   default=0)
+    except ValueError:
+        blas = 0
+    if blas < 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(sequences, cpus // blas))
+
+
 def f1_horizon(model: Model, dataset, schedule, threshold: float = 0.5) -> HorizonCurve:
     """Micro-averaged precision/recall/F1 at each blanked offset, scoring
     predictions against the withheld observations on visible and
-    predictable cells only."""
+    predictable cells only.
+
+    Each sequence is rolled out and counted on its own, and the integer
+    counts are summed in sequence order, so the curve does not depend on
+    how many sequences run at once. When the environment pins the BLAS
+    thread pools, sequences run on as many threads as the usable CPUs
+    hold at that pool size (see ``_workers``); otherwise they run one
+    after another in the caller's thread. Either way they run under
+    ``no_grad`` and the caller's ``precision``."""
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must be inside (0,1), got {threshold}")
     dataset = [dataset] if hasattr(dataset, "observations") else list(dataset)
@@ -99,12 +136,28 @@ def f1_horizon(model: Model, dataset, schedule, threshold: float = 0.5) -> Horiz
         raise ValueError("dataset is empty")
     if schedule.blank == 0:
         raise ValueError("schedule blanks no frames; there is no horizon to score")
-    counts = None
+
+    def score(batch) -> dict:
+        preds = rollout(model, batch, schedule)
+        return pooled_counts([p.data[0, 0] for p in preds], batch, schedule, threshold)
+
+    workers = _workers(len(dataset))
     with no_grad():
-        for batch in dataset:
-            preds = rollout(model, batch, schedule)
-            grids = [p.data[0, 0] for p in preds]
-            counts = pooled_counts(grids, batch, schedule, threshold, counts)
+        if workers == 1:
+            scored = list(map(score, dataset))
+        else:
+            # Imported on first use: importing it (and logging) with this
+            # module shifted training's heap and cost static-train 4%. One
+            # pool per call: a module-level pool would leave a forked child
+            # holding threads that do not exist in it.
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(workers) as pool:
+                scored = list(pool.map(score, dataset))
+    counts = {k: [0, 0, 0, 0] for k in schedule.offsets()}
+    for seq in scored:
+        for k, c in seq.items():
+            counts[k] = [a + b for a, b in zip(counts[k], c)]
     return HorizonCurve.from_counts(counts)
 
 

@@ -34,9 +34,10 @@ and its backward algebra reuse their own temporaries. Each keeps the
 operations, and their order, of the plain expressions it replaces, so every
 value is bitwise what those expressions give (a reordered float32 sum can
 flip a thresholded prediction). Memory reused across calls is scratch only
-(``_scratch``): the conv accumulator and per-tap product, the sigmoid's and
-blend's temporaries and the warp's gathered corner, one buffer per role and
-dtype, each consumed before the next call that asks for it. The padded
+(``_scratch``): the conv accumulator, the per-tap product (the sigmoid's
+and the blend's temporaries reuse it, as nothing holds it then) and the
+warp's gathered corner, one buffer per role and dtype in each thread, each
+consumed before the next call in that thread that asks for it. The padded
 inputs and output gradients are fresh zeros on every call, which measured
 faster than clearing the border of a reused buffer. What an op returns, and
 what a backward closure keeps (z, r, h~), is always a fresh array, never a
@@ -51,11 +52,18 @@ gradient through the plan's inverse map, built on the first backward only,
 so no-grad rollouts never pay for it. A rigid warp gives a target at most
 two live sources per corner, added in the input dtype: for finite gradients,
 the bits of a float64 scatter-add (``np.bincount``) of the weighted gradient.
+
+Several threads may run no-grad rollouts of one model at once: scratch is
+per thread, so no two share a buffer, and such a rollout writes nothing
+another reads. Grad mode (``no_grad``) and ``precision`` are process-wide,
+not per thread: threads started inside either run under it, and neither
+may be entered or left while other threads run ops.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -280,7 +288,7 @@ def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     both tails: with e = exp(-|x|), 1/(1+e) where x >= 0 and e/(1+e)
     elsewhere. The numerator is max(e, x >= 0), which is 1 or e (NaN stays
     NaN), so one division serves both tails."""
-    e = np.abs(x, out=_scratch("exp", x.shape, x.dtype))
+    e = np.abs(x, out=_scratch("tap", x.shape, x.dtype))
     np.negative(e, out=e)
     np.exp(e, out=e)
     num = np.maximum(e, np.greater_equal(x, 0, out=_scratch("sign", x.shape, np.bool_)), out=out)
@@ -382,19 +390,26 @@ class ConvParams:
         return [self.kernel, self.bias]
 
 
-_SCRATCH: dict = {}  # {(role, dtype): flat buffer}
+class _Scratch(threading.local):
+    def __init__(self):
+        self.buffers = {}  # {(role, dtype): flat buffer}, this thread's own
+
+
+_SCRATCH = _Scratch()
 
 
 def _scratch(role: str, shape: tuple, dt) -> np.ndarray:
-    """An uninitialised array of ``shape`` over memory kept for (role,
-    dtype), grown to the largest shape asked for and handed out again on
-    every call with that key. It is scratch space only: the caller consumes
-    it before any other call with the same key, and it never becomes, or is
-    viewed by, a Tensor's data or a backward closure."""
+    """An uninitialised array of ``shape`` over memory the calling thread
+    keeps for (role, dtype), grown to the largest shape asked for and handed
+    out again on every call with that key in that thread. It is scratch
+    space only: the caller consumes it before any other call with the same
+    key, and it never becomes, or is viewed by, a Tensor's data or a
+    backward closure."""
     n = math.prod(shape)
-    buf = _SCRATCH.get((role, dt))
+    bufs = _SCRATCH.buffers
+    buf = bufs.get((role, dt))
     if buf is None or buf.size < n:
-        buf = _SCRATCH[(role, dt)] = np.empty(n, dtype=dt)
+        buf = bufs[(role, dt)] = np.empty(n, dtype=dt)
     return buf[:n].reshape(shape)
 
 
@@ -580,7 +595,7 @@ def conv_gru_step(
     # z*h + (1-z)*h~, summed as (1-z)*h~ + z*h
     new = np.subtract(1.0, z)
     new *= cand
-    new += np.multiply(z, hd, out=_scratch("blend", new.shape, new.dtype))
+    new += np.multiply(z, hd, out=_scratch("tap", new.shape, new.dtype))
     parents = (h_prev, x, *(t for g in gates for t in g.parameters()))
     out = _result(new, parents + (() if bias is None else (bias,)))
     if out._prev:

@@ -274,6 +274,29 @@ def test_eval_compares_two_checkpoints(static_data, static_ckpt, tmp_path, capsy
     assert (out / "curves.ppm").read_bytes() == want.read_bytes()
 
 
+def test_eval_prints_the_same_with_blas_pinned_or_not(tmp_path):
+    """Pinning BLAS to one thread lets eval score sequences on several
+    threads; the printed curve must not change."""
+    data, ckpt, out = tmp_path / "data", tmp_path / "m.ckpt", tmp_path / "ev"
+    assert run(*gen_args(data, sequences=4, grid=21, frames=12)) == 0
+    spec = read_dataset(data)[1][0].spec
+    save_checkpoint(build(ModelConfig.for_variant("GRU3DilConv_16", spec), seed=0), ckpt)
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+            "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+    unset = {k: v for k, v in os.environ.items() if k not in blas}
+    stdout = []
+    for env in ({**unset, **dict.fromkeys(blas, "1")}, unset):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gridtrack.cli", "eval", "--ckpt", str(ckpt),
+             "--data", str(data), "--show", "3", "--blank", "3", "--out", str(out)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        stdout.append(proc.stdout)
+    assert "offset\tprecision" in stdout[0]
+    assert stdout[0] == stdout[1]
+
+
 def test_eval_rejects_bad_threshold(static_data, static_ckpt, tmp_path, capsys):
     assert run("eval", "--ckpt", static_ckpt, "--data", static_data,
                "--show", "3", "--blank", "3", "--threshold", "1.5",

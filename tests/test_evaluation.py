@@ -1,10 +1,14 @@
 """Horizon F1 scoring, occlusion tracking error, and model comparison."""
 
+import os
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from gridtrack import evaluation
 from gridtrack.evaluation import (
     HorizonCurve,
     compare_models,
@@ -20,6 +24,7 @@ from gridtrack.simulator import (
     occlusion_scenario,
     static_crossing,
 )
+from gridtrack.tensor import precision
 from gridtrack.training import ShowBlankSchedule
 
 SPEC = GridSpec(size_cells=21, cell_size=0.3)
@@ -131,6 +136,15 @@ def test_pooled_counts_accumulates_across_sequences():
         assert counts[k] == [a + b for a, b in zip(solo1[k], solo2[k])]
 
 
+@pytest.mark.parametrize("grids", [9, 11], ids=["short", "long"])
+def test_pooled_counts_needs_one_grid_per_frame(grids):
+    batch = static_crossing(seed=3, spec=SPEC, frames=10)
+    sched = ShowBlankSchedule(total_frames=10, show=3, blank=2)
+    preds = [np.ones((21, 21)) for _ in range(grids)]
+    with pytest.raises(ValueError, match=f"got {grids} prediction grids for a 10-frame sequence"):
+        pooled_counts(preds, batch, sched, threshold=0.5)
+
+
 # ------------------------------------------------------------------ f1_horizon
 
 
@@ -173,6 +187,109 @@ def test_f1_horizon_validation():
     allshown = ShowBlankSchedule(total_frames=12, show=12, blank=0)
     with pytest.raises(ValueError, match="blank"):
         f1_horizon(model, batch, allshown)
+
+
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def horizon_case(moving):
+    """A 4-sequence held-out set and its schedule: static 21x21 data for a
+    plain model, or turning-sensor data for an STM model, which warps."""
+    builder, stm = (moving_turning, True) if moving else (static_crossing, False)
+    data = [builder(seed=s, spec=SPEC, frames=12) for s in (3, 4, 5, 6)]
+    return small_model(stm=stm), data, ShowBlankSchedule(total_frames=12, show=4, blank=2)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("moving", [False, True], ids=["static", "moving_stm"])
+def test_f1_horizon_counts_do_not_depend_on_the_worker_count(moving, dtype, monkeypatch):
+    with precision(dtype):
+        model, data, sched = horizon_case(moving)
+        curves = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(evaluation, "_workers", lambda n, k=workers: k)
+            curves[workers] = f1_horizon(model, data, sched)
+    assert curves[2].counts == curves[1].counts
+    assert curves[3].counts == curves[1].counts
+    assert all(n > 0 for n in curves[1].scored)
+
+
+def test_f1_horizon_threads_share_no_scratch(monkeypatch):
+    """More threads than cores, switching often: a buffer shared between
+    two rollouts would change some count."""
+    model, data, sched = horizon_case(moving=True)
+    data = data + data
+    serial = f1_horizon(model, data, sched)
+    monkeypatch.setattr(evaluation, "_workers", lambda n: len(data))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = [f1_horizon(model, data, sched) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(c.counts == serial.counts for c in threaded)
+
+
+def record_threads(monkeypatch):
+    """Wrap the module-level rollout and pooled_counts, as a tracer would,
+    and return the list of (name, thread id) of their calls."""
+    calls = []
+    for name in ("rollout", "pooled_counts"):
+        orig = getattr(evaluation, name)
+
+        def wrapper(*args, name=name, orig=orig, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, name, wrapper)
+    return calls
+
+
+def test_f1_horizon_runs_in_the_callers_thread_when_blas_is_not_pinned(monkeypatch):
+    for var in BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    model, data, sched = horizon_case(moving=False)
+    calls = record_threads(monkeypatch)
+    f1_horizon(model, data, sched)
+    assert calls == [(name, threading.get_ident())
+                     for _ in data for name in ("rollout", "pooled_counts")]
+
+
+def test_f1_horizon_scores_through_the_module_functions_on_workers(monkeypatch):
+    model, data, sched = horizon_case(moving=False)
+    monkeypatch.setattr(evaluation, "_workers", lambda n: 2)
+    calls = record_threads(monkeypatch)
+    f1_horizon(model, data, sched)
+    assert sorted(name for name, _ in calls) == ["pooled_counts"] * 4 + ["rollout"] * 4
+    assert threading.get_ident() not in {ident for _, ident in calls}
+
+
+@pytest.mark.parametrize(
+    "env, cpus, sequences, want",
+    [
+        ({}, 8, 12, 1),  # BLAS unpinned: it may use every core already
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 12, 2),
+        ({"OMP_NUM_THREADS": "1"}, 8, 3, 3),  # one thread per sequence at most
+        ({"OMP_NUM_THREADS": "2"}, 8, 12, 4),
+        ({"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "4"}, 8, 12, 2),  # the largest pool
+        ({"OPENBLAS_NUM_THREADS": "4"}, 2, 12, 1),
+        ({"OPENBLAS_NUM_THREADS": "0"}, 8, 12, 1),
+        ({"OPENBLAS_NUM_THREADS": "2,1"}, 8, 12, 1),  # not an integer: unknown
+        ({"OPENBLAS_NUM_THREADS": ""}, 8, 12, 1),
+    ],
+)
+def test_workers_divide_the_usable_cpus_by_the_blas_threads(env, cpus, sequences, want,
+                                                            monkeypatch):
+    for var in BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert evaluation._workers(sequences) == want
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert evaluation._workers(sequences) == want
 
 
 def test_scoring_rejects_a_grid_with_another_cell_size():

@@ -8,6 +8,7 @@ central finite differences for every gradient.
 
 import gc
 import math
+import threading
 import weakref
 
 import numpy as np
@@ -30,7 +31,7 @@ from gridtrack.tensor import (
     precision,
     sample_plan,
 )
-from gridtrack.tensor import _conv_bwd, _result
+from gridtrack.tensor import _conv_bwd, _result, _scratch
 
 # ---------------------------------------------------------------- oracles
 
@@ -711,6 +712,30 @@ def test_conv_and_gru_outputs_survive_a_later_call_of_the_same_shape():
         for first, second, kept in ((c1, c2, keep[0]), (g1, g2, keep[1])):
             assert np.array_equal(first.data, kept)
             assert not np.shares_memory(first.data, second.data)
+
+
+def test_scratch_is_per_thread():
+    """Each thread gets its own memory for a (role, dtype), and the same
+    memory again on its next call."""
+    shape = (2, 3, 7)
+    got = {}
+    both_hold_theirs = threading.Barrier(2, timeout=30)
+
+    def ask(name):
+        got[name] = (_scratch("acc", shape, np.float32), _scratch("acc", shape, np.float32))
+        both_hold_theirs.wait()
+
+    threads = [threading.Thread(target=ask, args=(name,)) for name in ("a", "b")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    got["main"] = (_scratch("acc", shape, np.float32), _scratch("acc", shape, np.float32))
+    for name, (first, again) in got.items():
+        assert np.shares_memory(first, again), name
+    for one, other in (("a", "b"), ("a", "main"), ("b", "main")):
+        assert not np.shares_memory(got[one][0], got[other][0])
 
 
 def test_float32_and_float64_calls_of_one_shape_interleave():
