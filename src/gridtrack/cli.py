@@ -48,9 +48,7 @@ def cmd_gen(args) -> int:
             )
         kwargs["frames"] = args.frames
     batches = [builder(args.seed + i, spec, **kwargs) for i in range(args.sequences)]
-    write_dataset(
-        args.out, batches, frame_rate=args.frame_rate, provenance="synthetic", seed=args.seed
-    )
+    write_dataset(args.out, batches, frame_rate=args.frame_rate, seed=args.seed)
     print(
         f"wrote {len(batches)} x {batches[0].frames}-frame "
         f"sequences ({args.scenario}, grid {args.grid}) to {args.out}"
@@ -82,6 +80,7 @@ def cmd_train(args) -> int:
         seed=args.seed,
     )
     result = train(model, batches, cfg)
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     save_checkpoint(result.model, args.out)
     last = f"{result.losses[-1]:.6f}" if result.losses else "n/a"
     print(

@@ -11,8 +11,8 @@ packed 8 cells per byte, most significant bit first. Reading back a written
 sequence reproduces it bit for bit.
 
 A dataset directory holds the sequence files and a ``manifest.json`` that
-lists them with the frame rate, provenance and seed. The grid and frame
-count of each sequence live only in its own header.
+lists them with the frame rate and, for synthetic data, the seed. The grid
+and frame count of each sequence live only in its own header.
 """
 
 from __future__ import annotations
@@ -143,23 +143,15 @@ def _decode_sequence(blob: bytes) -> SequenceBatch:
 @dataclass(frozen=True)
 class DatasetManifest:
     """Index of a dataset directory: the frame rate, the sequence files (bare
-    names inside the directory), and where the data came from. Synthetic
-    datasets record their seed; imported ones carry none. Grid and frame
-    counts are read from the files."""
+    names inside the directory) and, for synthetic data, the seed it was
+    generated from. Grid and frame counts are read from the files."""
 
     frame_rate: float
     files: tuple
-    provenance: str
     seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "files", tuple(self.files))
-        if self.provenance not in ("synthetic", "imported"):
-            raise ValueError(f"provenance must be synthetic or imported, got {self.provenance!r}")
-        if self.provenance == "synthetic" and self.seed is None:
-            raise ValueError("synthetic datasets must record their seed")
-        if self.provenance == "imported" and self.seed is not None:
-            raise ValueError("imported datasets carry no seed")
         if not self.files:
             raise ValueError("a dataset needs at least one sequence")
         for name in self.files:
@@ -171,11 +163,7 @@ class DatasetManifest:
             raise ValueError(f"frame_rate must be positive, got {self.frame_rate}")
 
     def save(self, dirpath) -> None:
-        doc = {
-            "frame_rate": self.frame_rate,
-            "files": list(self.files),
-            "provenance": self.provenance,
-        }
+        doc = {"frame_rate": self.frame_rate, "files": list(self.files)}
         if self.seed is not None:
             doc["seed"] = self.seed
         with open(os.path.join(dirpath, MANIFEST_NAME), "w") as fh:
@@ -185,7 +173,8 @@ class DatasetManifest:
     @classmethod
     def load(cls, dirpath) -> "DatasetManifest":
         """Read ``manifest.json``. Keys it does not use, such as the grid,
-        frame_counts and sequence_count of older manifests, are ignored."""
+        frame_counts, sequence_count and provenance of older manifests, are
+        ignored."""
         path = os.path.join(dirpath, MANIFEST_NAME)
         with open(path) as fh:
             try:
@@ -203,12 +192,11 @@ class DatasetManifest:
         return cls(
             frame_rate=json_field(doc, "frame_rate", (int, float)),
             files=tuple(files),
-            provenance=json_field(doc, "provenance", str),
             seed=None if doc.get("seed") is None else json_field(doc, "seed", int),
         )
 
 
-def write_dataset(dirpath, batches, frame_rate: float, provenance: str = "synthetic", seed: int | None = None) -> DatasetManifest:
+def write_dataset(dirpath, batches, frame_rate: float, seed: int | None = None) -> DatasetManifest:
     batches = list(batches)
     if not batches:
         raise ValueError("no sequences to write")
@@ -216,15 +204,15 @@ def write_dataset(dirpath, batches, frame_rate: float, provenance: str = "synthe
     for b in batches:
         if b.spec != spec:
             raise ValueError("all sequences in a dataset must share one GridSpec")
+    # before the directory exists, so an unstorable grid leaves nothing behind
+    _check_storable(spec)
     os.makedirs(dirpath, exist_ok=True)
     files = []
     for i, b in enumerate(batches):
         name = f"seq_{i:05d}.dtseq"
         write_sequence(b, os.path.join(dirpath, name))
         files.append(name)
-    manifest = DatasetManifest(
-        frame_rate=frame_rate, files=tuple(files), provenance=provenance, seed=seed
-    )
+    manifest = DatasetManifest(frame_rate=frame_rate, files=tuple(files), seed=seed)
     manifest.save(dirpath)
     return manifest
 

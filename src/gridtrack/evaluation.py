@@ -69,14 +69,13 @@ class HorizonCurve:
         return "\n".join(lines)
 
 
-def pooled_counts(preds, batch, schedule, threshold: float, counts: dict | None = None) -> dict:
-    """Accumulate per-offset (tp, fp, fn, scored) from one sequence's
-    per-frame prediction grids (arrays of probabilities, shape M×M), one
-    grid per frame of the sequence."""
+def pooled_counts(preds, batch, schedule, threshold: float) -> dict:
+    """Per-offset (tp, fp, fn, scored) of one sequence's per-frame
+    prediction grids (arrays of probabilities, shape M×M), one grid per
+    frame of the sequence."""
     if len(preds) != batch.frames:
         raise ValueError(f"got {len(preds)} prediction grids for a {batch.frames}-frame sequence")
-    if counts is None:
-        counts = {k: [0, 0, 0, 0] for k in schedule.offsets()}
+    counts = {k: [0, 0, 0, 0] for k in schedule.offsets()}
     masks = target_mask(batch, schedule)
     for f, mask in enumerate(masks):
         off = schedule.blank_offset(f)
@@ -93,8 +92,9 @@ def pooled_counts(preds, batch, schedule, threshold: float, counts: dict | None 
 
 
 # The variables README lists for pinning the BLAS thread pools.
+# NUMEXPR_NUM_THREADS is not one: numpy's BLAS never reads it.
 _BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                     "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+                     "VECLIB_MAXIMUM_THREADS")
 
 
 def _workers(sequences: int) -> int:
@@ -161,21 +161,17 @@ def f1_horizon(model: Model, dataset, schedule, threshold: float = 0.5) -> Horiz
     return HorizonCurve.from_counts(counts)
 
 
-def occlusion_track_error(
-    model: Model,
-    scenario,
-    threshold: float = 0.3,
-    window_radius: float = 5.0,
-) -> list:
+def occlusion_track_error(model: Model, scenario, threshold: float = 0.3) -> list:
     """Centroid tracking error, in cells, of thresholded predicted occupancy
-    against the scripted disc position, measured inside a window around the
-    true position. Frames with nothing above threshold in the window report
-    the saturation value (the window radius).
+    against the scripted disc position, measured inside a window of radius
+    5 cells around the true position. Frames with nothing above threshold in
+    the window report the saturation value (the window radius).
 
     Evaluated at the scenario's occluded frames; a never-occluded scenario is
     scored at every frame (plain visible-tracking error). Returns
     (frame, error) pairs.
     """
+    window_radius = 5.0
     batch = scenario.batch
     spec = batch.spec
     sched = ShowBlankSchedule(total_frames=batch.frames, show=batch.frames, blank=0)

@@ -148,13 +148,14 @@ def frame_panel(obs, prediction, truth=None, threshold: float = 0.5, scale: int 
     return np.concatenate(row, axis=1)
 
 
-def hidden_tiles(layer_maps, max_maps: int = 16, scale: int = 2) -> np.ndarray:
+def hidden_tiles(layer_maps) -> np.ndarray:
     """Feature-map activations (values in [-1,1]) tiled into one image, one
-    row per layer."""
+    row per layer: at most the first 16 maps of each layer, each cell drawn
+    2x2 pixels."""
     rows = []
     width = None
     for maps in layer_maps:
-        maps = np.asarray(maps)[:max_maps]
+        maps = np.asarray(maps)[:16]
         v = ((np.clip(maps, -1.0, 1.0) + 1.0) * 127.5).astype(np.uint8)
         tiles = [np.stack([t, t, t], axis=-1) for t in v]
         h = tiles[0].shape[0]
@@ -165,7 +166,7 @@ def hidden_tiles(layer_maps, max_maps: int = 16, scale: int = 2) -> np.ndarray:
                 row.append(sep)
             row.append(t)
         row = np.concatenate(row, axis=1)
-        rows.append(_scale(row, scale))
+        rows.append(_scale(row, 2))
         width = max(width or 0, rows[-1].shape[1])
     padded = []
     for r in rows:
@@ -204,9 +205,9 @@ def _draw_line(img: np.ndarray, x0: float, y0: float, x1: float, y1: float, colo
                 img[y + 1, x] = color
 
 
-def plot_curves(path, curves: dict, title: str = "", y_range=(0.0, 1.0)) -> None:
+def plot_curves(path, curves: dict, title: str = "") -> None:
     """Line plot of named curves. ``curves`` maps label -> (xs, ys) with ys
-    inside y_range. Writes a P6 pixmap."""
+    inside [0, 1]. Writes a P6 pixmap."""
     if not curves:
         raise ValueError("no curves to plot")
     width, height = 560, 360
@@ -217,7 +218,7 @@ def plot_curves(path, curves: dict, title: str = "", y_range=(0.0, 1.0)) -> None
     x_hi = max(max(xs) for xs, _ in curves.values())
     if x_hi == x_lo:
         x_hi = x_lo + 1
-    y_lo, y_hi = y_range
+    y_lo, y_hi = 0.0, 1.0
 
     def px(x):
         return left + (x - x_lo) / (x_hi - x_lo) * (width - left - right)

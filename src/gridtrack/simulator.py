@@ -134,7 +134,10 @@ def sensor_poses(
     """World-frame sensor pose at every frame, starting at the origin, for a
     constant speed (m/s) and yaw rate (rad/s): zero speed is a still sensor,
     zero yaw rate drives straight. Poses advance by forward Euler: heading
-    first, then position along the new heading."""
+    first, then position along the new heading. ``frames`` must be at
+    least 1."""
+    if frames < 1:
+        raise ValueError(f"frames must be at least 1, got {frames}")
     _check_frame_rate(frame_rate)
     dt = 1.0 / frame_rate
     out = [Pose2.identity()]
@@ -183,8 +186,8 @@ class SequenceBatch:
     def frames(self) -> int:
         return len(self.observations)
 
-    def is_static(self, tol: float = 0.0) -> bool:
-        return all(t.is_identity(tol) for t in self.rel_transforms)
+    def is_static(self) -> bool:
+        return all(t.is_identity() for t in self.rel_transforms)
 
 
 # ------------------------------------------------------------- ray casting
@@ -368,20 +371,20 @@ def occlusion_scenario(
     with_wall: bool = True,
     frame_rate: float = 8.0,
     n_beams: int = 720,
-    disc_radius_cells: float = 1.5,
 ) -> OcclusionScenario:
     """Build the scripted occlusion scene: a wall ahead of the sensor, a disc
-    crossing behind it at one cell per frame. The wall length is solved from
-    the occlusion geometry so the disc is fully inside the wall's shadow for
-    exactly ``occluded_frames`` frames (0 means the disc is never fully
-    hidden). ``pad`` visible frames lead and trail the occlusion."""
+    of radius 1.5 cells crossing behind it at one cell per frame. The wall
+    length is solved from the occlusion geometry so the disc is fully inside
+    the wall's shadow for exactly ``occluded_frames`` frames (0 means the
+    disc is never fully hidden). ``pad`` visible frames lead and trail the
+    occlusion."""
     if occluded_frames < 0 or pad < 1:
         raise ValueError("occluded_frames must be >= 0 and pad >= 1")
     cs, c = spec.cell_size, spec.center
     k = occluded_frames
     wall_x = round(0.45 * c) * cs
     disc_x = round(0.9 * c) * cs
-    r = disc_radius_cells * cs
+    r = 1.5 * cs
     # margin covers cells that merely touch the disc, so grazing beams near
     # the shadow edge cannot reveal part of it
     r_eff = r + 0.75 * cs
@@ -539,11 +542,10 @@ def moving_straight(
     frames: int = 20,
     frame_rate: float = 8.0,
     n_beams: int = 240,
-    cells_per_frame: float = 1.0,
 ) -> SequenceBatch:
-    """Sensor drives straight at a constant speed through a seeded corridor
-    scene."""
-    return _moving_sensor(seed, spec, frames, frame_rate, n_beams, cells_per_frame, 0.0, 0.6)
+    """Sensor drives straight at one cell per frame through a seeded
+    corridor scene."""
+    return _moving_sensor(seed, spec, frames, frame_rate, n_beams, 1.0, 0.0, 0.6)
 
 
 def moving_turning(
@@ -552,13 +554,10 @@ def moving_turning(
     frames: int = 20,
     frame_rate: float = 8.0,
     n_beams: int = 240,
-    cells_per_frame: float = 0.75,
-    yaw_per_frame: float = 0.06,
 ) -> SequenceBatch:
-    """Sensor follows a constant-rate turn through a seeded obstacle field."""
-    return _moving_sensor(
-        seed, spec, frames, frame_rate, n_beams, cells_per_frame, yaw_per_frame, 0.7
-    )
+    """Sensor follows a constant-rate turn, 0.75 cells and 0.06 rad per
+    frame, through a seeded obstacle field."""
+    return _moving_sensor(seed, spec, frames, frame_rate, n_beams, 0.75, 0.06, 0.7)
 
 
 def scenario_builders() -> dict:

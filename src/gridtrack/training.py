@@ -131,10 +131,11 @@ def sequence_loss(model: Model, batches, schedule: ShowBlankSchedule) -> Tensor:
     return masked_bce(pred, occ, mask)
 
 
-def adam_step(params, grads, state: dict, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> dict:
-    """In-place Adam update with bias correction. ``state`` holds first and
-    second moments plus the step counter; pass {} to start."""
+def adam_step(params, grads, state: dict, lr: float) -> dict:
+    """In-place Adam update with bias correction, at beta1 = 0.9,
+    beta2 = 0.999 and eps = 1e-8. ``state`` holds first and second moments
+    plus the step counter; pass {} to start."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     if not state:
         state = {
             "t": 0,
@@ -154,7 +155,10 @@ def adam_step(params, grads, state: dict, lr: float, beta1: float = 0.9,
     return state
 
 
-def sgd_momentum_step(params, grads, state: dict, lr: float, momentum: float = 0.9) -> dict:
+def sgd_momentum_step(params, grads, state: dict, lr: float) -> dict:
+    """In-place SGD update with momentum 0.9. ``state`` holds the velocities;
+    pass {} to start."""
+    momentum = 0.9
     if not state:
         state = {"v": [np.zeros_like(p.data) for p in params]}
     for p, g, v in zip(params, grads, state["v"]):
@@ -218,6 +222,7 @@ def train(model: Model, dataset, cfg: TrainConfig) -> TrainResult:
             step_idx += 1
             if cfg.log_path:
                 ms = (time.monotonic() - t0) * 1000.0
+                os.makedirs(os.path.dirname(cfg.log_path) or ".", exist_ok=True)
                 with open(cfg.log_path, "a") as fh:
                     fh.write(f"{step_idx} {value:.6f} {ms:.1f}\n")
             if value < best - 1e-6:

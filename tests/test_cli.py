@@ -52,7 +52,6 @@ def test_gen_writes_dataset(tmp_path, capsys):
     assert run(*gen_args(out)) == 0
     manifest, batches = read_dataset(out)
     assert manifest.seed == 0
-    assert manifest.provenance == "synthetic"
     assert len(batches) == 2
     assert "wrote 2 x 6-frame" in capsys.readouterr().out
 
@@ -502,6 +501,25 @@ def test_render_matches_rollout_with_egomotion_warp(tmp_path):
 
 
 # ---------------------------------------------------------------------- misc
+
+
+def test_quick_start_pipeline_runs_as_written(tmp_path, monkeypatch):
+    """README's quick start at 11x11: its relative output paths name
+    directories that do not exist yet."""
+    monkeypatch.chdir(tmp_path)
+    assert run("gen", "--scenario", "static-crossing", "--grid", 11, "--frames", 4,
+               "--sequences", 2, "--seed", 0, "--out", "data/train") == 0
+    assert run("train", "--data", "data/train", "--variant", "RNN16", "--show", 2,
+               "--blank", 2, "--steps", 2, "--out", "run/model.ckpt",
+               "--log", "logs/train.log") == 0
+    assert load_checkpoint("run/model.ckpt").config.grid.size_cells == 11
+    assert len((tmp_path / "logs" / "train.log").read_text().splitlines()) == 2
+    assert run("eval", "--ckpt", "run/model.ckpt", "--data", "data/train",
+               "--show", 2, "--blank", 2, "--out", "eval_out") == 0
+    assert sorted(os.listdir("eval_out")) == ["curves.ppm", "horizon_model.txt"]
+    assert run("render", "--ckpt", "run/model.ckpt", "--data", "data/train", "--sequence", 0,
+               "--show", 2, "--blank", 2, "--overlay", "--out", "render_out") == 0
+    assert sorted(os.listdir("render_out")) == [f"frame_{f:03d}.ppm" for f in range(4)]
 
 
 def test_parser_accepts_every_scenario_and_optimizer():

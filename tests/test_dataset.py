@@ -236,9 +236,10 @@ def test_dataset_round_trip(tmp_path):
 
 def test_manifest_fields(tmp_path):
     _, manifest = make_dataset(tmp_path, n=2)
-    assert manifest.provenance == "synthetic"
     assert manifest.seed == 0
     assert manifest.files == ("seq_00000.dtseq", "seq_00001.dtseq")
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    assert sorted(doc) == ["files", "frame_rate", "seed"]
 
 
 def test_manifest_verify_missing_file(tmp_path):
@@ -295,14 +296,9 @@ def test_manifest_in_parent_format_loads(tmp_path):
 
 
 def test_manifest_validation():
-    good = dict(frame_rate=8.0, files=("a.dtseq",), provenance="synthetic", seed=1)
+    good = dict(frame_rate=8.0, files=("a.dtseq",), seed=1)
     DatasetManifest(**good)
-    with pytest.raises(ValueError, match="provenance"):
-        DatasetManifest(**{**good, "provenance": "downloaded"})
-    with pytest.raises(ValueError, match="seed"):
-        DatasetManifest(**{**good, "seed": None})
-    with pytest.raises(ValueError, match="no seed"):
-        DatasetManifest(**{**good, "provenance": "imported"})
+    DatasetManifest(**{**good, "seed": None})
     with pytest.raises(ValueError, match="at least one"):
         DatasetManifest(**{**good, "files": ()})
     for name in (".", "..", "sub/a.dtseq", "sub\\a.dtseq"):
@@ -331,7 +327,6 @@ def _set(key, value):
 MANIFEST_EDITS = {
     "no-frame_rate": _drop("frame_rate"),
     "no-files": _drop("files"),
-    "no-provenance": _drop("provenance"),
     "frame_rate-string": _set("frame_rate", "8"),
     "file-not-string": _set("files", [7]),
     "seed-string": _set("seed", "0"),
@@ -348,6 +343,15 @@ def test_manifest_load_rejects_malformed_keys(tmp_path, edit):
         DatasetManifest.load(tmp_path)
 
 
+def test_manifest_load_ignores_old_provenance_key(tmp_path):
+    """Older manifests also said where the data came from; a seeded one
+    marked imported once failed to load."""
+    _, manifest = make_dataset(tmp_path, n=1)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "provenance": "imported"}))
+    assert DatasetManifest.load(tmp_path) == manifest
+
+
 def test_write_dataset_rejects_mixed_grids(tmp_path):
     a = static_crossing(seed=0, spec=SPEC, frames=4)
     b = static_crossing(seed=0, spec=GridSpec(size_cells=11, cell_size=0.3), frames=4)
@@ -358,6 +362,14 @@ def test_write_dataset_rejects_mixed_grids(tmp_path):
 def test_write_dataset_rejects_empty(tmp_path):
     with pytest.raises(ValueError, match="no sequences"):
         write_dataset(tmp_path, [], frame_rate=8.0, seed=0)
+
+
+def test_write_dataset_rejects_unstorable_grid_before_creating_the_directory(tmp_path):
+    batch = static_crossing(seed=0, spec=GridSpec(size_cells=11, cell_size=0.1234), frames=4)
+    out = tmp_path / "d2"
+    with pytest.raises(ValueError, match="not a whole number of millimeters"):
+        write_dataset(out, [batch], frame_rate=8.0, seed=0)
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- importer

@@ -17,14 +17,14 @@ from gridtrack.evaluation import (
     pooled_counts,
 )
 from gridtrack.geometry import GridSpec, predictable_mask
-from gridtrack.model import ModelConfig, build
+from gridtrack.model import ModelConfig, build, rollout
 from gridtrack.simulator import (
     moving_straight,
     moving_turning,
     occlusion_scenario,
     static_crossing,
 )
-from gridtrack.tensor import precision
+from gridtrack.tensor import no_grad, precision
 from gridtrack.training import ShowBlankSchedule
 
 SPEC = GridSpec(size_cells=21, cell_size=0.3)
@@ -122,18 +122,17 @@ def test_pooled_counts_moving_uses_predictable_mask():
         assert not pm.all()
 
 
-def test_pooled_counts_accumulates_across_sequences():
+def test_f1_horizon_sums_each_sequences_pooled_counts():
+    model = small_model()
+    data = [static_crossing(seed=s, spec=SPEC, frames=10) for s in (7, 8)]
     sched = ShowBlankSchedule(total_frames=10, show=5, blank=5)
-    b1 = static_crossing(seed=7, spec=SPEC, frames=10)
-    b2 = static_crossing(seed=8, spec=SPEC, frames=10)
-    p1 = [b1.observations[f].occ.astype(float) for f in range(10)]
-    p2 = [np.zeros((21, 21)) for _ in range(10)]
-    counts = pooled_counts(p1, b1, sched, 0.5)
-    counts = pooled_counts(p2, b2, sched, 0.5, counts)
-    solo1 = pooled_counts(p1, b1, sched, 0.5)
-    solo2 = pooled_counts(p2, b2, sched, 0.5)
-    for k in counts:
-        assert counts[k] == [a + b for a, b in zip(solo1[k], solo2[k])]
+    solo = []
+    with no_grad():
+        for batch in data:
+            preds = [p.data[0, 0] for p in rollout(model, batch, sched)]
+            solo.append(pooled_counts(preds, batch, sched, 0.5))
+    summed = tuple(tuple(a + b for a, b in zip(solo[0][k], solo[1][k])) for k in sched.offsets())
+    assert f1_horizon(model, data, sched).counts == summed
 
 
 @pytest.mark.parametrize("grids", [9, 11], ids=["short", "long"])
@@ -277,6 +276,7 @@ def test_f1_horizon_scores_through_the_module_functions_on_workers(monkeypatch):
         ({"OPENBLAS_NUM_THREADS": "0"}, 8, 12, 1),
         ({"OPENBLAS_NUM_THREADS": "2,1"}, 8, 12, 1),  # not an integer: unknown
         ({"OPENBLAS_NUM_THREADS": ""}, 8, 12, 1),
+        ({"NUMEXPR_NUM_THREADS": "1"}, 8, 12, 1),  # numexpr's pool, not BLAS's
     ],
 )
 def test_workers_divide_the_usable_cpus_by_the_blas_threads(env, cpus, sequences, want,
@@ -327,8 +327,8 @@ def test_track_error_all_frames_when_never_occluded():
 def test_track_error_saturates_without_hot_cells():
     scen = occlusion_scenario(seed=1, spec=SPEC, occluded_frames=3)
     model = small_model()
-    errors = occlusion_track_error(model, scen, threshold=1.1, window_radius=4.0)
-    assert all(e == 4.0 for _, e in errors)
+    errors = occlusion_track_error(model, scen, threshold=1.1)
+    assert all(e == 5.0 for _, e in errors)
 
 
 # -------------------------------------------------------------- compare_models

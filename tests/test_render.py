@@ -83,20 +83,20 @@ def test_frame_panel_widths():
 def test_hidden_tiles_layout():
     a = np.zeros((3, 5, 5))
     b = np.ones((2, 5, 5))
-    img = hidden_tiles([a, b], scale=1)
-    # widest row: 3 tiles of 5px and 2 one-px separators
-    assert img.shape[1] == 3 * 5 + 2
-    # rows: two 5px strips and one 2px divider
-    assert img.shape[0] == 5 + 2 + 5
+    img = hidden_tiles([a, b])
+    # widest row: 3 tiles of 5 cells and 2 one-cell separators, 2px per cell
+    assert img.shape[1] == (3 * 5 + 2) * 2
+    # rows: two 5-cell strips of 10px and one 2px divider
+    assert img.shape[0] == 10 + 2 + 10
     # zero activation renders mid-gray, +1 renders white
     assert tuple(img[0, 0]) == (127, 127, 127)
-    assert tuple(img[7, 0]) == (255, 255, 255)
+    assert tuple(img[12, 0]) == (255, 255, 255)
 
 
 def test_hidden_tiles_caps_map_count():
     maps = np.zeros((40, 4, 4))
-    img = hidden_tiles([maps], max_maps=8, scale=1)
-    assert img.shape[1] == 8 * 4 + 7
+    img = hidden_tiles([maps])
+    assert img.shape[1] == (16 * 4 + 15) * 2
 
 
 def test_plot_curves_deterministic(tmp_path):

@@ -179,6 +179,12 @@ def test_sensor_poses_still_sensor_is_identity():
     assert all(p == Pose2.identity() for p in poses)
 
 
+@pytest.mark.parametrize("frames", [0, -3])
+def test_sensor_poses_rejects_fewer_than_one_frame(frames):
+    with pytest.raises(ValueError, match=f"frames must be at least 1, got {frames}"):
+        sensor_poses(frames, 8.0)
+
+
 def test_batch_validation():
     spec = GridSpec(size_cells=5, cell_size=0.5)
     batch = static_crossing(seed=0, spec=spec, frames=3)
@@ -338,7 +344,7 @@ def test_truth_shifts_one_cell_under_unit_sensor_motion():
     """Moving straight at one cell per frame over a static world, each truth
     frame is the previous one shifted by one cell toward the sensor."""
     spec = GridSpec(size_cells=25, cell_size=0.25)
-    batch = moving_straight(seed=5, spec=spec, frames=8, frame_rate=8.0, cells_per_frame=1.0)
+    batch = moving_straight(seed=5, spec=spec, frames=8, frame_rate=8.0)
     for f in range(1, batch.frames):
         cur = batch.truth_occ[f]
         prev = batch.truth_occ[f - 1]

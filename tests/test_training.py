@@ -301,11 +301,11 @@ def test_sgd_momentum_accumulates():
     p = Tensor(np.array([0.0]), requires_grad=True)
     g = np.array([1.0])
     state: dict = {}
-    state = sgd_momentum_step([p], [g], state, lr=0.1, momentum=0.5)
+    state = sgd_momentum_step([p], [g], state, lr=0.1)
     assert p.data[0] == pytest.approx(-0.1)
-    state = sgd_momentum_step([p], [g], state, lr=0.1, momentum=0.5)
-    # velocity = 0.5*1 + 1 = 1.5
-    assert p.data[0] == pytest.approx(-0.1 - 0.15)
+    state = sgd_momentum_step([p], [g], state, lr=0.1)
+    # velocity = 0.9*1 + 1 = 1.9
+    assert p.data[0] == pytest.approx(-0.1 - 0.19)
 
 
 # --------------------------------------------------------------------- train
@@ -446,9 +446,22 @@ def test_train_periodic_checkpoints_create_missing_directory(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["step000001.ckpt", "step000002.ckpt"]
 
 
+def test_train_log_creates_missing_directory(tmp_path):
+    spec = GridSpec(size_cells=11, cell_size=0.5)
+    batch = static_crossing(seed=1, spec=spec, frames=4)
+    log = tmp_path / "logs" / "a" / "train.log"
+    cfg = TrainConfig(
+        schedule=ShowBlankSchedule(total_frames=4, show=2, blank=2),
+        max_steps=2,
+        log_path=str(log),
+    )
+    train(tiny_model(spec), [batch], cfg)
+    assert len(log.read_text().splitlines()) == 2
+
+
 def test_train_rejected_grid_leaves_no_log_or_checkpoint_dir(tmp_path):
     batch = static_crossing(seed=1, spec=GRID9, frames=4)
-    log, out = tmp_path / "train.log", tmp_path / "ckpt"
+    log, out = tmp_path / "logs" / "train.log", tmp_path / "ckpt"
     cfg = TrainConfig(
         schedule=ShowBlankSchedule(total_frames=4, show=2, blank=2),
         max_steps=2,
@@ -458,7 +471,7 @@ def test_train_rejected_grid_leaves_no_log_or_checkpoint_dir(tmp_path):
     )
     with pytest.raises(ValueError, match="does not match the dataset grid"):
         train(tiny_model(GridSpec(size_cells=11, cell_size=0.2)), [batch], cfg)
-    assert not log.exists()
+    assert not log.parent.exists()
     assert not out.exists()
 
 
