@@ -31,6 +31,17 @@ def _uniform_frame_count(batches) -> int:
     return counts.pop()
 
 
+def _check_directory(path, option: str) -> None:
+    """Raise ValueError, naming ``option``, unless ``path`` is a directory
+    or ``os.makedirs`` could make it one: its nearest existing ancestor must
+    be a directory."""
+    probe = os.path.abspath(path)
+    while not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ValueError(f"{option}: {probe} exists and is not a directory")
+
+
 # ------------------------------------------------------------------- commands
 
 
@@ -75,6 +86,12 @@ def cmd_train(args) -> int:
         checkpoint_dir=args.checkpoint_dir,
         log_path=args.log,
     )
+    # learn that an output cannot be written before training, not after
+    _check_directory(os.path.dirname(args.out) or ".", f"--out {args.out}")
+    if args.log:
+        _check_directory(os.path.dirname(args.log) or ".", f"--log {args.log}")
+    if args.checkpoint_dir:
+        _check_directory(args.checkpoint_dir, f"--checkpoint-dir {args.checkpoint_dir}")
     model = build(
         ModelConfig.for_variant(args.variant, batches[0].spec, use_stm=args.stm == "on"),
         seed=args.seed,

@@ -10,13 +10,13 @@ only those counts; its precision, recall and F1 are derived from them.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Model, rollout
 from .tensor import no_grad
+from .threads import ordered_map
 from .training import ShowBlankSchedule, target_mask
 
 __all__ = [
@@ -91,32 +91,6 @@ def pooled_counts(preds, batch, schedule, threshold: float) -> dict:
     return counts
 
 
-# The variables README lists for pinning the BLAS thread pools.
-# NUMEXPR_NUM_THREADS is not one: numpy's BLAS never reads it.
-_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                     "VECLIB_MAXIMUM_THREADS")
-
-
-def _workers(sequences: int) -> int:
-    """How many threads score ``sequences`` at once: the usable CPUs
-    divided by the threads each BLAS call may use (the largest pinned
-    count), and at most one thread per sequence. With no BLAS variable set,
-    or one that is not a positive integer, BLAS may already use every core,
-    so this gives 1."""
-    try:
-        blas = max((int(os.environ[v]) for v in _BLAS_THREAD_VARS if v in os.environ),
-                   default=0)
-    except ValueError:
-        blas = 0
-    if blas < 1:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(sequences, cpus // blas))
-
-
 def f1_horizon(model: Model, dataset, schedule, threshold: float = 0.5) -> HorizonCurve:
     """Micro-averaged precision/recall/F1 at each blanked offset, scoring
     predictions against the withheld observations on visible and
@@ -126,7 +100,7 @@ def f1_horizon(model: Model, dataset, schedule, threshold: float = 0.5) -> Horiz
     counts are summed in sequence order, so the curve does not depend on
     how many sequences run at once. When the environment pins the BLAS
     thread pools, sequences run on as many threads as the usable CPUs
-    hold at that pool size (see ``_workers``); otherwise they run one
+    hold at that pool size (see ``threads.workers``); otherwise they run one
     after another in the caller's thread. Either way they run under
     ``no_grad`` and the caller's ``precision``."""
     if not (0.0 < threshold < 1.0):
@@ -141,19 +115,8 @@ def f1_horizon(model: Model, dataset, schedule, threshold: float = 0.5) -> Horiz
         preds = rollout(model, batch, schedule)
         return pooled_counts([p.data[0, 0] for p in preds], batch, schedule, threshold)
 
-    workers = _workers(len(dataset))
-    with no_grad():
-        if workers == 1:
-            scored = list(map(score, dataset))
-        else:
-            # Imported on first use: importing it (and logging) with this
-            # module shifted training's heap and cost static-train 4%. One
-            # pool per call: a module-level pool would leave a forked child
-            # holding threads that do not exist in it.
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(workers) as pool:
-                scored = list(pool.map(score, dataset))
+    with no_grad(), ordered_map(len(dataset)) as run:
+        scored = list(run(score, dataset))
     counts = {k: [0, 0, 0, 0] for k in schedule.offsets()}
     for seq in scored:
         for k, c in seq.items():

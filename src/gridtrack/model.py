@@ -61,6 +61,7 @@ __all__ = [
     "Model",
     "variant_names",
     "build",
+    "replica",
     "initial_state",
     "step",
     "decode",
@@ -220,6 +221,24 @@ def build(config: ModelConfig, seed: int) -> Model:
             bias_grids.append(Tensor(z, requires_grad=True))
     decoder = ConvParams.initialize(1, config.decoder_in, _DECODER_KERNEL, rng, dilation=1)
     return Model(config=config, cells=tuple(cells), bias_grids=tuple(bias_grids), decoder=decoder)
+
+
+def replica(model: Model) -> Model:
+    """The same model on fresh leaf Tensors over the same parameter arrays
+    (shared, not copied). A rollout on it computes what one on ``model``
+    does, and its backward writes only the replica's own ``grad``s, so
+    several threads can backpropagate through one model's weights at once.
+    """
+
+    def leaf(t: Tensor) -> Tensor:
+        return Tensor(t.data, requires_grad=t.requires_grad, dtype=t.data.dtype)
+
+    def conv(c: ConvParams) -> ConvParams:
+        return ConvParams(kernel=leaf(c.kernel), bias=leaf(c.bias), dilation=c.dilation)
+
+    cells = tuple(tuple(map(conv, c)) if isinstance(c, tuple) else conv(c) for c in model.cells)
+    return Model(config=model.config, cells=cells,
+                 bias_grids=tuple(map(leaf, model.bias_grids)), decoder=conv(model.decoder))
 
 
 def initial_state(model: Model, batch_size: int = 1) -> tuple:

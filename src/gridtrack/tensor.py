@@ -53,11 +53,15 @@ so no-grad rollouts never pay for it. A rigid warp gives a target at most
 two live sources per corner, added in the input dtype: for finite gradients,
 the bits of a float64 scatter-add (``np.bincount``) of the weighted gradient.
 
-Several threads may run no-grad rollouts of one model at once: scratch is
-per thread, so no two share a buffer, and such a rollout writes nothing
-another reads. Grad mode (``no_grad``) and ``precision`` are process-wide,
-not per thread: threads started inside either run under it, and neither
-may be entered or left while other threads run ops.
+Several threads may run rollouts of one model's weights at once: scratch
+is per thread, so no two share a buffer, and the ops only read parameter
+arrays. A no-grad rollout writes nothing another reads. Rollouts in grad
+mode, and their backward passes, may run at once when their graphs share
+no leaf Tensor, since backward adds into each leaf's ``grad``: training
+gives each thread its own leaves over the same arrays (``model.replica``).
+Grad mode (``no_grad``) and ``precision`` are process-wide, not per thread:
+threads started inside either run under it, and neither may be entered or
+left while other threads run ops.
 """
 
 from __future__ import annotations

@@ -8,6 +8,14 @@ frames the mask is further restricted to the region each sequence's own
 egomotion keeps predictable from space seen before the blank started.
 Scoring is per sequence, not per frame: one (F, M, M) target mask each, and
 one ``masked_bce`` over every frame of the minibatch.
+
+A training step backpropagates each sample of its minibatch on its own
+graph and gradient sink, weighted by its share of the minibatch's scored
+cells, and adds the gradients in sample order (``minibatch_backward``). The
+loss is still the pooled mean over the minibatch's scored cells. Only as many
+graphs are alive at once as samples run at once: one after another, or, when
+the BLAS thread pools are pinned, on the CPUs they leave idle. How many run
+at once changes no bit; a batch of one runs the plain backward.
 """
 
 from __future__ import annotations
@@ -19,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import predictable_mask
-from .model import Model, rollout, save_checkpoint
+from .model import Model, replica, rollout, save_checkpoint
 from .tensor import Tensor, concat_channels, masked_bce
+from .threads import ordered_map
 
 __all__ = [
     "OPTIMIZERS",
@@ -29,6 +38,7 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "sequence_loss",
+    "minibatch_backward",
     "adam_step",
     "sgd_momentum_step",
     "train",
@@ -168,12 +178,59 @@ def sgd_momentum_step(params, grads, state: dict, lr: float) -> dict:
     return state
 
 
+def minibatch_backward(model: Model, batches, schedule: ShowBlankSchedule, run=map) -> float:
+    """Backpropagate a minibatch's pooled loss one sample at a time, leave
+    its gradient in ``model``'s ``grad``s and return the loss.
+
+    With n_s the cells sample s scores and N the minibatch's total, sample
+    s's ``sequence_loss`` is weighted by n_s / N, so the weighted losses add
+    up to the minibatch's pooled mean, and the gradient is the sum, in
+    sample order, of each sample's weighted gradient. Sample 0 runs on
+    ``model`` itself and every later one on a ``replica``, whose backward
+    writes gradients of its own, so ``run`` (a ``map``, such as a thread
+    pool's) may run samples at once without changing a bit. Each sample's
+    graph is freed by its backward: as many graphs are alive at once as
+    ``run`` runs samples. A sample whose loss is not finite is not
+    backpropagated. A lone sample runs exactly as
+    ``sequence_loss(model, batches, schedule).backward()`` would."""
+    batches = list(batches)
+    # a lone sample has weight 1 whatever it scores, so its cells go uncounted
+    cells = [int(target_mask(b, schedule).sum()) for b in batches] if len(batches) > 1 else [1]
+    total = sum(cells)
+
+    def backprop(item) -> tuple:
+        s, batch = item
+        sink = model if s == 0 else replica(model)
+        loss = sequence_loss(sink, [batch], schedule)
+        weight = cells[s] / total if total else 1.0
+        if weight != 1.0:
+            loss = loss * weight
+        value = loss.item()
+        if np.isfinite(value):
+            loss.backward()
+        return value, sink
+
+    results = list(run(backprop, enumerate(batches)))
+    for _, sink in results[1:]:
+        for p, q in zip(model.parameters(), sink.parameters()):
+            if q.grad is not None:
+                p._accum(q.grad)
+    return sum(value for value, _ in results)
+
+
 def train(model: Model, dataset, cfg: TrainConfig) -> TrainResult:
     """Seeded minibatch training. Each epoch draws a fresh permutation of the
     dataset from the seed, groups consecutive sequences into minibatches, and
     applies the configured optimizer. Stops at max_steps, on a loss plateau
     (no new best for plateau_patience steps), and aborts on a non-finite loss
     or, before the optimizer step, on a non-finite parameter gradient.
+
+    Each minibatch is backpropagated one sample at a time
+    (``minibatch_backward``). When the environment pins the BLAS thread
+    pools, samples run on as many threads as the usable CPUs hold at that
+    pool size (see ``threads.workers``), one pool per call; otherwise one
+    after another in the caller's thread. The trained bits are the same
+    either way.
     """
     dataset = list(dataset)
     if not dataset:
@@ -194,46 +251,45 @@ def train(model: Model, dataset, cfg: TrainConfig) -> TrainResult:
     step_idx = 0
     # the log and the checkpoint directory appear at their first write, so a
     # call that fails before its first step leaves nothing behind
-    while step_idx < cfg.max_steps:
-        order = rng.permutation(len(dataset))
-        for lo in range(0, len(dataset), cfg.batch_size):
-            if step_idx >= cfg.max_steps:
+    with ordered_map(min(cfg.batch_size, len(dataset))) as run:
+        while step_idx < cfg.max_steps:
+            order = rng.permutation(len(dataset))
+            for lo in range(0, len(dataset), cfg.batch_size):
+                if step_idx >= cfg.max_steps:
+                    break
+                group = [dataset[i] for i in order[lo : lo + cfg.batch_size]]
+                t0 = time.monotonic()
+                model.zero_grad()
+                value = minibatch_backward(model, group, cfg.schedule, run)
+                if not np.isfinite(value):
+                    raise FloatingPointError(f"training diverged at step {step_idx}")
+                grads = []
+                for name, p in named:
+                    if p.grad is not None and not np.isfinite(p.grad).all():
+                        raise FloatingPointError(
+                            f"non-finite gradient in {name} at step {step_idx}"
+                        )
+                    grads.append(p.grad if p.grad is not None else np.zeros_like(p.data))
+                if cfg.optimizer == "adam":
+                    state = adam_step(params, grads, state, cfg.learning_rate)
+                else:
+                    state = sgd_momentum_step(params, grads, state, cfg.learning_rate)
+                losses.append(value)
+                step_idx += 1
+                if cfg.log_path:
+                    ms = (time.monotonic() - t0) * 1000.0
+                    os.makedirs(os.path.dirname(cfg.log_path) or ".", exist_ok=True)
+                    with open(cfg.log_path, "a") as fh:
+                        fh.write(f"{step_idx} {value:.6f} {ms:.1f}\n")
+                if value < best - 1e-6:
+                    best = value
+                    best_step = step_idx
+                if cfg.checkpoint_every and step_idx % cfg.checkpoint_every == 0:
+                    os.makedirs(cfg.checkpoint_dir, exist_ok=True)
+                    save_checkpoint(model, f"{cfg.checkpoint_dir}/step{step_idx:06d}.ckpt")
+                if cfg.plateau_patience and step_idx - best_step >= cfg.plateau_patience:
+                    stop_reason = "plateau"
+                    break
+            if stop_reason == "plateau":
                 break
-            group = [dataset[i] for i in order[lo : lo + cfg.batch_size]]
-            t0 = time.monotonic()
-            model.zero_grad()
-            loss = sequence_loss(model, group, cfg.schedule)
-            value = float(loss.item())
-            if not np.isfinite(value):
-                raise FloatingPointError(f"training diverged at step {step_idx}")
-            loss.backward()
-            grads = []
-            for name, p in named:
-                if p.grad is not None and not np.isfinite(p.grad).all():
-                    raise FloatingPointError(
-                        f"non-finite gradient in {name} at step {step_idx}"
-                    )
-                grads.append(p.grad if p.grad is not None else np.zeros_like(p.data))
-            if cfg.optimizer == "adam":
-                state = adam_step(params, grads, state, cfg.learning_rate)
-            else:
-                state = sgd_momentum_step(params, grads, state, cfg.learning_rate)
-            losses.append(value)
-            step_idx += 1
-            if cfg.log_path:
-                ms = (time.monotonic() - t0) * 1000.0
-                os.makedirs(os.path.dirname(cfg.log_path) or ".", exist_ok=True)
-                with open(cfg.log_path, "a") as fh:
-                    fh.write(f"{step_idx} {value:.6f} {ms:.1f}\n")
-            if value < best - 1e-6:
-                best = value
-                best_step = step_idx
-            if cfg.checkpoint_every and step_idx % cfg.checkpoint_every == 0:
-                os.makedirs(cfg.checkpoint_dir, exist_ok=True)
-                save_checkpoint(model, f"{cfg.checkpoint_dir}/step{step_idx:06d}.ckpt")
-            if cfg.plateau_patience and step_idx - best_step >= cfg.plateau_patience:
-                stop_reason = "plateau"
-                break
-        if stop_reason == "plateau":
-            break
     return TrainResult(model=model, losses=losses, stop_reason=stop_reason, steps=step_idx)

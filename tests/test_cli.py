@@ -226,6 +226,26 @@ def test_train_writes_log(static_data, tmp_path):
     assert len(log.read_text().strip().splitlines()) == 2
 
 
+@pytest.mark.parametrize("flag, path", [
+    ("--out", "afile/model.ckpt"),
+    ("--log", "afile/logs/train.log"),
+    ("--checkpoint-dir", "afile/ckpt"),
+])
+def test_train_rejects_an_output_under_a_file_before_the_first_step(static_data, tmp_path,
+                                                                     capsys, flag, path):
+    (tmp_path / "afile").write_text("not a directory")
+    log = tmp_path / "train.log"
+    over = {"--log": log, "--out": tmp_path / "m.ckpt", flag: tmp_path / path}
+    argv = train_args(static_data, over.pop("--out"), **over)
+    if flag == "--checkpoint-dir":
+        argv += ["--checkpoint-every", "1"]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and "is not a directory" in err
+    assert not log.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+
 # ----------------------------------------------------------------------- eval
 
 

@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from gridtrack import evaluation
+from gridtrack import evaluation, threads
 from gridtrack.evaluation import (
     HorizonCurve,
     compare_models,
@@ -207,7 +207,7 @@ def test_f1_horizon_counts_do_not_depend_on_the_worker_count(moving, dtype, monk
         model, data, sched = horizon_case(moving)
         curves = {}
         for workers in (1, 2, 3):
-            monkeypatch.setattr(evaluation, "_workers", lambda n, k=workers: k)
+            monkeypatch.setattr(threads, "workers", lambda n, k=workers: k)
             curves[workers] = f1_horizon(model, data, sched)
     assert curves[2].counts == curves[1].counts
     assert curves[3].counts == curves[1].counts
@@ -220,7 +220,7 @@ def test_f1_horizon_threads_share_no_scratch(monkeypatch):
     model, data, sched = horizon_case(moving=True)
     data = data + data
     serial = f1_horizon(model, data, sched)
-    monkeypatch.setattr(evaluation, "_workers", lambda n: len(data))
+    monkeypatch.setattr(threads, "workers", lambda n: len(data))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -257,7 +257,7 @@ def test_f1_horizon_runs_in_the_callers_thread_when_blas_is_not_pinned(monkeypat
 
 def test_f1_horizon_scores_through_the_module_functions_on_workers(monkeypatch):
     model, data, sched = horizon_case(moving=False)
-    monkeypatch.setattr(evaluation, "_workers", lambda n: 2)
+    monkeypatch.setattr(threads, "workers", lambda n: 2)
     calls = record_threads(monkeypatch)
     f1_horizon(model, data, sched)
     assert sorted(name for name, _ in calls) == ["pooled_counts"] * 4 + ["rollout"] * 4
@@ -286,10 +286,10 @@ def test_workers_divide_the_usable_cpus_by_the_blas_threads(env, cpus, sequences
     for var, value in env.items():
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    assert evaluation._workers(sequences) == want
+    assert threads.workers(sequences) == want
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert evaluation._workers(sequences) == want
+    assert threads.workers(sequences) == want
 
 
 def test_scoring_rejects_a_grid_with_another_cell_size():

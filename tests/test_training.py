@@ -3,10 +3,12 @@ gradient flow through blanked frames, determinism, and small learnable
 problems."""
 
 import re
+import sys
 
 import numpy as np
 import pytest
 
+from gridtrack import threads, training
 from gridtrack.geometry import GridSpec, ObservationGrid, Pose2, se2_compose, source_points
 from gridtrack.model import ModelConfig, build, initial_state
 from gridtrack.simulator import (
@@ -28,8 +30,10 @@ from gridtrack.training import (
     TrainConfig,
     TrainResult,
     adam_step,
+    minibatch_backward,
     sequence_loss,
     sgd_momentum_step,
+    target_mask,
     train,
 )
 
@@ -510,6 +514,108 @@ def test_train_non_finite_gradient_guard(monkeypatch):
     cfg = TrainConfig(schedule=ShowBlankSchedule(total_frames=4, show=2, blank=2), max_steps=2)
     with pytest.raises(FloatingPointError, match=r"layer1\.wh\.bias"):
         train(model, [batch], cfg)
+    for p, b in zip(model.parameters(), before):
+        assert np.array_equal(p.data, b)
+
+
+# ------------------------------------------------------- per-sample backward
+
+
+def turning_minibatch(seeds=(2, 3, 4, 5)):
+    """Turning-sensor sequences whose target masks differ in size, and an
+    STM model, which warps each sample's state by its own transforms."""
+    spec = GridSpec(size_cells=11, cell_size=0.4)
+    data = [moving_turning(seed=s, spec=spec, frames=6) for s in seeds]
+    sched = ShowBlankSchedule(total_frames=6, show=2, blank=1)
+    return tiny_model(spec, variant="GRU3DilConv_16", use_stm=True), data, sched
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_train_bits_do_not_depend_on_the_worker_count(dtype, monkeypatch):
+    """Batch-4 training on 1, 2 and 4 threads (more threads than cores,
+    switching often) gives the same losses and parameter bytes."""
+    runs = {}
+    interval = sys.getswitchinterval()
+    try:
+        with precision(dtype):
+            for workers in (1, 2, 4):
+                monkeypatch.setattr(threads, "workers", lambda n, k=workers: k)
+                sys.setswitchinterval(1e-6 if workers == 4 else interval)
+                model, data, sched = turning_minibatch()
+                cfg = TrainConfig(schedule=sched, learning_rate=1e-2, batch_size=4,
+                                  max_steps=3, moving_sensor=True)
+                runs[workers] = train(model, data, cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    one = runs[1]
+    assert all(np.isfinite(one.losses)) and len(one.losses) == 3
+    for workers in (2, 4):
+        assert runs[workers].losses == one.losses
+        for pa, pb in zip(runs[workers].model.parameters(), one.model.parameters()):
+            assert pa.data.tobytes() == pb.data.tobytes()
+
+
+@pytest.mark.parametrize("dtype, rtol", [("float32", 1e-6), ("float64", 1e-12)])
+def test_minibatch_backward_matches_the_pooled_loss(dtype, rtol):
+    """Per-sample losses weighted by their share of the scored cells add up
+    to the pooled loss of the whole minibatch, and their gradients to its
+    gradient (relative to each parameter's largest entry)."""
+    with precision(dtype):
+        model, data, sched = turning_minibatch()
+        cells = [target_mask(b, sched).sum() for b in data]
+        assert len(set(cells)) > 1
+        pooled = sequence_loss(model, data, sched)
+        pooled.backward()
+        want = [p.grad.copy() for p in model.parameters()]
+        model.zero_grad()
+        got = minibatch_backward(model, data, sched)
+    assert abs(got - pooled.item()) <= rtol * pooled.item()
+    for p, w in zip(model.parameters(), want):
+        assert np.abs(p.grad - w).max() <= rtol * np.abs(w).max()
+
+
+def test_minibatch_backward_of_one_sample_is_the_plain_backward():
+    model, data, sched = turning_minibatch(seeds=(3,))
+    loss = sequence_loss(model, data, sched)
+    loss.backward()
+    want = [p.grad.copy() for p in model.parameters()]
+    model.zero_grad()
+    assert minibatch_backward(model, data, sched) == loss.item()
+    for p, w in zip(model.parameters(), want):
+        assert np.array_equal(p.grad, w)
+
+
+def test_train_names_a_nan_gradient_only_a_later_sample_produces(monkeypatch):
+    """A NaN in one parameter's gradient of the third sample of a batch of
+    four, backpropagated on a replica, stops training before the optimizer
+    step, names that parameter, and leaves every parameter unchanged."""
+    model, data, sched = turning_minibatch()
+    before = [p.data.copy() for p in model.parameters()]
+    cfg = TrainConfig(schedule=sched, batch_size=4, max_steps=1, moving_sensor=True)
+    poisoned = data[np.random.default_rng(cfg.seed).permutation(len(data))[2]]
+    real = training.sequence_loss
+
+    def nan_grad_in_one_sample(sink, batches, schedule):
+        loss = real(sink, batches, schedule)
+        if batches[0] is not poisoned:
+            return loss
+        assert sink is not model
+        target = sink.cells[1][2].bias
+        spike = Tensor(np.asarray(0.0), requires_grad=True)
+        spike._prev = (target,)
+
+        def backward():
+            g = np.zeros_like(target.data)
+            g[0] = np.nan
+            target._accum(g)
+
+        spike._backward = backward
+        return loss + spike
+
+    monkeypatch.setattr(training, "sequence_loss", nan_grad_in_one_sample)
+    monkeypatch.setattr(threads, "workers", lambda n: 2)
+    with pytest.raises(FloatingPointError, match=r"layer1\.wh\.bias"):
+        train(model, data, cfg)
     for p, b in zip(model.parameters(), before):
         assert np.array_equal(p.data, b)
 
