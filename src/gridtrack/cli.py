@@ -90,7 +90,7 @@ def cmd_train(args) -> int:
     _check_directory(os.path.dirname(args.out) or ".", f"--out {args.out}")
     if args.log:
         _check_directory(os.path.dirname(args.log) or ".", f"--log {args.log}")
-    if args.checkpoint_dir:
+    if args.checkpoint_every > 0:
         _check_directory(args.checkpoint_dir, f"--checkpoint-dir {args.checkpoint_dir}")
     model = build(
         ModelConfig.for_variant(args.variant, batches[0].spec, use_stm=args.stm == "on"),

@@ -15,7 +15,9 @@ cells, and adds the gradients in sample order (``minibatch_backward``). The
 loss is still the pooled mean over the minibatch's scored cells. Only as many
 graphs are alive at once as samples run at once: one after another, or, when
 the BLAS thread pools are pinned, on the CPUs they leave idle. How many run
-at once changes no bit; a batch of one runs the plain backward.
+at once changes no bit; a batch of one gives the plain backward's bits. The
+memory is bought with speed: one after another, a minibatch's samples take
+longer than one batched step would, in smaller GEMMs.
 """
 
 from __future__ import annotations
@@ -191,20 +193,16 @@ def minibatch_backward(model: Model, batches, schedule: ShowBlankSchedule, run=m
     pool's) may run samples at once without changing a bit. Each sample's
     graph is freed by its backward: as many graphs are alive at once as
     ``run`` runs samples. A sample whose loss is not finite is not
-    backpropagated. A lone sample runs exactly as
+    backpropagated. A lone sample has weight exactly 1, so it gives the bits
     ``sequence_loss(model, batches, schedule).backward()`` would."""
     batches = list(batches)
-    # a lone sample has weight 1 whatever it scores, so its cells go uncounted
-    cells = [int(target_mask(b, schedule).sum()) for b in batches] if len(batches) > 1 else [1]
+    cells = [int(target_mask(b, schedule).sum()) for b in batches]
     total = sum(cells)
 
     def backprop(item) -> tuple:
         s, batch = item
         sink = model if s == 0 else replica(model)
-        loss = sequence_loss(sink, [batch], schedule)
-        weight = cells[s] / total if total else 1.0
-        if weight != 1.0:
-            loss = loss * weight
+        loss = sequence_loss(sink, [batch], schedule) * (cells[s] / total if total else 1.0)
         value = loss.item()
         if np.isfinite(value):
             loss.backward()

@@ -246,6 +246,16 @@ def test_train_rejects_an_output_under_a_file_before_the_first_step(static_data,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
 
 
+def test_train_ignores_a_checkpoint_dir_it_never_writes(static_data, tmp_path):
+    """With --checkpoint-every 0 no checkpoint is written, so a
+    --checkpoint-dir under a file is no reason to refuse the run."""
+    (tmp_path / "afile").write_text("not a directory")
+    ckpt = tmp_path / "m.ckpt"
+    argv = train_args(static_data, ckpt, **{"--checkpoint-dir": tmp_path / "afile/ckpt"})
+    assert run(*argv, "--checkpoint-every", "0") == 0
+    assert ckpt.exists()
+
+
 # ----------------------------------------------------------------------- eval
 
 
