@@ -16,12 +16,11 @@ phase and each phase's median and quartiles reported in milliseconds.
   GRU3DilConv_16 (a layer's stacked update/reset gates or its candidate, or
   the decoder) at the benchmark workloads' shapes: batch 1 on a 51x51 grid
   and batch 4 on 33x33.
-- ``warp``: ``tensor.bilinear_sample`` under fixed turns of 0.05-0.2 rad with
-  sub-cell shifts. Phase ``forward`` is the call given the poses, so it
+- ``warp``: ``tensor.bilinear_sample`` under a fixed turn of 0.05 rad with a
+  sub-cell shift. Phase ``forward`` is the call given the pose, so it
   includes working out where each cell reads; phase ``backward`` is the
   returned node's backward closure on a fixed output gradient. The rows are
-  one pose shared by the batch, as turning-train runs it, four distinct
-  poses, as batches that mix platforms will, and one 51x51 map.
+  a batch of four maps under one pose and one 51x51 map.
 - ``encode``: ``geometry.encode_observation`` (phase ``call``), cycling
   through every scan the simulator hands the encoder while one builder
   builds one sequence at seed 0, so each of three builders gives one row.
@@ -61,9 +60,8 @@ SHAPES = [
     ("conv_bwd", "B4 33x33, 18->32, d1", dict(batch=4, grid=33, parts=[2, 16], out=32, dilation=1)),
     ("conv_bwd", "B4 33x33, 32->16, d2", dict(batch=4, grid=33, parts=[16, 16], out=16, dilation=2)),
     ("conv_bwd", "B4 33x33, 32->32, d4", dict(batch=4, grid=33, parts=[16, 16], out=32, dilation=4)),
-    ("warp", "(4, 16, 33, 33), one shared pose", dict(batch=4, channels=16, grid=33, distinct_poses=1)),
-    ("warp", "(4, 16, 33, 33), 4 distinct poses", dict(batch=4, channels=16, grid=33, distinct_poses=4)),
-    ("warp", "(1, 16, 51, 51)", dict(batch=1, channels=16, grid=51, distinct_poses=1)),
+    ("warp", "(4, 16, 33, 33), one shared pose", dict(batch=4, channels=16, grid=33)),
+    ("warp", "(1, 16, 51, 51)", dict(batch=1, channels=16, grid=51)),
     ("encode", "static_crossing, 51x51, 240 beams", dict(builder="static_crossing", grid=51, beams=240)),
     ("encode", "moving_turning, 33x33, 240 beams", dict(builder="moving_turning", grid=33, beams=240)),
     ("encode", "occlusion_scenario, 51x51, 720 beams", dict(builder="occlusion_scenario", grid=51, beams=720)),
@@ -77,20 +75,18 @@ def conv_bwd(rng, batch, grid, parts, out, dilation):
     return lambda i: None, [("backward", lambda _: _conv_bwd(xs, dilation, kern, dilation, g, True, True))]
 
 
-def warp(rng, batch, channels, grid, distinct_poses):
+def warp(rng, batch, channels, grid):
     spec = geometry.GridSpec(size_cells=grid, cell_size=CELL_SIZE)
     x = rng.normal(size=(batch, channels, grid, grid)).astype(np.float32)
     g = rng.normal(size=(batch, channels, grid, grid)).astype(np.float32)
-    turns = [geometry.Pose2(0.031 + 0.02 * i, -0.047 + 0.015 * i, 0.05 + 0.05 * i)
-             for i in range(distinct_poses)]
-    poses = [turns[i % distinct_poses] for i in range(batch)]
+    pose = geometry.Pose2(0.031, -0.047, 0.05)
 
     def backward(out):
         out.grad = g
         out._backward()
 
     return (lambda i: Tensor(x, requires_grad=True),
-            [("forward", lambda xt: bilinear_sample(xt, poses, spec)), ("backward", backward)])
+            [("forward", lambda xt: bilinear_sample(xt, pose, spec)), ("backward", backward)])
 
 
 def encode(rng, builder, grid, beams):

@@ -161,9 +161,6 @@ class GridSpec:
         """Metric coordinates of cell centers along one axis."""
         return (np.arange(self.size_cells) - self.center) * self.cell_size
 
-    def in_grid(self, i: int, j: int) -> bool:
-        return 0 <= i < self.size_cells and 0 <= j < self.size_cells
-
 
 def json_field(doc: dict, key: str, kind):
     """``doc[key]`` from a decoded JSON object, checked to be an instance of

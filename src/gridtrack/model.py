@@ -19,12 +19,13 @@ Variants:
 A ModelConfig stores only the variant name, the egomotion switch and the
 grid; the layer stack, decoder input and static bias are read from the
 variant table above. The recurrent state is a plain tuple of per-layer
-(batch, maps, M, M) Tensors, registered to the current sensor frame. Every
+(1, maps, M, M) Tensors, registered to the current sensor frame. Every
 multi-frame run (training loss, evaluation, rendering) goes through one
-unroll, which checks each minibatch against the model once, its grid
-included: ``unroll`` yields the state and the prediction per frame,
+unroll of one sequence, which checks the sequence against the model once,
+its grid included: ``unroll`` yields the state and the prediction per frame,
 ``rollout`` collects the predictions, and models without egomotion
-compensation never warp their state.
+compensation never warp their state. A minibatch's sequences each run on
+their own, so each is warped by its own egomotion.
 
 Checkpoints are where weights enter from outside the program, so their
 decoder rejects non-finite values.
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GridSpec, ObservationGrid, Pose2, json_field
+from .geometry import GridSpec, Pose2, json_field
 from .tensor import (
     ConvParams,
     Tensor,
@@ -63,7 +64,6 @@ __all__ = [
     "build",
     "replica",
     "initial_state",
-    "step",
     "decode",
     "unroll",
     "rollout",
@@ -241,23 +241,23 @@ def replica(model: Model) -> Model:
                  bias_grids=tuple(map(leaf, model.bias_grids)), decoder=conv(model.decoder))
 
 
-def initial_state(model: Model, batch_size: int = 1) -> tuple:
-    """The all-zero recurrent state: one (batch_size, maps, M, M) Tensor per
-    layer."""
+def initial_state(model: Model) -> tuple:
+    """The all-zero recurrent state: one (1, maps, M, M) Tensor per layer."""
     m = model.config.grid.size_cells
     return tuple(
-        Tensor(np.zeros((batch_size, maps, m, m), dtype=default_dtype()))
+        Tensor(np.zeros((1, maps, m, m), dtype=default_dtype()))
         for maps, _, _ in model.config.layers
     )
 
 
-def _step_planes(model: Model, h_prev: tuple, x: Tensor, poses: list) -> tuple:
-    """One frame; ``step`` or ``unroll`` has checked ``x`` and ``poses``.
-    Every layer's state is warped with the frame's one sampling plan."""
+def _step_planes(model: Model, h_prev: tuple, x: Tensor, pose: Pose2) -> tuple:
+    """One frame; ``unroll`` has checked ``x`` and ``pose``. With egomotion
+    compensation, every layer's state is warped with the frame's one
+    sampling plan."""
     cfg = model.config
     prev = h_prev
-    if cfg.use_stm and not all(p.is_identity(1e-12) for p in poses):
-        plan = sample_plan(poses, cfg.grid, prev[0].dtype)
+    if cfg.use_stm and not pose.is_identity(1e-12):
+        plan = sample_plan(pose, cfg.grid, prev[0].dtype)
         prev = tuple(bilinear_sample(h, plan, cfg.grid) for h in prev)
     new_layers = []
     inp = x
@@ -272,39 +272,13 @@ def _step_planes(model: Model, h_prev: tuple, x: Tensor, poses: list) -> tuple:
     return tuple(new_layers)
 
 
-def _input_planes(model: Model, obs, batch_size: int) -> Tensor:
-    """(B, 2, M, M) input planes for one frame: all zero for BLANK, else the
-    planes of ``obs``, a list of one ObservationGrid per sample."""
+def _input_planes(model: Model, obs) -> Tensor:
+    """(1, 2, M, M) input planes for one frame: all zero for BLANK, else the
+    planes of the ObservationGrid ``obs``."""
     if obs is BLANK:
         m = model.config.grid.size_cells
-        return Tensor(np.zeros((batch_size, 2, m, m), dtype=default_dtype()))
-    return Tensor(np.stack([g.planes(default_dtype()) for g in obs]))
-
-
-def step(model: Model, h_prev: tuple, obs, egomotion) -> tuple:
-    """Advance the recurrent state, a tuple of per-layer Tensors, one frame.
-    ``obs`` is an ObservationGrid or BLANK (withheld input, encoded as
-    all-zero planes). With egomotion compensation enabled, h_prev is first
-    resampled under ``egomotion``, one relative transform for all samples or
-    one per sample; otherwise it must be identity."""
-    cfg = model.config
-    if len(h_prev) != len(cfg.layers):
-        raise ValueError("hidden state layer count does not match model")
-    batch, m = h_prev[0].data.shape[0], cfg.grid.size_cells
-    if obs is not BLANK:
-        if not isinstance(obs, ObservationGrid):
-            raise TypeError(f"expected ObservationGrid or BLANK, got {type(obs).__name__}")
-        if obs.size_cells != m:
-            raise ValueError(f"observation is {obs.size_cells} cells, model expects {m}")
-        if batch != 1:
-            raise ValueError(f"1 observation cannot drive a batch of {batch}")
-        obs = [obs]
-    poses = [egomotion] * batch if isinstance(egomotion, Pose2) else list(egomotion)
-    if len(poses) != batch:
-        raise ValueError(f"got {len(poses)} transforms for a batch of {batch}")
-    if not cfg.use_stm and not all(p.is_identity(1e-12) for p in poses):
-        raise ValueError("egomotion compensation is disabled; pass identity egomotion")
-    return _step_planes(model, h_prev, _input_planes(model, obs, batch), poses)
+        return Tensor(np.zeros((1, 2, m, m), dtype=default_dtype()))
+    return Tensor(obs.planes(default_dtype())[None])
 
 
 def decode(model: Model, h: tuple) -> Tensor:
@@ -315,47 +289,35 @@ def decode(model: Model, h: tuple) -> Tensor:
     return conv2d(parts, model.decoder).sigmoid()
 
 
-def unroll(model: Model, batches, schedule):
-    """Run step/decode over full sequences, feeding BLANK at frames the
-    schedule hides, and yield (state, prediction) per frame: the state
-    tuple and a (B,1,M,M) Tensor.
+def unroll(model: Model, batch, schedule):
+    """Run one SequenceBatch through the model frame by frame, feeding BLANK
+    at frames the schedule hides, and yield (state, prediction) per frame:
+    the state tuple and a (1, 1, M, M) Tensor.
 
-    ``batches`` is one SequenceBatch or a list of equal-length ones, stacked
-    into a minibatch, whose sequences must all be on the model's grid: the
-    warp and the targets then share one metric scale. With egomotion
-    compensation each sequence's state is warped by its own transform at
-    every frame, shown or blank; a model without it runs as the no-warp
-    baseline, never warping its state even though the sensor moves
-    (``train`` allows that only as an ablation).
+    The sequence must be on the model's grid, so the warp and the targets
+    share one metric scale. With egomotion compensation the state is warped
+    by the sequence's transform at every frame, shown or blank; a model
+    without it runs as the no-warp baseline, never warping its state even
+    though the sensor moves (``train`` allows that only as an ablation).
     """
-    if hasattr(batches, "observations"):
-        batches = [batches]
-    batches = list(batches)
-    if not batches:
-        raise ValueError("rollout needs at least one sequence")
-    frames = batches[0].frames
-    if any(b.frames != frames for b in batches):
-        raise ValueError("sequences in a minibatch must have equal length")
-    if schedule.total_frames != frames:
+    if schedule.total_frames != batch.frames:
         raise ValueError(
-            f"schedule covers {schedule.total_frames} frames, batch has {frames}"
+            f"schedule covers {schedule.total_frames} frames, batch has {batch.frames}"
         )
-    for b in batches:
-        if b.spec != model.config.grid:
-            raise ValueError(
-                f"model grid {model.config.grid} does not match the dataset grid {b.spec}"
-            )
-    h = initial_state(model, batch_size=len(batches))
-    for f in range(frames):
-        obs = [b.observations[f] for b in batches] if schedule.is_shown(f) else BLANK
-        x = _input_planes(model, obs, len(batches))
-        h = _step_planes(model, h, x, [b.rel_transforms[f] for b in batches])
+    if batch.spec != model.config.grid:
+        raise ValueError(
+            f"model grid {model.config.grid} does not match the dataset grid {batch.spec}"
+        )
+    h = initial_state(model)
+    for f in range(batch.frames):
+        obs = batch.observations[f] if schedule.is_shown(f) else BLANK
+        h = _step_planes(model, h, _input_planes(model, obs), batch.rel_transforms[f])
         yield h, decode(model, h)
 
 
-def rollout(model: Model, batches, schedule) -> list:
+def rollout(model: Model, batch, schedule) -> list:
     """The per-frame predictions of :func:`unroll`, as a list."""
-    return [pred for _, pred in unroll(model, batches, schedule)]
+    return [pred for _, pred in unroll(model, batch, schedule)]
 
 
 # ------------------------------------------------------------ checkpoints

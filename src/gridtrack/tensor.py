@@ -45,13 +45,13 @@ view of reused memory: ``conv2d`` copies its output out of the accumulator.
 
 The warp reads its geometry from a ``SamplePlan``: per corner of the
 bilinear stencil, the source cell and weight of every output cell, for one
-pose shared by the batch or one per sample. The model builds one plan per
-frame and warps every layer with it. Forward, each corner is one gather
-with a cell vector all channels share; backward gathers the output
-gradient through the plan's inverse map, built on the first backward only,
-so no-grad rollouts never pay for it. A rigid warp gives a target at most
-two live sources per corner, added in the input dtype: for finite gradients,
-the bits of a float64 scatter-add (``np.bincount``) of the weighted gradient.
+pose shared by the batch. The model builds one plan per frame and warps
+every layer with it. Forward, each corner is one gather with a cell vector
+all channels share; backward gathers the output gradient through the plan's
+inverse map, built on the first backward only, so no-grad rollouts never
+pay for it. A rigid warp gives a target at most two live sources per
+corner, added in the input dtype: for finite gradients, the bits of a
+float64 scatter-add (``np.bincount``) of the weighted gradient.
 
 Several threads may run rollouts of one model's weights at once: scratch
 is per thread, so no two share a buffer, and the ops only read parameter
@@ -657,12 +657,12 @@ def conv_gru_step(
 # -------------------------------------------------------------- sampling
 
 
-def _sample_coords(transforms, spec: GridSpec, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """(P, M, M) fractional source pixel coordinates of each output cell center
-    under the inverse of each of P transforms. Coordinates within 1e-9 of an
-    integer snap to it so whole-cell translations reproduce inputs bitwise."""
+def _sample_coords(pose: Pose2, spec: GridSpec, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(M, M) fractional source pixel coordinates of each output cell center
+    under the inverse of ``pose``. Coordinates within 1e-9 of an integer snap
+    to it so whole-cell translations reproduce inputs bitwise."""
     c, cs = spec.center, spec.cell_size
-    u, v = (p / cs + c for p in source_points(transforms, spec))
+    u, v = (p[0] / cs + c for p in source_points([pose], spec))
     for arr in (u, v):
         snapped = np.rint(arr)
         near = np.abs(arr - snapped) < 1e-9
@@ -671,35 +671,34 @@ def _sample_coords(transforms, spec: GridSpec, dtype) -> tuple[np.ndarray, np.nd
 
 
 class SamplePlan:
-    """Where each output cell of a bilinear warp reads its source, for P
-    source-coordinate maps (one shared by the batch, or one per sample).
+    """Where each output cell of a bilinear warp reads its source.
 
-    ``cells`` is (4, P, M*M): per corner, the flat source cell each output
-    cell reads, clipped into the grid; ``weights`` is (4, P, 1, M*M) in the
+    ``cells`` is (4, M*M): per corner, the flat source cell each output
+    cell reads, clipped into the grid; ``weights`` is (4, 1, M*M) in the
     coordinates' dtype: the corner's bilinear weight, zero where the corner
     lies off the grid. A warp gathers each corner with one cell vector that
-    all channels share and adds the four weighted corners in corner order.
+    all maps of the batch share and adds the four weighted corners in corner
+    order.
 
     Backward needs the inverse map, built on the first backward only and
-    then kept: per corner and map, each target cell's first live source (a
-    nonzero weight) in source order, or source 0 at weight 0 when it has
-    none, and the second live source of each target that has one. A rigid
-    warp of the square grid gives a target at most two live sources in a
-    corner: any three points of a rotated unit lattice include two at least
-    sqrt(2) apart, and no two points of one half-open unit cell are that far
-    apart; ``inverse`` rejects a plan with a third. Two float32 summands are
-    exact in float64 unless their exponents differ by more than about 29
-    bits, and then both sums round to the larger, so adding the second
-    source in the input dtype gives a float64 ``np.bincount`` scatter of the
-    weighted gradient from +0.0, but for the sign of a zero, which is lost
-    when the corner is added into the input gradient (it starts at +0.0).
+    then kept: per corner, each target cell's first live source (a nonzero
+    weight) in source order, or source 0 at weight 0 when it has none, and
+    the second live source of each target that has one. A rigid warp of the
+    square grid gives a target at most two live sources in a corner: any
+    three points of a rotated unit lattice include two at least sqrt(2)
+    apart, and no two points of one half-open unit cell are that far apart;
+    ``inverse`` rejects a plan with a third. Two float32 summands are exact
+    in float64 unless their exponents differ by more than about 29 bits, and
+    then both sums round to the larger, so adding the second source in the
+    input dtype gives a float64 ``np.bincount`` scatter of the weighted
+    gradient from +0.0, but for the sign of a zero, which is lost when the
+    corner is added into the input gradient (it starts at +0.0).
     """
 
-    def __init__(self, u: np.ndarray, v: np.ndarray, batch: int | None = None):
-        """Plan the warp that reads (P, M, M) fractional source coordinates
-        (u, v). ``batch`` is the batch size the plan serves, or None for any
-        batch when P is 1."""
-        p, m = u.shape[0], u.shape[-1]
+    def __init__(self, u: np.ndarray, v: np.ndarray):
+        """Plan the warp that reads (M, M) fractional source coordinates
+        (u, v)."""
+        m = u.shape[-1]
         i0, j0 = np.floor(u).astype(np.int64), np.floor(v).astype(np.int64)
         fu, fv = u - i0, v - j0
         cells, weights = [], []
@@ -713,9 +712,9 @@ class SamplePlan:
             valid = (ii >= 0) & (ii < m) & (jj >= 0) & (jj < m)
             cells.append(np.clip(ii, 0, m - 1) * m + np.clip(jj, 0, m - 1))
             weights.append((wgt * valid).astype(u.dtype))
-        self.cells = np.stack(cells).reshape(4, p, m * m)
-        self.weights = np.stack(weights).reshape(4, p, 1, m * m)
-        self.size, self.batch = m, batch
+        self.cells = np.stack(cells).reshape(4, m * m)
+        self.weights = np.stack(weights).reshape(4, 1, m * m)
+        self.size = m
         self._inverse = None
 
     @property
@@ -723,94 +722,77 @@ class SamplePlan:
         return self.weights.dtype
 
     def inverse(self) -> tuple:
-        """(first, first_weight, second), built once: the (4, P, M*M) first
-        live source of each target and its weight, and the second sources'
-        corner, map, target, cell and weight, in source order (so by corner)."""
+        """(first, first_weight, second), built once: the (4, M*M) first live
+        source of each target and its weight, and the second sources'
+        corner, target, cell and weight, in source order (so by corner)."""
         if self._inverse is None:
             w = self.weights.ravel()
-            n, p = self.size * self.size, self.cells.shape[1]
-            src = np.flatnonzero(w)  # flat (corner, map, source), in source order
-            key = src - src % n + self.cells.ravel()[src]  # flat (corner, map, target)
+            n = self.size * self.size
+            src = np.flatnonzero(w)  # flat (corner, source), in source order
+            key = src - src % n + self.cells.ravel()[src]  # flat (corner, target)
             first = np.full(w.size, w.size)
             np.minimum.at(first, key, src)
             later = src != first[key]
             sk, ss = key[later], src[later]
             if np.bincount(sk).max(initial=0) > 1:
                 raise ValueError("a target has three or more live sources: the warp must be rigid")
-            corner, rest = np.divmod(sk, p * n)
             self._inverse = (
                 (first % w.size % n).reshape(self.cells.shape),  # no source: cell 0
                 np.append(w, w.dtype.type(0))[first].reshape(self.weights.shape),
-                (corner, *np.divmod(rest, n), ss % n, w[ss]),
+                (*np.divmod(sk, n), ss % n, w[ss]),
             )
         return self._inverse
 
 
-def sample_plan(transform, spec: GridSpec, dtype) -> SamplePlan:
-    """The SamplePlan of a warp into the frame reached by ``transform``: one
-    Pose2 for any batch, or a sequence of B, one per sample (planned once
-    when all B are equal), on the grid of ``spec`` in ``dtype``."""
-    if isinstance(transform, Pose2):
-        poses, batch = [transform], None
-    else:
-        poses = list(transform)
-        batch = len(poses)
-        if poses and all(p == poses[0] for p in poses):
-            poses = poses[:1]
-    return SamplePlan(*_sample_coords(poses, spec, dtype), batch)
+def sample_plan(pose: Pose2, spec: GridSpec, dtype) -> SamplePlan:
+    """The SamplePlan of a warp into the frame reached by ``pose``, on the
+    grid of ``spec`` in ``dtype``."""
+    return SamplePlan(*_sample_coords(pose, spec, dtype))
 
 
 def bilinear_sample(x: Tensor, transform, spec: GridSpec) -> Tensor:
     """Resample (B, C, M, M) feature maps into the frame reached by an SE(2)
     transform: each output cell center is mapped through the inverse transform
     into the source frame and bilinearly interpolated there. ``transform`` is
-    one Pose2 for every sample, a sequence of B, one per sample, or a
-    SamplePlan of either (``sample_plan``), which several maps of one frame
-    can share. Samples outside the source grid read as zero. Differentiable
-    w.r.t. x only.
+    a Pose2 or its SamplePlan (``sample_plan``), which several maps of one
+    frame can share; every sample is warped by it. Samples outside the
+    source grid read as zero. Differentiable w.r.t. x only.
 
-    Each corner is one gather per plan map with the cell vector its channels
-    share, scaled by the corner's weights and added in corner order, so the
-    output is the per-element sum of the plain fancy-indexed formula. The
-    backward gathers the output gradient through the plan's inverse map
-    (see SamplePlan), bitwise what a float64 scatter-add gives for finite
-    gradients."""
-    b, ch, h, w = x.data.shape
+    Each corner is one gather with the cell vector all maps share, scaled by
+    the corner's weights and added in corner order, so the output is the
+    per-element sum of the plain fancy-indexed formula. The backward gathers
+    the output gradient through the plan's inverse map (see SamplePlan),
+    bitwise what a float64 scatter-add gives for finite gradients."""
+    _, _, h, w = x.data.shape
     m = spec.size_cells
     if h != m or w != m:
         raise ValueError(f"input is {h}x{w}, grid expects {m}x{m}")
     plan = transform if isinstance(transform, SamplePlan) else sample_plan(transform, spec, x.dtype)
-    if plan.batch not in (None, b):
-        raise ValueError(f"got {plan.batch} transforms for a batch of {b}")
     if plan.size != m or plan.dtype != x.dtype:
         raise ValueError(f"plan is for {plan.size}x{plan.size} {plan.dtype}, "
                          f"input is {m}x{m} {x.dtype}")
 
-    # (P, rows, M*M): one row block per plan map
-    shape = (plan.cells.shape[1], -1, m * m)
-    xs = x.data.reshape(shape)
+    xs = x.data.reshape(-1, m * m)  # one row per map
     out_data = np.zeros(xs.shape, dtype=x.dtype)
     tmp = _scratch("warp", xs.shape, x.dtype)
     for cells, wv in zip(plan.cells, plan.weights):
-        for src, idx, dst in zip(xs, cells, tmp):
-            np.take(src, idx, axis=1, out=dst, mode="wrap")
+        np.take(xs, cells, axis=1, out=tmp, mode="wrap")
         tmp *= wv
         out_data += tmp
     out = _result(out_data.reshape(x.data.shape), (x,))
     if out._prev:
 
         def backward():
-            g = out.grad.reshape(shape)
-            first, first_w, (corner, tmap, target, source, sw) = plan.inverse()
+            g = out.grad.reshape(xs.shape)
+            first, first_w, (corner, target, source, sw) = plan.inverse()
             bounds = np.searchsorted(corner, range(5))
             gx = np.zeros(g.shape, dtype=x.dtype)
             tmp = _scratch("warp", g.shape, x.dtype)
             for k in range(4):
-                for src, idx, dst in zip(g, first[k], tmp):
-                    np.take(src, idx, axis=1, out=dst, mode="wrap")
+                np.take(g, first[k], axis=1, out=tmp, mode="wrap")
                 tmp *= first_w[k]
                 sl = slice(bounds[k], bounds[k + 1])
-                tmp[tmap[sl], :, target[sl]] += g[tmap[sl], :, source[sl]] * sw[sl, None]
+                tmp[:, target[sl]] += g[:, source[sl]] * sw[sl]
                 gx += tmp
             x._accum(gx.reshape(x.data.shape))
 

@@ -6,18 +6,17 @@ input during shown frames, nothing during blanked frames, and the loss only
 scores cells the sensor actually measured (visibility mask). At blanked
 frames the mask is further restricted to the region each sequence's own
 egomotion keeps predictable from space seen before the blank started.
-Scoring is per sequence, not per frame: one (F, M, M) target mask each, and
-one ``masked_bce`` over every frame of the minibatch.
+Scoring is per sequence, not per frame: one (F, M, M) target mask and one
+``masked_bce`` over every frame of the sequence.
 
-A training step backpropagates each sample of its minibatch on its own
-graph and gradient sink, weighted by its share of the minibatch's scored
-cells, and adds the gradients in sample order (``minibatch_backward``). The
-loss is still the pooled mean over the minibatch's scored cells. Only as many
-graphs are alive at once as samples run at once: one after another, or, when
-the BLAS thread pools are pinned, on the CPUs they leave idle. How many run
-at once changes no bit; a batch of one gives the plain backward's bits. The
-memory is bought with speed: one after another, a minibatch's samples take
-longer than one batched step would, in smaller GEMMs.
+A training step rolls out and backpropagates each sample of its minibatch
+on its own graph and gradient sink, so a minibatch may mix still and moving
+sensors. Each sample is weighted by its share of the minibatch's scored
+cells, so the loss is the pooled mean over those cells, and the gradients
+are added in sample order (``minibatch_backward``). Only as many graphs are
+alive at once as samples run at once: one after another, or, when the BLAS
+thread pools are pinned, on the CPUs they leave idle. How many run at once
+changes no bit; a batch of one gives the plain backward's bits.
 """
 
 from __future__ import annotations
@@ -129,18 +128,13 @@ class TrainResult:
     steps: int
 
 
-def sequence_loss(model: Model, batches, schedule: ShowBlankSchedule) -> Tensor:
-    """Roll the model over the sequence(s) and score every frame against its
-    own observation: one masked_bce over (B, F, M, M) predictions, occupancy
-    and target masks, a mean over the scored cells of all frames.
-    ``batches`` is one SequenceBatch or a list of equal-length ones."""
-    if hasattr(batches, "observations"):
-        batches = [batches]
-    batches = list(batches)
-    pred = concat_channels(rollout(model, batches, schedule))
-    occ = np.stack([[o.occ for o in b.observations] for b in batches])
-    mask = np.stack([target_mask(b, schedule) for b in batches])
-    return masked_bce(pred, occ, mask)
+def sequence_loss(model: Model, batch, schedule: ShowBlankSchedule) -> Tensor:
+    """Roll the model over one sequence and score every frame against its
+    own observation: one masked_bce over (1, F, M, M) predictions, occupancy
+    and target mask, a mean over the scored cells of all frames."""
+    pred = concat_channels(rollout(model, batch, schedule))
+    occ = np.stack([o.occ for o in batch.observations])[None]
+    return masked_bce(pred, occ, target_mask(batch, schedule)[None])
 
 
 def adam_step(params, grads, state: dict, lr: float) -> dict:
@@ -194,7 +188,7 @@ def minibatch_backward(model: Model, batches, schedule: ShowBlankSchedule, run=m
     graph is freed by its backward: as many graphs are alive at once as
     ``run`` runs samples. A sample whose loss is not finite is not
     backpropagated. A lone sample has weight exactly 1, so it gives the bits
-    ``sequence_loss(model, batches, schedule).backward()`` would."""
+    ``sequence_loss(model, batches[0], schedule).backward()`` would."""
     batches = list(batches)
     cells = [int(target_mask(b, schedule).sum()) for b in batches]
     total = sum(cells)
@@ -202,7 +196,7 @@ def minibatch_backward(model: Model, batches, schedule: ShowBlankSchedule, run=m
     def backprop(item) -> tuple:
         s, batch = item
         sink = model if s == 0 else replica(model)
-        loss = sequence_loss(sink, [batch], schedule) * (cells[s] / total if total else 1.0)
+        loss = sequence_loss(sink, batch, schedule) * (cells[s] / total if total else 1.0)
         value = loss.item()
         if np.isfinite(value):
             loss.backward()

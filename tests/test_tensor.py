@@ -955,43 +955,21 @@ def test_bilinear_shared_transform_matches_reference_bitwise(m, dtype):
         assert out.data.tobytes() == want.tobytes()
         assert x.grad.tobytes() == want_grad(g).tobytes()
     # byte for byte under seeded random rigid poses: angles over (-pi, pi]
-    # and near the axes, sub-cell shifts, each pose shared by the batch and
-    # in pairs of per-sample poses, -0.0 rows in g
+    # and near the axes, sub-cell shifts, each pose shared by the batch,
+    # -0.0 rows in g
     sweep = np.random.default_rng(100 + m)
     angles = [*(math.pi - sweep.uniform(0, 2 * math.pi, 6)),
               *(k * math.pi / 2 + sweep.choice([-1, 1]) * 10.0 ** -sweep.integers(5, 10)
                 for k in range(-1, 3))]
-    poses = [Pose2(*(sweep.uniform(-2, 2, 2) * spec.cell_size), a) for a in angles]
-    for transform in [*poses, *zip(poses[::2], poses[1::2])]:
-        per_sample = isinstance(transform, tuple)
+    for t in [Pose2(*(sweep.uniform(-2, 2, 2) * spec.cell_size), a) for a in angles]:
         x = Tensor(rng.normal(size=(2, 2, m, m)), requires_grad=True, dtype=dtype)
         g = rng.normal(size=(2, 2, m, m)).astype(dtype)
         g[:, :, ::3] = -0.0
-        out = bilinear_sample(x, list(transform) if per_sample else transform, spec)
+        out = bilinear_sample(x, t, spec)
         (out * Tensor(g, dtype=dtype)).sum().backward()
-        for i, t in enumerate(transform if per_sample else [transform] * 2):
-            want, want_grad = parent_bilinear(x.data[i : i + 1], t, spec)
-            assert out.data[i : i + 1].tobytes() == want.tobytes(), (t, i)
-            assert x.grad[i : i + 1].tobytes() == want_grad(g[i : i + 1]).tobytes(), (t, i)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_bilinear_per_sample_transforms_match_single_calls(dtype):
-    spec = spec_for(15)
-    rng = np.random.default_rng(11)
-    x = Tensor(rng.normal(size=(4, 3, 15, 15)), requires_grad=True, dtype=dtype)
-    g = rng.normal(size=(4, 3, 15, 15)).astype(dtype)
-    out = bilinear_sample(x, POSES, spec)
-    (out * Tensor(g, dtype=dtype)).sum().backward()
-    for i, t in enumerate(POSES):
-        xi = Tensor(x.data[i : i + 1], requires_grad=True, dtype=dtype)
-        oi = bilinear_sample(xi, t, spec)
-        (oi * Tensor(g[i : i + 1], dtype=dtype)).sum().backward()
-        assert np.array_equal(out.data[i], oi.data[0])
-        assert np.array_equal(x.grad[i], xi.grad[0])
-    # a shared pose equals the same pose repeated per sample
-    same = bilinear_sample(x, [POSES[0]] * 4, spec)
-    assert np.array_equal(same.data, bilinear_sample(x, POSES[0], spec).data)
+        want, want_grad = parent_bilinear(x.data, t, spec)
+        assert out.data.tobytes() == want.tobytes(), t
+        assert x.grad.tobytes() == want_grad(g).tobytes(), t
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -1004,7 +982,7 @@ def test_plan_rejects_targets_of_three_or_more_sources(dtype):
     rng = np.random.default_rng(21)
     ii, jj = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
     u, v = (0.3 * ii + 2.1).astype(dtype), (0.35 * jj - 0.4 * ii + 6.3).astype(dtype)
-    plan = SamplePlan(u[None], v[None])
+    plan = SamplePlan(u, v)
     x = Tensor(rng.normal(size=(2, 3, m, m)), requires_grad=True, dtype=dtype)
     g = rng.normal(size=(2, 3, m, m)).astype(dtype)
     out = bilinear_sample(x, plan, spec_for(m))
@@ -1029,69 +1007,61 @@ def test_rigid_warps_give_a_target_at_most_two_live_sources(m):
         for fx, fy in shifts:
             for dtype in (np.float32, np.float64):
                 plan = sample_plan(Pose2(fx * spec.cell_size, fy * spec.cell_size, theta), spec, dtype)
-                live = plan.weights[:, 0, 0] != 0
-                sources = np.bincount((block + plan.cells[:, 0])[live])
+                live = plan.weights[:, 0] != 0
+                sources = np.bincount((block + plan.cells)[live])
                 assert sources.max() <= 2, (theta, fx, fy, dtype)
                 plan.inverse()
 
 
-def per_sample_parent_warp(x, poses, spec):
-    """A warp Tensor op made of one ``parent_bilinear`` call per sample."""
-    runs = [parent_bilinear(x.data[i : i + 1], t, spec) for i, t in enumerate(poses)]
-    out = _result(np.concatenate([o for o, _ in runs]), (x,))
+def parent_warp(x, pose, spec):
+    """A warp Tensor op made of one ``parent_bilinear`` call."""
+    data, grad = parent_bilinear(x.data, pose, spec)
+    out = _result(data, (x,))
     if out._prev:
 
         def backward():
-            x._accum(np.concatenate([grad(out.grad[i : i + 1]) for i, (_, grad) in enumerate(runs)]))
+            x._accum(grad(out.grad))
 
         out._backward = backward
     return out
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-@pytest.mark.parametrize("shared_chain", [False, True])
-def test_model_gradients_match_per_sample_parent_warp(dtype, shared_chain, monkeypatch):
-    """sequence_loss plus backward on a 2-sequence moving minibatch gives
-    the same parameter gradients with each frame's plan as with the
-    reference sampler warping each sample on its own."""
+@pytest.mark.parametrize("turning", [False, True])
+def test_model_gradients_match_per_sample_parent_warp(dtype, turning, monkeypatch):
+    """sequence_loss plus backward on one moving sequence, straight or
+    turning, gives the same parameter gradients with each frame's plan as
+    with the reference sampler warping the sample's state."""
     from gridtrack import model as model_mod
     from gridtrack.model import ModelConfig, build
     from gridtrack.simulator import moving_straight, moving_turning
     from gridtrack.training import ShowBlankSchedule, sequence_loss
 
     spec = GridSpec(size_cells=15, cell_size=0.4)
-    second = moving_turning(seed=1, spec=spec, frames=6) if shared_chain else \
-        moving_straight(seed=1, spec=spec, frames=6)
-    batches = [moving_turning(seed=0, spec=spec, frames=6), second]
+    batch = (moving_turning if turning else moving_straight)(seed=1, spec=spec, frames=6)
     sched = ShowBlankSchedule(total_frames=6, show=2, blank=1)
 
     def grads():
         with precision(dtype):
             model = build(ModelConfig.for_variant("GRU3DilConv_16", spec, use_stm=True), seed=3)
-            sequence_loss(model, batches, sched).backward()
+            sequence_loss(model, batch, sched).backward()
         return [(name, t.grad) for name, t in model.named_parameters()]
 
     planned = grads()
-    monkeypatch.setattr(model_mod, "sample_plan", lambda poses, spec, dtype: poses)
-    monkeypatch.setattr(model_mod, "bilinear_sample", per_sample_parent_warp)
+    monkeypatch.setattr(model_mod, "sample_plan", lambda pose, spec, dtype: pose)
+    monkeypatch.setattr(model_mod, "bilinear_sample", parent_warp)
     for (name, got), (_, want) in zip(planned, grads()):
         assert np.array_equal(got, want), name
 
 
-def test_bilinear_rejects_transform_count_mismatch():
-    x = Tensor(np.zeros((3, 1, 7, 7), dtype=np.float32))
-    for poses in ([Pose2.identity()] * 2, [Pose2.identity()] * 4, [Pose2.identity()], []):
-        with pytest.raises(ValueError, match="batch of 3"):
-            bilinear_sample(x, poses, spec_for(7))
-
-
-def test_bilinear_rejects_a_plan_for_another_batch_grid_or_dtype():
-    plan = sample_plan([Pose2(0.1, 0.0, 0.2)] * 2, spec_for(7), np.float32)
-    for shape, dtype in (((3, 1, 7, 7), np.float32), ((2, 1, 9, 9), np.float32),
-                         ((2, 1, 7, 7), np.float64)):
+def test_bilinear_rejects_a_plan_for_another_grid_or_dtype():
+    plan = sample_plan(Pose2(0.1, 0.0, 0.2), spec_for(7), np.float32)
+    for shape, dtype in (((2, 1, 9, 9), np.float32), ((2, 1, 7, 7), np.float64)):
         x = Tensor(np.zeros(shape), dtype=dtype)
         with pytest.raises(ValueError):
             bilinear_sample(x, plan, spec_for(shape[-1]))
+    # one pose's plan serves any batch
+    bilinear_sample(Tensor(np.zeros((3, 1, 7, 7)), dtype=np.float32), plan, spec_for(7))
 
 
 # ---------------------------------------------------------------- masked BCE
@@ -1209,16 +1179,6 @@ def test_grad_check_bilinear_rotation(seed):
     x = Tensor(rng.normal(size=(1, 1, 7, 7)), requires_grad=True, dtype=np.float64)
     t = Pose2(0.05, -0.03, 0.3)
     err = grad_check(lambda x_: bilinear_sample(x_, t, spec).sum(), [x])
-    assert err < 1e-5
-
-
-def test_grad_check_bilinear_two_poses():
-    rng = np.random.default_rng(410)
-    spec = spec_for(7)
-    x = Tensor(rng.normal(size=(2, 2, 7, 7)), requires_grad=True, dtype=np.float64)
-    w = Tensor(rng.normal(size=(2, 2, 7, 7)), dtype=np.float64)
-    poses = [Pose2(0.05, -0.03, 0.3), Pose2(-0.11, 0.07, -0.8)]
-    err = grad_check(lambda x_: (bilinear_sample(x_, poses, spec) * w).sum(), [x])
     assert err < 1e-5
 
 

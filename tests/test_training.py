@@ -10,7 +10,7 @@ import pytest
 
 from gridtrack import threads, training
 from gridtrack.geometry import GridSpec, ObservationGrid, Pose2, se2_compose, source_points
-from gridtrack.model import ModelConfig, build, initial_state
+from gridtrack.model import ModelConfig, build, rollout
 from gridtrack.simulator import (
     Bounds,
     Disc,
@@ -24,7 +24,7 @@ from gridtrack.simulator import (
     simulate_sequence,
     static_crossing,
 )
-from gridtrack.tensor import Tensor, grad_check, precision
+from gridtrack.tensor import Tensor, concat_channels, grad_check, masked_bce, precision
 from gridtrack.training import (
     ShowBlankSchedule,
     TrainConfig,
@@ -121,29 +121,23 @@ def frame_mask(batch, sched, f):
 
 def test_loss_pools_cells_across_frames():
     """Pooled mean equals sum(bce_f * n_f) / sum(n_f) computed per frame, for
-    a still sensor alone and for a still and a turning sensor batched with
-    egomotion compensation."""
-    from gridtrack.model import rollout
-    from gridtrack.tensor import masked_bce
-
+    a still sensor without and with egomotion compensation, and for a
+    turning sensor with it."""
     spec = GridSpec(size_cells=11, cell_size=0.5)
-    still = [static_crossing(seed=3, spec=spec, frames=4)]
-    mixed = [
-        static_crossing(seed=3, spec=spec, frames=8),
-        moving_turning(seed=4, spec=spec, frames=8),
-    ]
-    for batches, use_stm in ((still, False), (mixed, True)):
-        frames = batches[0].frames
+    still = static_crossing(seed=3, spec=spec, frames=8)
+    turning = moving_turning(seed=4, spec=spec, frames=8)
+    for batch, use_stm in ((still, False), (still, True), (turning, True)):
+        frames = batch.frames
         sched = ShowBlankSchedule(total_frames=frames, show=2, blank=2)
         model = tiny_model(spec, use_stm=use_stm)
-        loss = sequence_loss(model, batches, sched)
+        loss = sequence_loss(model, batch, sched)
 
-        preds = rollout(model, batches, sched)
+        preds = rollout(model, batch, sched)
         num = 0.0
         den = 0.0
         for f in range(frames):
-            occ = np.stack([b.observations[f].occ for b in batches]).astype(np.float32)[:, None]
-            mask = np.stack([frame_mask(b, sched, f) for b in batches]).astype(np.float32)[:, None]
+            occ = batch.observations[f].occ.astype(np.float32)[None, None]
+            mask = frame_mask(batch, sched, f).astype(np.float32)[None, None]
             n = float(mask.sum())
             if n:
                 term = masked_bce(preds[f], Tensor(occ), Tensor(mask))
@@ -151,7 +145,6 @@ def test_loss_pools_cells_across_frames():
                 den += n
         assert loss.item() == pytest.approx(num / den, rel=1e-6)
     # the turning sensor's blanked frames do lose visible cells
-    turning = mixed[1]
     assert any(
         (frame_mask(turning, sched, f) != turning.observations[f].vis.astype(bool)).any()
         for f in range(frames)
@@ -497,7 +490,7 @@ def test_train_non_finite_gradient_guard(monkeypatch):
     before = [p.data.copy() for p in model.parameters()]
     target = model.cells[1][2].bias
 
-    def nan_grad_loss(model, batches, schedule):
+    def nan_grad_loss(model, batch, schedule):
         loss = Tensor(np.asarray(0.5), requires_grad=True)
         loss._prev = (target,)
 
@@ -530,29 +523,44 @@ def turning_minibatch(seeds=(2, 3, 4, 5)):
     return tiny_model(spec, variant="GRU3DilConv_16", use_stm=True), data, sched
 
 
+def mixed_minibatch():
+    """A still, a turning and a straight-driving sensor in one minibatch,
+    and an STM model with a static bias."""
+    spec = GridSpec(size_cells=11, cell_size=0.4)
+    data = [
+        static_crossing(seed=1, spec=spec, frames=6),
+        moving_turning(seed=2, spec=spec, frames=6),
+        moving_straight(seed=3, spec=spec, frames=6),
+    ]
+    sched = ShowBlankSchedule(total_frames=6, show=2, blank=1)
+    return tiny_model(spec, variant="GRU3DilConvBias_16", use_stm=True), data, sched
+
+
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_train_bits_do_not_depend_on_the_worker_count(dtype, monkeypatch):
     """Batch-4 training on 1, 2 and 4 threads (more threads than cores,
-    switching often) gives the same losses and parameter bytes."""
-    runs = {}
+    switching often) gives the same losses and parameter bytes, on turning
+    sensors and on a minibatch mixing still and moving ones."""
     interval = sys.getswitchinterval()
-    try:
-        with precision(dtype):
-            for workers in (1, 2, 4):
-                monkeypatch.setattr(threads, "workers", lambda n, k=workers: k)
-                sys.setswitchinterval(1e-6 if workers == 4 else interval)
-                model, data, sched = turning_minibatch()
-                cfg = TrainConfig(schedule=sched, learning_rate=1e-2, batch_size=4,
-                                  max_steps=3, moving_sensor=True)
-                runs[workers] = train(model, data, cfg)
-    finally:
-        sys.setswitchinterval(interval)
-    one = runs[1]
-    assert all(np.isfinite(one.losses)) and len(one.losses) == 3
-    for workers in (2, 4):
-        assert runs[workers].losses == one.losses
-        for pa, pb in zip(runs[workers].model.parameters(), one.model.parameters()):
-            assert pa.data.tobytes() == pb.data.tobytes()
+    for minibatch in (turning_minibatch, mixed_minibatch):
+        runs = {}
+        try:
+            with precision(dtype):
+                for workers in (1, 2, 4):
+                    monkeypatch.setattr(threads, "workers", lambda n, k=workers: k)
+                    sys.setswitchinterval(1e-6 if workers == 4 else interval)
+                    model, data, sched = minibatch()
+                    cfg = TrainConfig(schedule=sched, learning_rate=1e-2, batch_size=4,
+                                      max_steps=3, moving_sensor=True)
+                    runs[workers] = train(model, data, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        one = runs[1]
+        assert all(np.isfinite(one.losses)) and len(one.losses) == 3
+        for workers in (2, 4):
+            assert runs[workers].losses == one.losses, minibatch.__name__
+            for pa, pb in zip(runs[workers].model.parameters(), one.model.parameters()):
+                assert pa.data.tobytes() == pb.data.tobytes(), minibatch.__name__
 
 
 @pytest.mark.parametrize("dtype, rtol", [("float32", 1e-6), ("float64", 1e-12)])
@@ -564,7 +572,12 @@ def test_minibatch_backward_matches_the_pooled_loss(dtype, rtol):
         model, data, sched = turning_minibatch()
         cells = [target_mask(b, sched).sum() for b in data]
         assert len(set(cells)) > 1
-        pooled = sequence_loss(model, data, sched)
+        # one masked_bce over every sequence's frames, concatenated
+        pooled = masked_bce(
+            concat_channels([concat_channels(rollout(model, b, sched)) for b in data]),
+            np.concatenate([np.stack([o.occ for o in b.observations])[None] for b in data], axis=1),
+            np.concatenate([target_mask(b, sched)[None] for b in data], axis=1),
+        )
         pooled.backward()
         want = [p.grad.copy() for p in model.parameters()]
         model.zero_grad()
@@ -576,7 +589,7 @@ def test_minibatch_backward_matches_the_pooled_loss(dtype, rtol):
 
 def test_minibatch_backward_of_one_sample_is_the_plain_backward():
     model, data, sched = turning_minibatch(seeds=(3,))
-    loss = sequence_loss(model, data, sched)
+    loss = sequence_loss(model, data[0], sched)
     loss.backward()
     want = [p.grad.copy() for p in model.parameters()]
     model.zero_grad()
@@ -595,9 +608,9 @@ def test_train_names_a_nan_gradient_only_a_later_sample_produces(monkeypatch):
     poisoned = data[np.random.default_rng(cfg.seed).permutation(len(data))[2]]
     real = training.sequence_loss
 
-    def nan_grad_in_one_sample(sink, batches, schedule):
-        loss = real(sink, batches, schedule)
-        if batches[0] is not poisoned:
+    def nan_grad_in_one_sample(sink, batch, schedule):
+        loss = real(sink, batch, schedule)
+        if batch is not poisoned:
             return loss
         assert sink is not model
         target = sink.cells[1][2].bias
