@@ -18,7 +18,7 @@ from .model import ModelConfig, build, load_checkpoint, save_checkpoint, unroll,
 from .render import frame_panel, hidden_tiles, plot_curves, write_ppm
 from .simulator import scenario_builders
 from .tensor import no_grad
-from .training import OPTIMIZERS, ShowBlankSchedule, TrainConfig, train
+from .training import ShowBlankSchedule, TrainConfig, train
 
 
 def _uniform_frame_count(batches) -> int:
@@ -40,6 +40,15 @@ def _check_directory(path, option: str) -> None:
         probe = os.path.dirname(probe)
     if not os.path.isdir(probe):
         raise ValueError(f"{option}: {probe} exists and is not a directory")
+
+
+def _check_file(path, option: str) -> None:
+    """Raise ValueError, naming ``option``, unless a file could be written
+    at ``path``: it names no directory, and its directory passes
+    ``_check_directory``."""
+    if os.path.isdir(path) or not os.path.basename(path):
+        raise ValueError(f"{option}: {path} names a directory, not a file")
+    _check_directory(os.path.dirname(path) or ".", option)
 
 
 # ------------------------------------------------------------------- commands
@@ -75,7 +84,6 @@ def cmd_train(args) -> int:
     cfg = TrainConfig(
         schedule=schedule,
         learning_rate=args.lr,
-        optimizer=args.optimizer,
         batch_size=args.batch_size,
         max_steps=args.steps,
         seed=args.seed,
@@ -87,9 +95,9 @@ def cmd_train(args) -> int:
         log_path=args.log,
     )
     # learn that an output cannot be written before training, not after
-    _check_directory(os.path.dirname(args.out) or ".", f"--out {args.out}")
+    _check_file(args.out, f"--out {args.out}")
     if args.log:
-        _check_directory(os.path.dirname(args.log) or ".", f"--log {args.log}")
+        _check_file(args.log, f"--log {args.log}")
     if args.checkpoint_every > 0:
         _check_directory(args.checkpoint_dir, f"--checkpoint-dir {args.checkpoint_dir}")
     model = build(
@@ -111,6 +119,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if len(args.ckpt) > 2:
         raise ValueError("eval compares at most two checkpoints")
+    # learn that the tables cannot be written before scoring, not after
+    _check_directory(args.out, f"--out {args.out}")
     _, batches = read_dataset(args.data)
     frames = _uniform_frame_count(batches)
     schedule = ShowBlankSchedule(total_frames=frames, show=args.show, blank=args.blank)
@@ -153,6 +163,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_render(args) -> int:
+    _check_directory(args.out, f"--out {args.out}")
     _, batches = read_dataset(args.data)
     if not (0 <= args.sequence < len(batches)):
         raise ValueError(
@@ -228,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--out", required=True, help="checkpoint path to write")
     tr.add_argument("--lr", type=float, default=1e-3)
-    tr.add_argument("--optimizer", choices=OPTIMIZERS, default="adam")
     tr.add_argument("--batch-size", type=int, default=1)
     tr.add_argument("--baseline-override", action="store_true",
                     help="allow --stm off on moving-sensor data")

@@ -92,9 +92,9 @@ def pooled_counts(preds, batch, schedule, threshold: float) -> dict:
 
 
 def f1_horizon(model: Model, dataset, schedule, threshold: float = 0.5) -> HorizonCurve:
-    """Micro-averaged precision/recall/F1 at each blanked offset, scoring
-    predictions against the withheld observations on visible and
-    predictable cells only.
+    """Micro-averaged precision/recall/F1 at each blanked offset over
+    ``dataset``, a list of sequences, scoring predictions against the
+    withheld observations on visible and predictable cells only.
 
     Each sequence is rolled out and counted on its own, and the integer
     counts are summed in sequence order, so the curve does not depend on
@@ -105,7 +105,7 @@ def f1_horizon(model: Model, dataset, schedule, threshold: float = 0.5) -> Horiz
     ``no_grad`` and the caller's ``precision``."""
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must be inside (0,1), got {threshold}")
-    dataset = [dataset] if hasattr(dataset, "observations") else list(dataset)
+    dataset = list(dataset)
     if not dataset:
         raise ValueError("dataset is empty")
     if schedule.blank == 0:

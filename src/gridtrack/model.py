@@ -57,7 +57,6 @@ from .tensor import (
 )
 
 __all__ = [
-    "BLANK",
     "ModelConfig",
     "Model",
     "variant_names",
@@ -71,22 +70,6 @@ __all__ = [
     "load_checkpoint",
 ]
 
-
-class _BlankType:
-    """Sentinel for a withheld observation (all-zero input planes)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "BLANK"
-
-
-BLANK = _BlankType()
 
 # variant -> (layers as (maps, kernel, dilation), decode_full_state, static_bias)
 _VARIANTS = {
@@ -163,7 +146,7 @@ class ModelConfig:
 @dataclass(frozen=True)
 class Model:
     config: ModelConfig
-    cells: tuple  # per layer: (wz, wr, wh) ConvParams for GRU, one ConvParams for RNN
+    cells: tuple  # per layer: its ConvParams, (wz, wr, wh) for GRU, (w,) for RNN
     bias_grids: tuple  # per layer (maps, M, M) Tensor, empty when static_bias is off
     decoder: ConvParams
 
@@ -171,9 +154,9 @@ class Model:
         """(name, Tensor) pairs in checkpoint order, e.g. ``layer0.wz.kernel``,
         ``bias_grid0``, ``decoder.bias``."""
         out = []
+        gates = (".wz", ".wr", ".wh") if self.config.is_gated else ("",)
         for i, cell in enumerate(self.cells):
-            convs = zip((".wz", ".wr", ".wh"), cell) if isinstance(cell, tuple) else [("", cell)]
-            for gate, c in convs:
+            for gate, c in zip(gates, cell):
                 out += [(f"layer{i}{gate}.kernel", c.kernel), (f"layer{i}{gate}.bias", c.bias)]
         out += [(f"bias_grid{i}", t) for i, t in enumerate(self.bias_grids)]
         out += [("decoder.kernel", self.decoder.kernel), ("decoder.bias", self.decoder.bias)]
@@ -203,16 +186,10 @@ def build(config: ModelConfig, seed: int) -> Model:
     cells = []
     in_ch = 2
     for maps, kernel, dilation in config.layers:
-        if config.is_gated:
-            gates = tuple(
-                ConvParams.initialize(maps, in_ch + maps, kernel, rng, dilation=dilation)
-                for _ in range(3)
-            )
-            cells.append(gates)
-        else:
-            cells.append(
-                ConvParams.initialize(maps, in_ch + maps, kernel, rng, dilation=dilation)
-            )
+        cells.append(tuple(
+            ConvParams.initialize(maps, in_ch + maps, kernel, rng, dilation=dilation)
+            for _ in range(3 if config.is_gated else 1)
+        ))
         in_ch = maps
     bias_grids = []
     if config.static_bias:
@@ -236,7 +213,7 @@ def replica(model: Model) -> Model:
     def conv(c: ConvParams) -> ConvParams:
         return ConvParams(kernel=leaf(c.kernel), bias=leaf(c.bias), dilation=c.dilation)
 
-    cells = tuple(tuple(map(conv, c)) if isinstance(c, tuple) else conv(c) for c in model.cells)
+    cells = tuple(tuple(map(conv, c)) for c in model.cells)
     return Model(config=model.config, cells=cells,
                  bias_grids=tuple(map(leaf, model.bias_grids)), decoder=conv(model.decoder))
 
@@ -266,16 +243,16 @@ def _step_planes(model: Model, h_prev: tuple, x: Tensor, pose: Pose2) -> tuple:
             bias = model.bias_grids[i] if model.bias_grids else None
             h = conv_gru_step(prev[i], inp, model.cells[i], bias)
         else:
-            h = conv2d([inp, prev[i]], model.cells[i]).tanh()
+            h = conv2d([inp, prev[i]], model.cells[i][0]).tanh()
         new_layers.append(h)
         inp = h
     return tuple(new_layers)
 
 
 def _input_planes(model: Model, obs) -> Tensor:
-    """(1, 2, M, M) input planes for one frame: all zero for BLANK, else the
-    planes of the ObservationGrid ``obs``."""
-    if obs is BLANK:
+    """(1, 2, M, M) input planes for one frame: all zero for a withheld
+    frame (``None``), else the planes of the ObservationGrid ``obs``."""
+    if obs is None:
         m = model.config.grid.size_cells
         return Tensor(np.zeros((1, 2, m, m), dtype=default_dtype()))
     return Tensor(obs.planes(default_dtype())[None])
@@ -290,9 +267,10 @@ def decode(model: Model, h: tuple) -> Tensor:
 
 
 def unroll(model: Model, batch, schedule):
-    """Run one SequenceBatch through the model frame by frame, feeding BLANK
-    at frames the schedule hides, and yield (state, prediction) per frame:
-    the state tuple and a (1, 1, M, M) Tensor.
+    """Run one SequenceBatch through the model frame by frame, feeding
+    ``None`` (zero input planes) at frames the schedule hides, and yield
+    (state, prediction) per frame: the state tuple and a (1, 1, M, M)
+    Tensor.
 
     The sequence must be on the model's grid, so the warp and the targets
     share one metric scale. With egomotion compensation the state is warped
@@ -310,7 +288,7 @@ def unroll(model: Model, batch, schedule):
         )
     h = initial_state(model)
     for f in range(batch.frames):
-        obs = batch.observations[f] if schedule.is_shown(f) else BLANK
+        obs = batch.observations[f] if schedule.is_shown(f) else None
         h = _step_planes(model, h, _input_planes(model, obs), batch.rel_transforms[f])
         yield h, decode(model, h)
 

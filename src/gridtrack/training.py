@@ -1,5 +1,5 @@
 """Self-supervised training: show/blank schedules, visibility-masked loss,
-optimizers, and the seeded minibatch loop.
+the Adam update, and the seeded minibatch loop.
 
 The target at every frame is the observation itself: the network sees the
 input during shown frames, nothing during blanked frames, and the loss only
@@ -13,10 +13,12 @@ A training step rolls out and backpropagates each sample of its minibatch
 on its own graph and gradient sink, so a minibatch may mix still and moving
 sensors. Each sample is weighted by its share of the minibatch's scored
 cells, so the loss is the pooled mean over those cells, and the gradients
-are added in sample order (``minibatch_backward``). Only as many graphs are
-alive at once as samples run at once: one after another, or, when the BLAS
-thread pools are pinned, on the CPUs they leave idle. How many run at once
-changes no bit; a batch of one gives the plain backward's bits.
+are added in sample order (``minibatch_backward``). Each sample's target
+mask is built once per step, both to weigh the sample and to score it. Only
+as many graphs are alive at once as samples run at once: one after another,
+or, when the BLAS thread pools are pinned, on the CPUs they leave idle, in a
+pool opened for the step. How many run at once changes no bit; a batch of
+one gives the plain backward's bits.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .tensor import Tensor, concat_channels, masked_bce
 from .threads import ordered_map
 
 __all__ = [
-    "OPTIMIZERS",
     "ShowBlankSchedule",
     "target_mask",
     "TrainConfig",
@@ -41,7 +42,6 @@ __all__ = [
     "sequence_loss",
     "minibatch_backward",
     "adam_step",
-    "sgd_momentum_step",
     "train",
 ]
 
@@ -89,14 +89,10 @@ def target_mask(batch, schedule: ShowBlankSchedule) -> np.ndarray:
     return mask
 
 
-OPTIMIZERS = ("adam", "sgd_momentum")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     schedule: ShowBlankSchedule
     learning_rate: float = 1e-3
-    optimizer: str = "adam"
     batch_size: int = 1
     max_steps: int = 100
     seed: int = 0
@@ -110,8 +106,6 @@ class TrainConfig:
     def __post_init__(self):
         if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.batch_size < 1 or self.max_steps < 0:
             raise ValueError("batch_size >= 1 and max_steps >= 0 required")
         if self.checkpoint_every < 0 or self.plateau_patience < 0:
@@ -128,13 +122,14 @@ class TrainResult:
     steps: int
 
 
-def sequence_loss(model: Model, batch, schedule: ShowBlankSchedule) -> Tensor:
+def sequence_loss(model: Model, batch, schedule: ShowBlankSchedule, mask: np.ndarray) -> Tensor:
     """Roll the model over one sequence and score every frame against its
-    own observation: one masked_bce over (1, F, M, M) predictions, occupancy
-    and target mask, a mean over the scored cells of all frames."""
+    own observation on the cells of ``mask``, the sequence's
+    ``target_mask``: one masked_bce over (1, F, M, M) predictions, occupancy
+    and mask, a mean over the scored cells of all frames."""
     pred = concat_channels(rollout(model, batch, schedule))
     occ = np.stack([o.occ for o in batch.observations])[None]
-    return masked_bce(pred, occ, target_mask(batch, schedule)[None])
+    return masked_bce(pred, occ, mask[None])
 
 
 def adam_step(params, grads, state: dict, lr: float) -> dict:
@@ -161,48 +156,38 @@ def adam_step(params, grads, state: dict, lr: float) -> dict:
     return state
 
 
-def sgd_momentum_step(params, grads, state: dict, lr: float) -> dict:
-    """In-place SGD update with momentum 0.9. ``state`` holds the velocities;
-    pass {} to start."""
-    momentum = 0.9
-    if not state:
-        state = {"v": [np.zeros_like(p.data) for p in params]}
-    for p, g, v in zip(params, grads, state["v"]):
-        v *= momentum
-        v += g
-        p.data = p.data - (lr * v).astype(p.data.dtype)
-    return state
-
-
-def minibatch_backward(model: Model, batches, schedule: ShowBlankSchedule, run=map) -> float:
+def minibatch_backward(model: Model, batches, schedule: ShowBlankSchedule) -> float:
     """Backpropagate a minibatch's pooled loss one sample at a time, leave
     its gradient in ``model``'s ``grad``s and return the loss.
 
-    With n_s the cells sample s scores and N the minibatch's total, sample
-    s's ``sequence_loss`` is weighted by n_s / N, so the weighted losses add
-    up to the minibatch's pooled mean, and the gradient is the sum, in
-    sample order, of each sample's weighted gradient. Sample 0 runs on
-    ``model`` itself and every later one on a ``replica``, whose backward
-    writes gradients of its own, so ``run`` (a ``map``, such as a thread
-    pool's) may run samples at once without changing a bit. Each sample's
-    graph is freed by its backward: as many graphs are alive at once as
-    ``run`` runs samples. A sample whose loss is not finite is not
-    backpropagated. A lone sample has weight exactly 1, so it gives the bits
-    ``sequence_loss(model, batches[0], schedule).backward()`` would."""
+    Each sample's ``target_mask`` is built once: with n_s the cells it
+    scores for sample s and N the minibatch's total, sample s's
+    ``sequence_loss`` on that mask is weighted by n_s / N, so the weighted
+    losses add up to the minibatch's pooled mean, and the gradient is the
+    sum, in sample order, of each sample's weighted gradient. Sample 0 runs
+    on ``model`` itself and every later one on a ``replica``, whose backward
+    writes gradients of its own, so the samples run on a pool of their own
+    (``threads.ordered_map``) without changing a bit. Each sample's graph is
+    freed by its backward: as many graphs are alive at once as the pool runs
+    samples. A sample whose loss is not finite is not backpropagated. A lone
+    sample has weight exactly 1, so it gives the bits its plain
+    ``sequence_loss(...).backward()`` would."""
     batches = list(batches)
-    cells = [int(target_mask(b, schedule).sum()) for b in batches]
+    masks = [target_mask(b, schedule) for b in batches]
+    cells = [int(mask.sum()) for mask in masks]
     total = sum(cells)
 
-    def backprop(item) -> tuple:
-        s, batch = item
+    def backprop(s: int) -> tuple:
         sink = model if s == 0 else replica(model)
-        loss = sequence_loss(sink, batch, schedule) * (cells[s] / total if total else 1.0)
+        loss = sequence_loss(sink, batches[s], schedule, masks[s])
+        loss = loss * (cells[s] / total if total else 1.0)
         value = loss.item()
         if np.isfinite(value):
             loss.backward()
         return value, sink
 
-    results = list(run(backprop, enumerate(batches)))
+    with ordered_map(len(batches)) as run:
+        results = list(run(backprop, range(len(batches))))
     for _, sink in results[1:]:
         for p, q in zip(model.parameters(), sink.parameters()):
             if q.grad is not None:
@@ -210,17 +195,29 @@ def minibatch_backward(model: Model, batches, schedule: ShowBlankSchedule, run=m
     return sum(value for value, _ in results)
 
 
+def _minibatches(dataset: list, size: int, rng: np.random.Generator):
+    """Endless minibatches: consecutive groups of ``size`` sequences (the
+    last of an epoch may be smaller) from a fresh permutation of ``dataset``
+    per epoch. An epoch's permutation is drawn when its first group is
+    asked for, not before."""
+    while True:
+        order = rng.permutation(len(dataset))
+        for lo in range(0, len(dataset), size):
+            yield [dataset[i] for i in order[lo : lo + size]]
+
+
 def train(model: Model, dataset, cfg: TrainConfig) -> TrainResult:
-    """Seeded minibatch training. Each epoch draws a fresh permutation of the
-    dataset from the seed, groups consecutive sequences into minibatches, and
-    applies the configured optimizer. Stops at max_steps, on a loss plateau
-    (no new best for plateau_patience steps), and aborts on a non-finite loss
-    or, before the optimizer step, on a non-finite parameter gradient.
+    """Seeded minibatch training with Adam. Each epoch draws a fresh
+    permutation of the dataset from the seed and groups consecutive
+    sequences into minibatches. Steps count from 1. Stops at max_steps or
+    on a loss plateau (no new best for plateau_patience steps), and aborts
+    on a non-finite loss or, before the update, on a non-finite parameter
+    gradient.
 
     Each minibatch is backpropagated one sample at a time
     (``minibatch_backward``). When the environment pins the BLAS thread
     pools, samples run on as many threads as the usable CPUs hold at that
-    pool size (see ``threads.workers``), one pool per call; otherwise one
+    pool size (see ``threads.workers``), one pool per step; otherwise one
     after another in the caller's thread. The trained bits are the same
     either way.
     """
@@ -234,54 +231,37 @@ def train(model: Model, dataset, cfg: TrainConfig) -> TrainResult:
         )
     named = model.named_parameters()
     params = [p for _, p in named]
-    rng = np.random.default_rng(cfg.seed)
+    groups = _minibatches(dataset, cfg.batch_size, np.random.default_rng(cfg.seed))
     state: dict = {}
     losses: list[float] = []
     best = np.inf
     best_step = 0
-    stop_reason = "max_steps"
-    step_idx = 0
     # the log and the checkpoint directory appear at their first write, so a
     # call that fails before its first step leaves nothing behind
-    with ordered_map(min(cfg.batch_size, len(dataset))) as run:
-        while step_idx < cfg.max_steps:
-            order = rng.permutation(len(dataset))
-            for lo in range(0, len(dataset), cfg.batch_size):
-                if step_idx >= cfg.max_steps:
-                    break
-                group = [dataset[i] for i in order[lo : lo + cfg.batch_size]]
-                t0 = time.monotonic()
-                model.zero_grad()
-                value = minibatch_backward(model, group, cfg.schedule, run)
-                if not np.isfinite(value):
-                    raise FloatingPointError(f"training diverged at step {step_idx}")
-                grads = []
-                for name, p in named:
-                    if p.grad is not None and not np.isfinite(p.grad).all():
-                        raise FloatingPointError(
-                            f"non-finite gradient in {name} at step {step_idx}"
-                        )
-                    grads.append(p.grad if p.grad is not None else np.zeros_like(p.data))
-                if cfg.optimizer == "adam":
-                    state = adam_step(params, grads, state, cfg.learning_rate)
-                else:
-                    state = sgd_momentum_step(params, grads, state, cfg.learning_rate)
-                losses.append(value)
-                step_idx += 1
-                if cfg.log_path:
-                    ms = (time.monotonic() - t0) * 1000.0
-                    os.makedirs(os.path.dirname(cfg.log_path) or ".", exist_ok=True)
-                    with open(cfg.log_path, "a") as fh:
-                        fh.write(f"{step_idx} {value:.6f} {ms:.1f}\n")
-                if value < best - 1e-6:
-                    best = value
-                    best_step = step_idx
-                if cfg.checkpoint_every and step_idx % cfg.checkpoint_every == 0:
-                    os.makedirs(cfg.checkpoint_dir, exist_ok=True)
-                    save_checkpoint(model, f"{cfg.checkpoint_dir}/step{step_idx:06d}.ckpt")
-                if cfg.plateau_patience and step_idx - best_step >= cfg.plateau_patience:
-                    stop_reason = "plateau"
-                    break
-            if stop_reason == "plateau":
-                break
-    return TrainResult(model=model, losses=losses, stop_reason=stop_reason, steps=step_idx)
+    for step, group in zip(range(1, cfg.max_steps + 1), groups):
+        t0 = time.monotonic()
+        model.zero_grad()
+        value = minibatch_backward(model, group, cfg.schedule)
+        if not np.isfinite(value):
+            raise FloatingPointError(f"training diverged at step {step}")
+        grads = []
+        for name, p in named:
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise FloatingPointError(f"non-finite gradient in {name} at step {step}")
+            grads.append(p.grad if p.grad is not None else np.zeros_like(p.data))
+        state = adam_step(params, grads, state, cfg.learning_rate)
+        losses.append(value)
+        if cfg.log_path:
+            ms = (time.monotonic() - t0) * 1000.0
+            os.makedirs(os.path.dirname(cfg.log_path) or ".", exist_ok=True)
+            with open(cfg.log_path, "a") as fh:
+                fh.write(f"{step} {value:.6f} {ms:.1f}\n")
+        if value < best - 1e-6:
+            best = value
+            best_step = step
+        if cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
+            os.makedirs(cfg.checkpoint_dir, exist_ok=True)
+            save_checkpoint(model, f"{cfg.checkpoint_dir}/step{step:06d}.ckpt")
+        if cfg.plateau_patience and step - best_step >= cfg.plateau_patience:
+            return TrainResult(model=model, losses=losses, stop_reason="plateau", steps=len(losses))
+    return TrainResult(model=model, losses=losses, stop_reason="max_steps", steps=len(losses))

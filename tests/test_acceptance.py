@@ -28,7 +28,6 @@ from gridtrack.geometry import (
     se2_inverse,
 )
 from gridtrack.model import (
-    BLANK,
     ModelConfig,
     _input_planes,
     _step_planes,
@@ -78,7 +77,7 @@ def _composed_loss_error(seed: int) -> float:
         occ = vis & rng.integers(0, 2, size=(7, 7), dtype=np.uint8)
         return ObservationGrid(vis=vis, occ=occ)
 
-    frames = [obs(), BLANK, obs()]
+    frames = [obs(), None, obs()]
     target = (rng.random((1, 1, 7, 7)) < 0.4).astype(np.float64)
     mask = (rng.random((1, 1, 7, 7)) < 0.8).astype(np.float64)
     ego = Pose2.identity()

@@ -24,7 +24,7 @@ from gridtrack.simulator import (
 )
 from gridtrack.geometry import GridSpec
 from gridtrack.tensor import no_grad
-from gridtrack.training import OPTIMIZERS, ShowBlankSchedule
+from gridtrack.training import ShowBlankSchedule
 
 
 def run(*argv):
@@ -216,7 +216,7 @@ def test_train_reports_divergence(tmp_path, capsys):
     args = train_args(data, tmp_path / "m.ckpt", **{
         "--show": 2, "--blank": 2, "--steps": 3, "--lr": 1e38})
     assert run(*args) == 2
-    assert capsys.readouterr().err == "error: training diverged at step 1\n"
+    assert capsys.readouterr().err == "error: training diverged at step 2\n"
     assert not (tmp_path / "m.ckpt").exists()
 
 
@@ -230,10 +230,16 @@ def test_train_writes_log(static_data, tmp_path):
     ("--out", "afile/model.ckpt"),
     ("--log", "afile/logs/train.log"),
     ("--checkpoint-dir", "afile/ckpt"),
+    ("--out", "adir"),
+    ("--log", "adir"),
 ])
 def test_train_rejects_an_output_under_a_file_before_the_first_step(static_data, tmp_path,
                                                                      capsys, flag, path):
+    """An output that cannot be written, because a file stands where a
+    directory must be or a directory where the file must be, stops train
+    before its first step."""
     (tmp_path / "afile").write_text("not a directory")
+    (tmp_path / "adir").mkdir()
     log = tmp_path / "train.log"
     over = {"--log": log, "--out": tmp_path / "m.ckpt", flag: tmp_path / path}
     argv = train_args(static_data, over.pop("--out"), **over)
@@ -241,9 +247,11 @@ def test_train_rejects_an_output_under_a_file_before_the_first_step(static_data,
         argv += ["--checkpoint-every", "1"]
     assert run(*argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {flag} ") and "is not a directory" in err
+    why = "names a directory, not a file" if path == "adir" else "is not a directory"
+    assert err.startswith(f"error: {flag} ") and why in err
     assert not log.exists()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+    assert not any((tmp_path / "adir").iterdir())
 
 
 def test_train_ignores_a_checkpoint_dir_it_never_writes(static_data, tmp_path):
@@ -391,6 +399,25 @@ def test_eval_and_render_reject_non_finite_checkpoint(static_data, tmp_path, cap
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert f"{ckpt}: non-finite values in {name}" in err
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_eval_and_render_reject_an_out_at_or_under_a_file_before_scoring(
+        static_data, static_ckpt, tmp_path, capsys, monkeypatch, out):
+    """An --out that cannot be a directory stops eval and render before they
+    load a checkpoint, so no scoring is lost to it."""
+    def never(*args, **kwargs):
+        raise AssertionError("called before --out was checked")
+
+    monkeypatch.setattr("gridtrack.cli.f1_horizon", never)
+    monkeypatch.setattr("gridtrack.cli.load_checkpoint", never)
+    (tmp_path / "afile").write_text("not a directory")
+    for command, *extra in (("eval", "--show", "3", "--blank", "3"), ("render",)):
+        assert run(command, *extra, "--ckpt", static_ckpt, "--data", static_data,
+                   "--out", tmp_path / out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out ") and "is not a directory" in err
+    assert (tmp_path / "afile").read_text() == "not a directory"
 
 
 def test_eval_rejects_checkpoint_with_nan_max_range(static_data, tmp_path, capsys):
@@ -552,13 +579,10 @@ def test_quick_start_pipeline_runs_as_written(tmp_path, monkeypatch):
     assert sorted(os.listdir("render_out")) == [f"frame_{f:03d}.ppm" for f in range(4)]
 
 
-def test_parser_accepts_every_scenario_and_optimizer():
+def test_parser_accepts_every_scenario():
     parser = build_parser()
     for name in scenario_builders():
         assert parser.parse_args(["gen", "--scenario", name, "--out", "x"]).scenario == name
-    for name in OPTIMIZERS:
-        args = parser.parse_args(["train", "--data", "d", "--out", "x", "--optimizer", name])
-        assert args.optimizer == name
 
 
 def test_module_entry_point():

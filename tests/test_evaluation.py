@@ -166,26 +166,19 @@ def test_f1_horizon_order_invariant():
     assert a == b
 
 
-def test_f1_horizon_accepts_single_batch():
-    model = small_model()
-    batch = static_crossing(seed=0, spec=SPEC, frames=12)
-    sched = ShowBlankSchedule(total_frames=12, show=4, blank=2)
-    assert f1_horizon(model, batch, sched) == f1_horizon(model, [batch], sched)
-
-
 def test_f1_horizon_validation():
     model = small_model()
     batch = static_crossing(seed=0, spec=SPEC, frames=12)
     sched = ShowBlankSchedule(total_frames=12, show=4, blank=2)
     with pytest.raises(ValueError, match="threshold"):
-        f1_horizon(model, batch, sched, threshold=1.5)
+        f1_horizon(model, [batch], sched, threshold=1.5)
     with pytest.raises(ValueError, match="threshold"):
-        f1_horizon(model, batch, sched, threshold=0.0)
+        f1_horizon(model, [batch], sched, threshold=0.0)
     with pytest.raises(ValueError, match="empty"):
         f1_horizon(model, [], sched)
     allshown = ShowBlankSchedule(total_frames=12, show=12, blank=0)
     with pytest.raises(ValueError, match="blank"):
-        f1_horizon(model, batch, allshown)
+        f1_horizon(model, [batch], allshown)
 
 
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",

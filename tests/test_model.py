@@ -13,7 +13,6 @@ import pytest
 
 from gridtrack.geometry import GridSpec, ObservationGrid, Pose2
 from gridtrack.model import (
-    BLANK,
     ModelConfig,
     _config_from_json,
     _config_json,
@@ -36,8 +35,9 @@ GRID21 = GridSpec(size_cells=21, cell_size=0.5)
 
 
 def step(model, h, obs, pose):
-    """One frame as ``unroll`` runs it: ``obs`` (an ObservationGrid or
-    BLANK) as input planes, the state warped under ``pose``."""
+    """One frame as ``unroll`` runs it: ``obs`` (an ObservationGrid, or
+    None for a withheld frame) as input planes, the state warped under
+    ``pose``."""
     return _step_planes(model, h, _input_planes(model, obs), pose)
 
 
@@ -191,11 +191,11 @@ def test_bias_grids_start_at_zero():
 def test_zero_biases_give_zero_fixed_point(variant):
     model = build(ModelConfig.for_variant(variant, GRID9), seed=1)
     for cell in model.cells:
-        for conv in cell if isinstance(cell, tuple) else (cell,):
+        for conv in cell:
             conv.bias.data[:] = 0.0
     h = initial_state(model)
     for _ in range(3):
-        h = step(model, h, BLANK, Pose2.identity())
+        h = step(model, h, None, Pose2.identity())
     for layer in h:
         assert not layer.data.any()
 
@@ -216,8 +216,8 @@ def test_stm_translation_round_trip_restores_interior():
     d = 2 * GRID21.cell_size
     fwd = Pose2(d, 0.0, 0.0)
     back = Pose2(-d, 0.0, 0.0)
-    h1 = step(model, h0, BLANK, fwd)
-    h2 = step(model, h1, BLANK, back)
+    h1 = step(model, h0, None, fwd)
+    h2 = step(model, h1, None, back)
     for a, b in zip(h0, h2):
         inner = (slice(None), slice(None), slice(2, -2), slice(2, -2))
         assert np.max(np.abs(a.data[inner] - b.data[inner])) < 1e-4
@@ -276,7 +276,7 @@ def test_hidden_stays_bounded_over_100_blank_steps(variant):
     model = build(ModelConfig.for_variant(variant, GRID9), seed=11)
     h = initial_state(model)
     for _ in range(100):
-        h = step(model, h, BLANK, Pose2.identity())
+        h = step(model, h, None, Pose2.identity())
     for layer in h:
         assert np.isfinite(layer.data).all()
         assert np.max(np.abs(layer.data)) <= 1.0 + 1e-6
@@ -337,7 +337,7 @@ def test_rollout_blank_frames_change_predictions():
 
 
 def test_step_loop_matches_rollout():
-    """A sequence stepped frame by frame, BLANK at the hidden frame, gives
+    """A sequence stepped frame by frame, None at the hidden frame, gives
     exactly the states unroll yields and the predictions rollout returns."""
     spec = GridSpec(size_cells=21, cell_size=0.4)
     batch = static_crossing(seed=1, spec=spec, frames=4)
@@ -346,7 +346,7 @@ def test_step_loop_matches_rollout():
     preds = rollout(model, batch, schedule)
     h = initial_state(model)
     for f, (state, _) in enumerate(unroll(model, batch, schedule)):
-        obs = batch.observations[f] if schedule.is_shown(f) else BLANK
+        obs = batch.observations[f] if schedule.is_shown(f) else None
         h = step(model, h, obs, batch.rel_transforms[f])
         assert all(np.array_equal(a.data, b.data) for a, b in zip(h, state))
         assert np.array_equal(decode(model, h).data, preds[f].data)

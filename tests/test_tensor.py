@@ -1035,7 +1035,7 @@ def test_model_gradients_match_per_sample_parent_warp(dtype, turning, monkeypatc
     from gridtrack import model as model_mod
     from gridtrack.model import ModelConfig, build
     from gridtrack.simulator import moving_straight, moving_turning
-    from gridtrack.training import ShowBlankSchedule, sequence_loss
+    from gridtrack.training import ShowBlankSchedule, sequence_loss, target_mask
 
     spec = GridSpec(size_cells=15, cell_size=0.4)
     batch = (moving_turning if turning else moving_straight)(seed=1, spec=spec, frames=6)
@@ -1044,7 +1044,7 @@ def test_model_gradients_match_per_sample_parent_warp(dtype, turning, monkeypatc
     def grads():
         with precision(dtype):
             model = build(ModelConfig.for_variant("GRU3DilConv_16", spec, use_stm=True), seed=3)
-            sequence_loss(model, batch, sched).backward()
+            sequence_loss(model, batch, sched, target_mask(batch, sched)).backward()
         return [(name, t.grad) for name, t in model.named_parameters()]
 
     planned = grads()

@@ -32,7 +32,6 @@ from gridtrack.training import (
     adam_step,
     minibatch_backward,
     sequence_loss,
-    sgd_momentum_step,
     target_mask,
     train,
 )
@@ -87,7 +86,7 @@ def test_loss_zero_when_nothing_visible():
     model = tiny_model()
     batch = blank_batch(GRID9, frames=4, vis_value=0)
     sched = ShowBlankSchedule(total_frames=4, show=2, blank=2)
-    loss = sequence_loss(model, batch, sched)
+    loss = sequence_loss(model, batch, sched, target_mask(batch, sched))
     assert loss.item() == 0.0
 
 
@@ -96,7 +95,7 @@ def test_loss_zero_mask_gradient_exactly_zero():
     batch = blank_batch(GRID9, frames=4, vis_value=0)
     sched = ShowBlankSchedule(total_frames=4, show=2, blank=2)
     model.zero_grad()
-    loss = sequence_loss(model, batch, sched)
+    loss = sequence_loss(model, batch, sched, target_mask(batch, sched))
     loss.backward()
     for p in model.parameters():
         assert p.grad is not None
@@ -130,7 +129,7 @@ def test_loss_pools_cells_across_frames():
         frames = batch.frames
         sched = ShowBlankSchedule(total_frames=frames, show=2, blank=2)
         model = tiny_model(spec, use_stm=use_stm)
-        loss = sequence_loss(model, batch, sched)
+        loss = sequence_loss(model, batch, sched, target_mask(batch, sched))
 
         preds = rollout(model, batch, sched)
         num = 0.0
@@ -154,8 +153,6 @@ def test_loss_pools_cells_across_frames():
 def test_moving_loss_masks_leading_band():
     """Two cells per frame of forward motion over five blanked frames must
     remove a ten-cell band from the last blanked frame's mask."""
-    from gridtrack.training import target_mask
-
     spec = GridSpec(size_cells=21, cell_size=0.5)
     frames = 10
     step_pose = Pose2(-2 * spec.cell_size, 0.0, 0.0)
@@ -178,8 +175,6 @@ def test_moving_loss_masks_leading_band():
 def test_static_target_mask_equals_visibility():
     """A still sensor's identity chain makes every predictable mask all ones,
     so each frame's target mask is exactly its visibility."""
-    from gridtrack.training import target_mask
-
     spec = GridSpec(size_cells=11, cell_size=0.5)
     batch = static_crossing(seed=5, spec=spec, frames=8)
     sched = ShowBlankSchedule(total_frames=8, show=2, blank=2)
@@ -191,8 +186,6 @@ def test_static_target_mask_equals_visibility():
 def test_target_mask_rows_follow_each_sequences_chain():
     """For still, straight and turning sensors, each frame of a sequence's
     mask equals that frame's mask rebuilt from its own chain alone."""
-    from gridtrack.training import target_mask
-
     spec = GridSpec(size_cells=21, cell_size=0.4)
     batches = [
         static_crossing(seed=1, spec=spec, frames=8),
@@ -226,10 +219,12 @@ def test_blanked_frame_gradient_matches_finite_differences():
         )
         sched = ShowBlankSchedule(total_frames=2, show=1, blank=1)
 
-        def loss(*_):
-            return sequence_loss(model, batch, sched)
+        mask = target_mask(batch, sched)
 
-        err = grad_check(loss, [model.cells[0].kernel, model.cells[0].bias], h=1e-4)
+        def loss(*_):
+            return sequence_loss(model, batch, sched, mask)
+
+        err = grad_check(loss, [model.cells[0][0].kernel, model.cells[0][0].bias], h=1e-4)
         assert err < 1e-4
 
 
@@ -252,8 +247,8 @@ def test_loss_backward_carries_blank_frame_term():
             spec=spec, observations=obs, rel_transforms=[Pose2.identity()] * 2
         )
         model.zero_grad()
-        sequence_loss(model, batch, sched).backward()
-        return model.cells[0].kernel.grad.copy()
+        sequence_loss(model, batch, sched, target_mask(batch, sched)).backward()
+        return model.cells[0][0].kernel.grad.copy()
 
     g_full = grad_with_final_vis(vis)
     g_none = grad_with_final_vis(np.zeros((5, 5), dtype=np.uint8))
@@ -294,17 +289,6 @@ def test_adam_constant_gradient_approaches_lr_sign():
     assert np.allclose(update, -lr * np.sign(g), rtol=1e-3)
 
 
-def test_sgd_momentum_accumulates():
-    p = Tensor(np.array([0.0]), requires_grad=True)
-    g = np.array([1.0])
-    state: dict = {}
-    state = sgd_momentum_step([p], [g], state, lr=0.1)
-    assert p.data[0] == pytest.approx(-0.1)
-    state = sgd_momentum_step([p], [g], state, lr=0.1)
-    # velocity = 0.9*1 + 1 = 1.9
-    assert p.data[0] == pytest.approx(-0.1 - 0.19)
-
-
 # --------------------------------------------------------------------- train
 
 
@@ -313,8 +297,6 @@ def test_train_config_validation():
     for lr in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(schedule=sched, learning_rate=lr)
-    with pytest.raises(ValueError):
-        TrainConfig(schedule=sched, optimizer="adagrad")
     with pytest.raises(ValueError):
         TrainConfig(schedule=sched, checkpoint_every=5)
     with pytest.raises(ValueError, match="checkpoint_every"):
@@ -337,6 +319,22 @@ def test_train_zero_steps_returns_initial_model():
     assert result.stop_reason == "max_steps"
     for p, b in zip(result.model.parameters(), before):
         assert np.array_equal(p.data, b)
+
+
+def test_train_stops_on_a_plateau():
+    """A learning rate too small to move the loss by the plateau margin
+    stops training patience steps after the first, best step."""
+    spec = GridSpec(size_cells=11, cell_size=0.5)
+    batch = static_crossing(seed=1, spec=spec, frames=4)
+    cfg = TrainConfig(
+        schedule=ShowBlankSchedule(total_frames=4, show=2, blank=2),
+        learning_rate=1e-12,
+        max_steps=10,
+        plateau_patience=3,
+    )
+    result = train(tiny_model(spec), [batch], cfg)
+    assert result.stop_reason == "plateau"
+    assert result.steps == len(result.losses) == 4
 
 
 def test_train_rejects_empty_or_mismatched_dataset():
@@ -475,7 +473,7 @@ def test_train_rejected_grid_leaves_no_log_or_checkpoint_dir(tmp_path):
 def test_train_divergence_guard():
     spec = GridSpec(size_cells=11, cell_size=0.5)
     model = tiny_model(spec)
-    model.cells[0].kernel.data[:] = np.nan
+    model.cells[0][0].kernel.data[:] = np.nan
     batch = static_crossing(seed=1, spec=spec, frames=4)
     cfg = TrainConfig(schedule=ShowBlankSchedule(total_frames=4, show=2, blank=2), max_steps=2)
     with pytest.raises(FloatingPointError):
@@ -490,7 +488,7 @@ def test_train_non_finite_gradient_guard(monkeypatch):
     before = [p.data.copy() for p in model.parameters()]
     target = model.cells[1][2].bias
 
-    def nan_grad_loss(model, batch, schedule):
+    def nan_grad_loss(model, batch, schedule, mask):
         loss = Tensor(np.asarray(0.5), requires_grad=True)
         loss._prev = (target,)
 
@@ -589,13 +587,30 @@ def test_minibatch_backward_matches_the_pooled_loss(dtype, rtol):
 
 def test_minibatch_backward_of_one_sample_is_the_plain_backward():
     model, data, sched = turning_minibatch(seeds=(3,))
-    loss = sequence_loss(model, data[0], sched)
+    loss = sequence_loss(model, data[0], sched, target_mask(data[0], sched))
     loss.backward()
     want = [p.grad.copy() for p in model.parameters()]
     model.zero_grad()
     assert minibatch_backward(model, data, sched) == loss.item()
     for p, w in zip(model.parameters(), want):
         assert np.array_equal(p.grad, w)
+
+
+def test_a_step_builds_each_samples_target_mask_once(monkeypatch):
+    """One batch-4 step builds one target mask per sample: the same mask
+    weighs the sample and scores its loss."""
+    model, data, sched = turning_minibatch()
+    calls = []
+    real = training.target_mask
+
+    def counted(batch, schedule):
+        calls.append(batch)
+        return real(batch, schedule)
+
+    monkeypatch.setattr(training, "target_mask", counted)
+    cfg = TrainConfig(schedule=sched, batch_size=4, max_steps=1, moving_sensor=True)
+    assert train(model, data, cfg).steps == 1
+    assert sorted(map(id, calls)) == sorted(map(id, data))
 
 
 def test_train_names_a_nan_gradient_only_a_later_sample_produces(monkeypatch):
@@ -608,8 +623,8 @@ def test_train_names_a_nan_gradient_only_a_later_sample_produces(monkeypatch):
     poisoned = data[np.random.default_rng(cfg.seed).permutation(len(data))[2]]
     real = training.sequence_loss
 
-    def nan_grad_in_one_sample(sink, batch, schedule):
-        loss = real(sink, batch, schedule)
+    def nan_grad_in_one_sample(sink, batch, schedule, mask):
+        loss = real(sink, batch, schedule, mask)
         if batch is not poisoned:
             return loss
         assert sink is not model
