@@ -106,7 +106,7 @@ def cmd_train(args) -> int:
     )
     result = train(model, batches, cfg)
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-    save_checkpoint(result.model, args.out)
+    save_checkpoint(model, args.out)
     last = f"{result.losses[-1]:.6f}" if result.losses else "n/a"
     print(
         f"trained {args.variant} for {result.steps} steps "

@@ -173,10 +173,6 @@ class Model:
     def static_bias_count(self) -> int:
         return sum(int(np.prod(t.shape)) for t in self.bias_grids)
 
-    def zero_grad(self) -> None:
-        for t in self.parameters():
-            t.zero_grad()
-
 
 def build(config: ModelConfig, seed: int) -> Model:
     """Deterministically initialize a model. Convolution weights and biases

@@ -1,5 +1,5 @@
 """Self-supervised training: show/blank schedules, visibility-masked loss,
-the Adam update, and the seeded minibatch loop.
+the Adam update, one training step, and the seeded minibatch loop.
 
 The target at every frame is the observation itself: the network sees the
 input during shown frames, nothing during blanked frames, and the loss only
@@ -9,16 +9,14 @@ egomotion keeps predictable from space seen before the blank started.
 Scoring is per sequence, not per frame: one (F, M, M) target mask and one
 ``masked_bce`` over every frame of the sequence.
 
-A training step rolls out and backpropagates each sample of its minibatch
-on its own graph and gradient sink, so a minibatch may mix still and moving
-sensors. Each sample is weighted by its share of the minibatch's scored
-cells, so the loss is the pooled mean over those cells, and the gradients
-are added in sample order (``minibatch_backward``). Each sample's target
-mask is built once per step, both to weigh the sample and to score it. Only
-as many graphs are alive at once as samples run at once: one after another,
-or, when the BLAS thread pools are pinned, on the CPUs they leave idle, in a
-pool opened for the step. How many run at once changes no bit; a batch of
-one gives the plain backward's bits.
+A training step (``step``) backpropagates each sample of its minibatch on
+its own ``replica`` of the model, so a minibatch may mix still and moving
+sensors, weighs it by its share of the minibatch's scored cells (the loss is
+the pooled mean over them), and adds the gradients in sample order into one
+list for ``adam_step``: the model's own Tensors never hold a ``grad``.
+Samples run one after another or, when the BLAS thread pools are pinned, on
+the CPUs they leave idle; how many run at once changes no bit. ``train`` is
+only the loop around ``step``: minibatches, log, checkpoints, plateau rule.
 """
 
 from __future__ import annotations
@@ -40,8 +38,8 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "sequence_loss",
-    "minibatch_backward",
     "adam_step",
+    "step",
     "train",
 ]
 
@@ -116,10 +114,12 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    model: Model
     losses: list
     stop_reason: str
-    steps: int
+
+    @property
+    def steps(self) -> int:
+        return len(self.losses)
 
 
 def sequence_loss(model: Model, batch, schedule: ShowBlankSchedule, mask: np.ndarray) -> Tensor:
@@ -135,14 +135,12 @@ def sequence_loss(model: Model, batch, schedule: ShowBlankSchedule, mask: np.nda
 def adam_step(params, grads, state: dict, lr: float) -> dict:
     """In-place Adam update with bias correction, at beta1 = 0.9,
     beta2 = 0.999 and eps = 1e-8. ``state`` holds first and second moments
-    plus the step counter; pass {} to start."""
+    plus the step counter ``t``; pass {} to start and the same dict at every
+    later step: it is filled and updated in place, and returned."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     if not state:
-        state = {
-            "t": 0,
-            "m": [np.zeros_like(p.data) for p in params],
-            "v": [np.zeros_like(p.data) for p in params],
-        }
+        state.update(t=0, m=[np.zeros_like(p.data) for p in params],
+                     v=[np.zeros_like(p.data) for p in params])
     state["t"] += 1
     t = state["t"]
     for p, g, m, v in zip(params, grads, state["m"], state["v"]):
@@ -156,43 +154,55 @@ def adam_step(params, grads, state: dict, lr: float) -> dict:
     return state
 
 
-def minibatch_backward(model: Model, batches, schedule: ShowBlankSchedule) -> float:
-    """Backpropagate a minibatch's pooled loss one sample at a time, leave
-    its gradient in ``model``'s ``grad``s and return the loss.
+def step(model: Model, group, schedule: ShowBlankSchedule, state: dict, lr: float) -> float:
+    """One ``adam_step`` on ``state`` down a minibatch's pooled loss, which
+    it returns.
 
     Each sample's ``target_mask`` is built once: with n_s the cells it
     scores for sample s and N the minibatch's total, sample s's
     ``sequence_loss`` on that mask is weighted by n_s / N, so the weighted
     losses add up to the minibatch's pooled mean, and the gradient is the
-    sum, in sample order, of each sample's weighted gradient. Sample 0 runs
-    on ``model`` itself and every later one on a ``replica``, whose backward
-    writes gradients of its own, so the samples run on a pool of their own
-    (``threads.ordered_map``) without changing a bit. Each sample's graph is
-    freed by its backward: as many graphs are alive at once as the pool runs
-    samples. A sample whose loss is not finite is not backpropagated. A lone
-    sample has weight exactly 1, so it gives the bits its plain
-    ``sequence_loss(...).backward()`` would."""
-    batches = list(batches)
-    masks = [target_mask(b, schedule) for b in batches]
+    sum, in sample order, of each sample's weighted gradient. Each sample
+    runs on a ``replica`` with gradients of its own, so the samples run on a
+    pool (``threads.ordered_map``) without changing a bit. Each graph is
+    freed by its backward: as many are alive as the pool runs samples. A
+    sample whose loss is not finite is not backpropagated. A lone sample has
+    weight exactly 1: the bits of its plain ``sequence_loss(...).backward()``.
+
+    A non-finite loss or gradient raises FloatingPointError before the
+    update, naming the step as ``state["t"] + 1``, Adam's next count."""
+    group = list(group)
+    masks = [target_mask(b, schedule) for b in group]
     cells = [int(mask.sum()) for mask in masks]
     total = sum(cells)
 
     def backprop(s: int) -> tuple:
-        sink = model if s == 0 else replica(model)
-        loss = sequence_loss(sink, batches[s], schedule, masks[s])
+        sink = replica(model)
+        loss = sequence_loss(sink, group[s], schedule, masks[s])
         loss = loss * (cells[s] / total if total else 1.0)
         value = loss.item()
         if np.isfinite(value):
             loss.backward()
-        return value, sink
+        return value, [p.grad for p in sink.parameters()]
 
-    with ordered_map(len(batches)) as run:
-        results = list(run(backprop, range(len(batches))))
-    for _, sink in results[1:]:
-        for p, q in zip(model.parameters(), sink.parameters()):
-            if q.grad is not None:
-                p._accum(q.grad)
-    return sum(value for value, _ in results)
+    with ordered_map(len(group)) as run:
+        results = list(run(backprop, range(len(group))))
+    value = sum(v for v, _ in results)
+    at = state.get("t", 0) + 1
+    if not np.isfinite(value):
+        raise FloatingPointError(f"training diverged at step {at}")
+    named = model.named_parameters()
+    grads = []
+    for i, (name, p) in enumerate(named):
+        parts = [sample[i] for _, sample in results if sample[i] is not None]
+        g = parts[0] if parts else np.zeros_like(p.data)
+        for part in parts[1:]:
+            g += part
+        if not np.isfinite(g).all():
+            raise FloatingPointError(f"non-finite gradient in {name} at step {at}")
+        grads.append(g)
+    adam_step([p for _, p in named], grads, state, lr)
+    return value
 
 
 def _minibatches(dataset: list, size: int, rng: np.random.Generator):
@@ -207,19 +217,18 @@ def _minibatches(dataset: list, size: int, rng: np.random.Generator):
 
 
 def train(model: Model, dataset, cfg: TrainConfig) -> TrainResult:
-    """Seeded minibatch training with Adam. Each epoch draws a fresh
-    permutation of the dataset from the seed and groups consecutive
-    sequences into minibatches. Steps count from 1. Stops at max_steps or
-    on a loss plateau (no new best for plateau_patience steps), and aborts
-    on a non-finite loss or, before the update, on a non-finite parameter
-    gradient.
+    """Seeded minibatch training of ``model``, in place, with Adam: one
+    ``step`` per minibatch. Each epoch draws a fresh permutation of the
+    dataset from the seed and groups consecutive sequences into minibatches.
+    Steps count from 1. Stops at max_steps or on a loss plateau (no new best
+    for plateau_patience steps); ``step`` aborts on a non-finite loss or
+    gradient. ``log_path`` gets one line per step, and a run starts it
+    afresh at the end of its first step.
 
-    Each minibatch is backpropagated one sample at a time
-    (``minibatch_backward``). When the environment pins the BLAS thread
-    pools, samples run on as many threads as the usable CPUs hold at that
-    pool size (see ``threads.workers``), one pool per step; otherwise one
-    after another in the caller's thread. The trained bits are the same
-    either way.
+    When the environment pins the BLAS thread pools, a step's samples run on
+    as many threads as the usable CPUs hold at that pool size (see
+    ``threads.workers``), one pool per step; otherwise one after another in
+    the caller's thread. The trained bits are the same either way.
     """
     dataset = list(dataset)
     if not dataset:
@@ -229,8 +238,6 @@ def train(model: Model, dataset, cfg: TrainConfig) -> TrainResult:
             "moving-sensor training without egomotion compensation needs "
             "baseline_override (ablation runs only)"
         )
-    named = model.named_parameters()
-    params = [p for _, p in named]
     groups = _minibatches(dataset, cfg.batch_size, np.random.default_rng(cfg.seed))
     state: dict = {}
     losses: list[float] = []
@@ -238,30 +245,21 @@ def train(model: Model, dataset, cfg: TrainConfig) -> TrainResult:
     best_step = 0
     # the log and the checkpoint directory appear at their first write, so a
     # call that fails before its first step leaves nothing behind
-    for step, group in zip(range(1, cfg.max_steps + 1), groups):
+    for n, group in zip(range(1, cfg.max_steps + 1), groups):
         t0 = time.monotonic()
-        model.zero_grad()
-        value = minibatch_backward(model, group, cfg.schedule)
-        if not np.isfinite(value):
-            raise FloatingPointError(f"training diverged at step {step}")
-        grads = []
-        for name, p in named:
-            if p.grad is not None and not np.isfinite(p.grad).all():
-                raise FloatingPointError(f"non-finite gradient in {name} at step {step}")
-            grads.append(p.grad if p.grad is not None else np.zeros_like(p.data))
-        state = adam_step(params, grads, state, cfg.learning_rate)
+        value = step(model, group, cfg.schedule, state, cfg.learning_rate)
         losses.append(value)
         if cfg.log_path:
             ms = (time.monotonic() - t0) * 1000.0
             os.makedirs(os.path.dirname(cfg.log_path) or ".", exist_ok=True)
-            with open(cfg.log_path, "a") as fh:
-                fh.write(f"{step} {value:.6f} {ms:.1f}\n")
+            with open(cfg.log_path, "w" if n == 1 else "a") as fh:
+                fh.write(f"{n} {value:.6f} {ms:.1f}\n")
         if value < best - 1e-6:
             best = value
-            best_step = step
-        if cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
+            best_step = n
+        if cfg.checkpoint_every and n % cfg.checkpoint_every == 0:
             os.makedirs(cfg.checkpoint_dir, exist_ok=True)
-            save_checkpoint(model, f"{cfg.checkpoint_dir}/step{step:06d}.ckpt")
-        if cfg.plateau_patience and step - best_step >= cfg.plateau_patience:
-            return TrainResult(model=model, losses=losses, stop_reason="plateau", steps=len(losses))
-    return TrainResult(model=model, losses=losses, stop_reason="max_steps", steps=len(losses))
+            save_checkpoint(model, f"{cfg.checkpoint_dir}/step{n:06d}.ckpt")
+        if cfg.plateau_patience and n - best_step >= cfg.plateau_patience:
+            return TrainResult(losses=losses, stop_reason="plateau")
+    return TrainResult(losses=losses, stop_reason="max_steps")

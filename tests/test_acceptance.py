@@ -277,11 +277,11 @@ def static_experiment():
                       seed=0, plateau_patience=100000)
     model = build(ModelConfig.for_variant("GRU3DilConv_16", STATIC_GRID), seed=0)
     t0 = time.monotonic()
-    result = train(model, train_set, cfg)
+    train(model, train_set, cfg)
     minutes = (time.monotonic() - t0) / 60.0
     eval_sched = ShowBlankSchedule(total_frames=40, show=10, blank=10)
-    curve = f1_horizon(result.model, held, eval_sched, threshold=0.5)
-    return result.model, curve, minutes
+    curve = f1_horizon(model, held, eval_sched, threshold=0.5)
+    return model, curve, minutes
 
 
 def test_criterion_5_static_sensor_learning(static_experiment, capsys):
@@ -325,7 +325,8 @@ def turning_experiment():
             ModelConfig.for_variant("GRU3DilConv_16", TURN_GRID, use_stm=use_stm),
             seed=0,
         )
-        return train(model, train_set, cfg).model
+        train(model, train_set, cfg)
+        return model
 
     stm, base = fit(True), fit(False)
     return (
@@ -375,9 +376,9 @@ def test_criterion_9_determinism_and_codecs(tmp_path, capsys):
     def run(tag):
         with precision("float64"):
             model = build(ModelConfig.for_variant("GRU3DilConv_16", grid), seed=7)
-            result = train(model, data, cfg)
+            train(model, data, cfg)
         path = tmp_path / f"{tag}.ckpt"
-        save_checkpoint(result.model, path)
+        save_checkpoint(model, path)
         return path.read_bytes()
 
     identical_training = run("a") == run("b")

@@ -28,9 +28,7 @@ from gridtrack.tensor import Tensor, concat_channels, grad_check, masked_bce, pr
 from gridtrack.training import (
     ShowBlankSchedule,
     TrainConfig,
-    TrainResult,
     adam_step,
-    minibatch_backward,
     sequence_loss,
     target_mask,
     train,
@@ -94,7 +92,6 @@ def test_loss_zero_mask_gradient_exactly_zero():
     model = tiny_model()
     batch = blank_batch(GRID9, frames=4, vis_value=0)
     sched = ShowBlankSchedule(total_frames=4, show=2, blank=2)
-    model.zero_grad()
     loss = sequence_loss(model, batch, sched, target_mask(batch, sched))
     loss.backward()
     for p in model.parameters():
@@ -246,7 +243,6 @@ def test_loss_backward_carries_blank_frame_term():
         batch = SequenceBatch(
             spec=spec, observations=obs, rel_transforms=[Pose2.identity()] * 2
         )
-        model.zero_grad()
         sequence_loss(model, batch, sched, target_mask(batch, sched)).backward()
         return model.cells[0][0].kernel.grad.copy()
 
@@ -274,6 +270,20 @@ def test_adam_zero_gradient_keeps_params():
     adam_step([p], [np.zeros(2)], {}, lr := 1e-2)
     assert np.array_equal(p.data, np.array([1.5, -0.5]))
     assert lr == 1e-2
+
+
+def test_adam_fills_and_updates_the_state_it_is_given():
+    """Two steps through one dict, started empty, are two steps of one run:
+    the second is bias-corrected at t = 2, as when its returned state is
+    passed on."""
+    g = np.array([0.5, -0.1, 0.0])
+    p, q = (Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True) for _ in range(2))
+    state: dict = {}
+    adam_step([p], [g], state, 1e-2)
+    adam_step([p], [g], state, 1e-2)
+    adam_step([q], [g], adam_step([q], [g], {}, 1e-2), 1e-2)
+    assert state["t"] == 2
+    assert np.array_equal(p.data, q.data)
 
 
 def test_adam_constant_gradient_approaches_lr_sign():
@@ -317,7 +327,7 @@ def test_train_zero_steps_returns_initial_model():
     assert result.steps == 0
     assert result.losses == []
     assert result.stop_reason == "max_steps"
-    for p, b in zip(result.model.parameters(), before):
+    for p, b in zip(model.parameters(), before):
         assert np.array_equal(p.data, b)
 
 
@@ -385,10 +395,10 @@ def test_train_deterministic_in_float64():
     sched = ShowBlankSchedule(total_frames=4, show=2, blank=2)
     cfg = TrainConfig(schedule=sched, max_steps=6, batch_size=2, seed=9)
     with precision("float64"):
-        a = train(tiny_model(spec, seed=1), data, cfg)
-        b = train(tiny_model(spec, seed=1), data, cfg)
+        ma, mb = tiny_model(spec, seed=1), tiny_model(spec, seed=1)
+        a, b = train(ma, data, cfg), train(mb, data, cfg)
     assert a.losses == b.losses
-    for pa, pb in zip(a.model.parameters(), b.model.parameters()):
+    for pa, pb in zip(ma.parameters(), mb.parameters()):
         assert np.array_equal(pa.data, pb.data)
 
 
@@ -408,6 +418,29 @@ def test_train_logs_steps(tmp_path):
     assert int(step) == 1
     assert float(loss) > 0
     assert float(ms) >= 0
+
+
+def test_train_starts_its_log_afresh(tmp_path):
+    """Two runs with one log path leave only the second run's lines."""
+    spec = GridSpec(size_cells=11, cell_size=0.5)
+    batch = static_crossing(seed=1, spec=spec, frames=4)
+    log = tmp_path / "train.log"
+    sched = ShowBlankSchedule(total_frames=4, show=2, blank=2)
+    for steps in (3, 2):
+        train(tiny_model(spec), [batch], TrainConfig(schedule=sched, max_steps=steps,
+                                                     log_path=str(log)))
+    assert [line.split()[0] for line in log.read_text().splitlines()] == ["1", "2"]
+
+
+def test_train_leaves_no_grad_on_the_model():
+    """The gradient is a value inside a step: after training at batch 1 and
+    2, no parameter of the trained model holds a ``grad``."""
+    model, data, sched = mixed_minibatch()
+    for batch_size in (1, 2):
+        cfg = TrainConfig(schedule=sched, batch_size=batch_size, max_steps=2,
+                          moving_sensor=True)
+        assert train(model, data, cfg).steps == 2
+        assert all(p.grad is None for p in model.parameters())
 
 
 def test_train_periodic_checkpoints(tmp_path):
@@ -486,9 +519,9 @@ def test_train_non_finite_gradient_guard(monkeypatch):
     spec = GridSpec(size_cells=11, cell_size=0.5)
     model = tiny_model(spec, variant="GRU3DilConv_16")
     before = [p.data.copy() for p in model.parameters()]
-    target = model.cells[1][2].bias
 
-    def nan_grad_loss(model, batch, schedule, mask):
+    def nan_grad_loss(sink, batch, schedule, mask):
+        target = sink.cells[1][2].bias
         loss = Tensor(np.asarray(0.5), requires_grad=True)
         loss._prev = (target,)
 
@@ -541,28 +574,37 @@ def test_train_bits_do_not_depend_on_the_worker_count(dtype, monkeypatch):
     sensors and on a minibatch mixing still and moving ones."""
     interval = sys.getswitchinterval()
     for minibatch in (turning_minibatch, mixed_minibatch):
-        runs = {}
+        runs, models = {}, {}
         try:
             with precision(dtype):
                 for workers in (1, 2, 4):
                     monkeypatch.setattr(threads, "workers", lambda n, k=workers: k)
                     sys.setswitchinterval(1e-6 if workers == 4 else interval)
-                    model, data, sched = minibatch()
+                    models[workers], data, sched = minibatch()
                     cfg = TrainConfig(schedule=sched, learning_rate=1e-2, batch_size=4,
                                       max_steps=3, moving_sensor=True)
-                    runs[workers] = train(model, data, cfg)
+                    runs[workers] = train(models[workers], data, cfg)
         finally:
             sys.setswitchinterval(interval)
         one = runs[1]
         assert all(np.isfinite(one.losses)) and len(one.losses) == 3
         for workers in (2, 4):
             assert runs[workers].losses == one.losses, minibatch.__name__
-            for pa, pb in zip(runs[workers].model.parameters(), one.model.parameters()):
+            for pa, pb in zip(models[workers].parameters(), models[1].parameters()):
                 assert pa.data.tobytes() == pb.data.tobytes(), minibatch.__name__
 
 
+def step_gradient(model, data, sched, monkeypatch):
+    """One ``training.step`` on ``data``: its loss and the gradients it
+    hands to ``adam_step``."""
+    handed = []
+    monkeypatch.setattr(training, "adam_step", lambda p, g, state, lr: handed.append(g))
+    loss = training.step(model, data, sched, {}, 1e-3)
+    return loss, handed[0]
+
+
 @pytest.mark.parametrize("dtype, rtol", [("float32", 1e-6), ("float64", 1e-12)])
-def test_minibatch_backward_matches_the_pooled_loss(dtype, rtol):
+def test_step_matches_the_pooled_loss(dtype, rtol, monkeypatch):
     """Per-sample losses weighted by their share of the scored cells add up
     to the pooled loss of the whole minibatch, and their gradients to its
     gradient (relative to each parameter's largest entry)."""
@@ -578,22 +620,21 @@ def test_minibatch_backward_matches_the_pooled_loss(dtype, rtol):
         )
         pooled.backward()
         want = [p.grad.copy() for p in model.parameters()]
-        model.zero_grad()
-        got = minibatch_backward(model, data, sched)
+        got, grads = step_gradient(model, data, sched, monkeypatch)
     assert abs(got - pooled.item()) <= rtol * pooled.item()
-    for p, w in zip(model.parameters(), want):
-        assert np.abs(p.grad - w).max() <= rtol * np.abs(w).max()
+    for g, w in zip(grads, want):
+        assert np.abs(g - w).max() <= rtol * np.abs(w).max()
 
 
-def test_minibatch_backward_of_one_sample_is_the_plain_backward():
+def test_step_of_one_sample_is_the_plain_backward(monkeypatch):
     model, data, sched = turning_minibatch(seeds=(3,))
     loss = sequence_loss(model, data[0], sched, target_mask(data[0], sched))
     loss.backward()
     want = [p.grad.copy() for p in model.parameters()]
-    model.zero_grad()
-    assert minibatch_backward(model, data, sched) == loss.item()
-    for p, w in zip(model.parameters(), want):
-        assert np.array_equal(p.grad, w)
+    got, grads = step_gradient(model, data, sched, monkeypatch)
+    assert got == loss.item()
+    for g, w in zip(grads, want):
+        assert np.array_equal(g, w)
 
 
 def test_a_step_builds_each_samples_target_mask_once(monkeypatch):
