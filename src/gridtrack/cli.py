@@ -59,7 +59,7 @@ def cmd_gen(args) -> int:
         raise ValueError("--sequences must be at least 1")
     spec = GridSpec(size_cells=args.grid, cell_size=args.cell_size)
     builder = scenario_builders()[args.scenario]
-    kwargs = {"frame_rate": args.frame_rate}
+    kwargs = {}
     if args.frames is not None:
         if args.scenario == "occlusion":
             raise ValueError(
@@ -68,7 +68,7 @@ def cmd_gen(args) -> int:
             )
         kwargs["frames"] = args.frames
     batches = [builder(args.seed + i, spec, **kwargs) for i in range(args.sequences)]
-    write_dataset(args.out, batches, frame_rate=args.frame_rate, seed=args.seed)
+    write_dataset(args.out, batches, seed=args.seed)
     print(
         f"wrote {len(batches)} x {batches[0].frames}-frame "
         f"sequences ({args.scenario}, grid {args.grid}) to {args.out}"
@@ -225,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--frames", type=int, default=None,
                      help="frames per sequence (builder default 20; "
                      "not accepted by the occlusion scenario)")
-    gen.add_argument("--frame-rate", type=float, default=8.0)
     gen.set_defaults(func=cmd_gen)
 
     tr = sub.add_parser("train", help="train a model on a dataset directory")

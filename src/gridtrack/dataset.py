@@ -11,8 +11,8 @@ packed 8 cells per byte, most significant bit first. Reading back a written
 sequence reproduces it bit for bit.
 
 A dataset directory holds the sequence files and a ``manifest.json`` that
-lists them with the frame rate and, for synthetic data, the seed. The grid
-and frame count of each sequence live only in its own header.
+lists them, with the frame rate and the seed when the writer gave them. The
+grid and frame count of each sequence live only in its own header.
 """
 
 from __future__ import annotations
@@ -142,12 +142,13 @@ def _decode_sequence(blob: bytes) -> SequenceBatch:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Index of a dataset directory: the frame rate, the sequence files (bare
-    names inside the directory) and, for synthetic data, the seed it was
-    generated from. Grid and frame counts are read from the files."""
+    """Index of a dataset directory: the sequence files (bare names inside
+    the directory) and, when the writer gave them, the frame rate in Hz and
+    the seed the data were generated from. Grid and frame counts are read
+    from the files."""
 
-    frame_rate: float
     files: tuple
+    frame_rate: float | None = None
     seed: int | None = None
 
     def __post_init__(self):
@@ -159,13 +160,12 @@ class DatasetManifest:
                 raise ValueError(
                     f"files entry {name!r} is not a bare file name in the dataset directory"
                 )
-        if not (self.frame_rate > 0.0 and math.isfinite(self.frame_rate)):
-            raise ValueError(f"frame_rate must be positive, got {self.frame_rate}")
+        if self.frame_rate is not None and not 0.0 < self.frame_rate < math.inf:
+            raise ValueError(f"frame_rate must be positive and finite, got {self.frame_rate}")
 
     def save(self, dirpath) -> None:
-        doc = {"frame_rate": self.frame_rate, "files": list(self.files)}
-        if self.seed is not None:
-            doc["seed"] = self.seed
+        doc = {"files": list(self.files), "frame_rate": self.frame_rate, "seed": self.seed}
+        doc = {key: value for key, value in doc.items() if value is not None}
         with open(os.path.join(dirpath, MANIFEST_NAME), "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -189,14 +189,20 @@ class DatasetManifest:
         files = json_field(doc, "files", list)
         if not all(isinstance(n, str) for n in files):
             raise ValueError("files must be a list of file names")
+
+        def optional(key, kind):
+            return None if doc.get(key) is None else json_field(doc, key, kind)
+
         return cls(
-            frame_rate=json_field(doc, "frame_rate", (int, float)),
             files=tuple(files),
-            seed=None if doc.get("seed") is None else json_field(doc, "seed", int),
+            frame_rate=optional("frame_rate", (int, float)),
+            seed=optional("seed", int),
         )
 
 
-def write_dataset(dirpath, batches, frame_rate: float, seed: int | None = None) -> DatasetManifest:
+def write_dataset(
+    dirpath, batches, frame_rate: float | None = None, seed: int | None = None
+) -> DatasetManifest:
     batches = list(batches)
     if not batches:
         raise ValueError("no sequences to write")
@@ -212,7 +218,7 @@ def write_dataset(dirpath, batches, frame_rate: float, seed: int | None = None) 
         name = f"seq_{i:05d}.dtseq"
         write_sequence(b, os.path.join(dirpath, name))
         files.append(name)
-    manifest = DatasetManifest(frame_rate=frame_rate, files=tuple(files), seed=seed)
+    manifest = DatasetManifest(files=tuple(files), frame_rate=frame_rate, seed=seed)
     manifest.save(dirpath)
     return manifest
 

@@ -115,8 +115,8 @@ def f1_horizon(model: Model, dataset, schedule, threshold: float = 0.5) -> Horiz
         preds = rollout(model, batch, schedule)
         return pooled_counts([p.data[0, 0] for p in preds], batch, schedule, threshold)
 
-    with no_grad(), ordered_map(len(dataset)) as run:
-        scored = list(run(score, dataset))
+    with no_grad():
+        scored = ordered_map(score, dataset)
     counts = {k: [0, 0, 0, 0] for k in schedule.offsets()}
     for seq in scored:
         for k, c in seq.items():

@@ -5,6 +5,8 @@ Worlds hold axis-aligned rectangles and discs only, so every ray intersection
 has a closed form and the first-hit logic can be checked against a per-shape
 oracle. Objects pass through each other and the sensor; dynamic objects
 reflect off the world bounds so they stay in play for the whole sequence.
+Time is counted in frames: every speed is meters per frame and every yaw
+rate radians per frame.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .geometry import (
 __all__ = [
     "Disc",
     "Rect",
-    "Velocity2",
     "DynamicObject",
     "Bounds",
     "WorldScene",
@@ -68,17 +69,12 @@ class Rect:
 
 
 @dataclass(frozen=True)
-class Velocity2:
-    """Constant translation velocity in meters/s."""
-
-    vx: float
-    vy: float
-
-
-@dataclass(frozen=True)
 class DynamicObject:
+    """A shape moving at a constant ``(vx, vy)`` velocity in meters per
+    frame."""
+
     shape: Disc | Rect
-    velocity: Velocity2
+    velocity: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -123,29 +119,20 @@ class WorldScene:
         return len(self.static_shapes) + len(self.dynamic_objects)
 
 
-def _check_frame_rate(frame_rate: float) -> None:
-    if not (frame_rate > 0.0 and math.isfinite(frame_rate)):
-        raise ValueError(f"frame_rate must be positive and finite, got {frame_rate}")
-
-
-def sensor_poses(
-    frames: int, frame_rate: float, speed: float = 0.0, yaw_rate: float = 0.0
-) -> list[Pose2]:
+def sensor_poses(frames: int, speed: float = 0.0, yaw_rate: float = 0.0) -> list[Pose2]:
     """World-frame sensor pose at every frame, starting at the origin, for a
-    constant speed (m/s) and yaw rate (rad/s): zero speed is a still sensor,
-    zero yaw rate drives straight. Poses advance by forward Euler: heading
-    first, then position along the new heading. ``frames`` must be at
-    least 1."""
+    constant speed (m/frame) and yaw rate (rad/frame): zero speed is a still
+    sensor, zero yaw rate drives straight. Poses advance by forward Euler:
+    heading first, then position along the new heading. ``frames`` must be
+    at least 1."""
     if frames < 1:
         raise ValueError(f"frames must be at least 1, got {frames}")
-    _check_frame_rate(frame_rate)
-    dt = 1.0 / frame_rate
     out = [Pose2.identity()]
     x = y = theta = 0.0
     for _ in range(1, frames):
-        theta += yaw_rate * dt
-        x += speed * math.cos(theta) * dt
-        y += speed * math.sin(theta) * dt
+        theta += yaw_rate
+        x += speed * math.cos(theta)
+        y += speed * math.sin(theta)
         out.append(Pose2(x, y, theta))
     return out
 
@@ -267,12 +254,12 @@ def _truth_grid(shapes, pose: Pose2, spec: GridSpec) -> np.ndarray:
     return occ.astype(np.uint8)
 
 
-def _advance_with_reflection(center, vel, radii, bounds: Bounds, dt: float):
+def _advance_with_reflection(center, vel, radii, bounds: Bounds):
     (cx, cy), (vx, vy), (rx, ry) = center, vel, radii
     lo_x, hi_x = bounds.x_min + rx, bounds.x_max - rx
     lo_y, hi_y = bounds.y_min + ry, bounds.y_max - ry
-    cx += vx * dt
-    cy += vy * dt
+    cx += vx
+    cy += vy
     if cx > hi_x:
         cx, vx = 2 * hi_x - cx, -vx
     elif cx < lo_x:
@@ -287,7 +274,6 @@ def _advance_with_reflection(center, vel, radii, bounds: Bounds, dt: float):
 def simulate_sequence(
     scene: WorldScene,
     poses: list[Pose2],
-    frame_rate: float,
     spec: GridSpec,
     n_beams: int,
     seed: int,
@@ -298,8 +284,8 @@ def simulate_sequence(
     from the sensor (nearest shape intersection wins), encode the scan,
     record the relative egomotion transform, and rasterize unoccluded truth.
 
-    The first frame uses the initial configuration; dynamic objects advance
-    by 1/frame_rate seconds before each later frame. ``noise_half_width``
+    The first frame uses the initial configuration; each dynamic object
+    moves by its velocity before each later frame. ``noise_half_width``
     adds zero-mean uniform range noise to returning beams.
     """
     if n_beams < 1:
@@ -309,14 +295,12 @@ def simulate_sequence(
     frames = len(poses)
     if frames < 2:
         raise ValueError("sequence needs at least 2 frames")
-    _check_frame_rate(frame_rate)
 
     rng = np.random.default_rng(seed)
-    dt = 1.0 / frame_rate
     bearings = -math.pi + 2.0 * math.pi * np.arange(n_beams) / n_beams
 
     centers = [(o.shape.cx, o.shape.cy) for o in scene.dynamic_objects]
-    vels = [(o.velocity.vx, o.velocity.vy) for o in scene.dynamic_objects]
+    vels = [o.velocity for o in scene.dynamic_objects]
     radii = [_bound_radii(o.shape) for o in scene.dynamic_objects]
 
     observations = []
@@ -326,7 +310,7 @@ def simulate_sequence(
         if f > 0:
             for i in range(len(centers)):
                 centers[i], vels[i] = _advance_with_reflection(
-                    centers[i], vels[i], radii[i], scene.bounds, dt
+                    centers[i], vels[i], radii[i], scene.bounds
                 )
         pose = poses[f]
         shapes = _shapes_at(scene, centers)
@@ -369,7 +353,6 @@ def occlusion_scenario(
     occluded_frames: int = 5,
     pad: int = 8,
     with_wall: bool = True,
-    frame_rate: float = 8.0,
     n_beams: int = 720,
 ) -> OcclusionScenario:
     """Build the scripted occlusion scene: a wall ahead of the sensor, a disc
@@ -390,7 +373,7 @@ def occlusion_scenario(
     r_eff = r + 0.75 * cs
 
     total = k + 2 * pad
-    poses = sensor_poses(total, frame_rate)
+    poses = sensor_poses(total)
     mid = (total - 1) / 2.0
     ys = [(f - mid) * cs for f in range(total)]
 
@@ -409,10 +392,7 @@ def occlusion_scenario(
     wall_half_len = wall_x * math.tan(half_angle)
 
     wall = Rect(half_w=0.4 * cs, half_h=wall_half_len, cx=wall_x, cy=0.0)
-    vy = cs * frame_rate  # one cell per frame
-    disc = DynamicObject(
-        shape=Disc(radius=r, cx=disc_x, cy=ys[0]), velocity=Velocity2(0.0, vy)
-    )
+    disc = DynamicObject(shape=Disc(radius=r, cx=disc_x, cy=ys[0]), velocity=(0.0, cs))
     reach = abs(ys[0]) + total * cs + r
     bounds = Bounds(-2 * disc_x - 1.0, 2 * disc_x + 1.0, -reach - 1.0, reach + 1.0)
     scene = WorldScene(
@@ -420,7 +400,7 @@ def occlusion_scenario(
         dynamic_objects=(disc,),
         bounds=bounds,
     )
-    batch = simulate_sequence(scene, poses, frame_rate, spec, n_beams=n_beams, seed=seed)
+    batch = simulate_sequence(scene, poses, spec, n_beams=n_beams, seed=seed)
 
     occluded = tuple(
         f
@@ -440,12 +420,11 @@ def static_crossing(
     seed: int,
     spec: GridSpec,
     frames: int = 20,
-    frame_rate: float = 8.0,
     n_beams: int = 240,
 ) -> SequenceBatch:
     """Static sensor in a walled room with two fixed pillars and crossing
     discs; pillar and disc placement vary with the seed."""
-    poses = sensor_poses(frames, frame_rate)
+    poses = sensor_poses(frames)
     rng = np.random.default_rng(seed)
     cs, hx = spec.cell_size, spec.half_extent
     room = 0.86 * hx
@@ -469,20 +448,17 @@ def static_crossing(
         radius = min(float(rng.uniform(1.2, 2.0)) * cs, 0.3 * margin)
         x0 = float(rng.uniform(-0.5, 0.5)) * 1.6 * (margin - radius)
         y0 = sy * (margin - radius) * 0.9
-        speed = float(rng.uniform(0.6, 1.0)) * cs * frame_rate
-        vx = float(rng.uniform(-0.25, 0.25)) * cs * frame_rate
+        speed = float(rng.uniform(0.6, 1.0)) * cs
+        vx = float(rng.uniform(-0.25, 0.25)) * cs
         discs.append(
-            DynamicObject(
-                shape=Disc(radius=radius, cx=x0, cy=y0),
-                velocity=Velocity2(vx, -sy * speed),
-            )
+            DynamicObject(shape=Disc(radius=radius, cx=x0, cy=y0), velocity=(vx, -sy * speed))
         )
     scene = WorldScene(
         static_shapes=tuple(walls) + tuple(pillars),
         dynamic_objects=tuple(discs),
         bounds=Bounds(-margin, margin, -margin, margin),
     )
-    return simulate_sequence(scene, poses, frame_rate, spec, n_beams=n_beams, seed=seed)
+    return simulate_sequence(scene, poses, spec, n_beams=n_beams, seed=seed)
 
 
 def _roadside_scene(rng, spec: GridSpec, path_len: float, lateral: float) -> WorldScene:
@@ -515,7 +491,6 @@ def _moving_sensor(
     seed: int,
     spec: GridSpec,
     frames: int,
-    frame_rate: float,
     n_beams: int,
     cells_per_frame: float,
     yaw_per_frame: float,
@@ -527,37 +502,30 @@ def _moving_sensor(
     cs = spec.cell_size
     path_len = frames * cells_per_frame * cs
     scene = _roadside_scene(rng, spec, path_len + spec.half_extent, lateral * spec.half_extent)
-    poses = sensor_poses(
-        frames,
-        frame_rate,
-        speed=cells_per_frame * cs * frame_rate,
-        yaw_rate=yaw_per_frame * frame_rate,
-    )
-    return simulate_sequence(scene, poses, frame_rate, spec, n_beams=n_beams, seed=seed)
+    poses = sensor_poses(frames, speed=cells_per_frame * cs, yaw_rate=yaw_per_frame)
+    return simulate_sequence(scene, poses, spec, n_beams=n_beams, seed=seed)
 
 
 def moving_straight(
     seed: int,
     spec: GridSpec,
     frames: int = 20,
-    frame_rate: float = 8.0,
     n_beams: int = 240,
 ) -> SequenceBatch:
     """Sensor drives straight at one cell per frame through a seeded
     corridor scene."""
-    return _moving_sensor(seed, spec, frames, frame_rate, n_beams, 1.0, 0.0, 0.6)
+    return _moving_sensor(seed, spec, frames, n_beams, 1.0, 0.0, 0.6)
 
 
 def moving_turning(
     seed: int,
     spec: GridSpec,
     frames: int = 20,
-    frame_rate: float = 8.0,
     n_beams: int = 240,
 ) -> SequenceBatch:
     """Sensor follows a constant-rate turn, 0.75 cells and 0.06 rad per
     frame, through a seeded obstacle field."""
-    return _moving_sensor(seed, spec, frames, frame_rate, n_beams, 0.75, 0.06, 0.7)
+    return _moving_sensor(seed, spec, frames, n_beams, 0.75, 0.06, 0.7)
 
 
 def scenario_builders() -> dict:

@@ -12,7 +12,6 @@ core, and threads on top of it measured slower than one after another.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 
 # The variables README lists for pinning the BLAS thread pools.
 # NUMEXPR_NUM_THREADS is not one: numpy's BLAS never reads it.
@@ -40,16 +39,14 @@ def workers(units: int) -> int:
     return max(1, min(units, cpus // blas))
 
 
-@contextmanager
-def ordered_map(units: int):
-    """Yield a ``map`` for ``units`` independent units: like the builtin,
-    it gives ``fn(item)`` in item order, but runs up to ``workers(units)``
-    calls at once. With one worker it is the builtin, which runs every call
+def ordered_map(fn, items) -> list:
+    """``[fn(item) for item in items]``, in item order, running up to
+    ``workers(len(items))`` calls at once. With one worker every call runs
     in the caller's thread."""
-    count = workers(units)
+    items = list(items)
+    count = workers(len(items))
     if count == 1:
-        yield map
-        return
+        return [fn(item) for item in items]
     # Imported on first use: importing it (and logging) with the package
     # shifted training's heap and cost static-train 4%. One pool per call: a
     # module-level pool would leave a forked child holding threads that do
@@ -57,4 +54,4 @@ def ordered_map(units: int):
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(count) as pool:
-        yield pool.map
+        return list(pool.map(fn, items))

@@ -185,8 +185,7 @@ def step(model: Model, group, schedule: ShowBlankSchedule, state: dict, lr: floa
             loss.backward()
         return value, [p.grad for p in sink.parameters()]
 
-    with ordered_map(len(group)) as run:
-        results = list(run(backprop, range(len(group))))
+    results = ordered_map(backprop, range(len(group)))
     value = sum(v for v, _ in results)
     at = state.get("t", 0) + 1
     if not np.isfinite(value):

@@ -263,7 +263,7 @@ STATIC_GRID = GridSpec(size_cells=51, cell_size=0.2)
 @pytest.fixture(scope="module")
 def static_experiment():
     """Three-layer dilated model trained on crossing-disc scenes at 51x51,
-    shown 10 / blanked 10 at 8 Hz. Held-out sequences run two show/blank
+    shown 10 / blanked 10. Held-out sequences run two show/blank
     cycles so each offset pools two scene phases."""
     sched = ShowBlankSchedule(total_frames=20, show=10, blank=10)
     train_set = [

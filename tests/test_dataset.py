@@ -299,13 +299,15 @@ def test_manifest_validation():
     good = dict(frame_rate=8.0, files=("a.dtseq",), seed=1)
     DatasetManifest(**good)
     DatasetManifest(**{**good, "seed": None})
+    DatasetManifest(**{**good, "frame_rate": None})
     with pytest.raises(ValueError, match="at least one"):
         DatasetManifest(**{**good, "files": ()})
     for name in (".", "..", "sub/a.dtseq", "sub\\a.dtseq"):
         with pytest.raises(ValueError, match="bare file name"):
             DatasetManifest(**{**good, "files": (name,)})
-    with pytest.raises(ValueError, match="frame_rate"):
-        DatasetManifest(**{**good, "frame_rate": 0.0})
+    for rate in (0.0, -8.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="frame_rate"):
+            DatasetManifest(**{**good, "frame_rate": rate})
 
 
 def _drop(key):
@@ -325,9 +327,9 @@ def _set(key, value):
 
 
 MANIFEST_EDITS = {
-    "no-frame_rate": _drop("frame_rate"),
     "no-files": _drop("files"),
     "frame_rate-string": _set("frame_rate", "8"),
+    "frame_rate-negative": _set("frame_rate", -8.0),
     "file-not-string": _set("files", [7]),
     "seed-string": _set("seed", "0"),
     "top-level-list": lambda doc: [doc],
@@ -341,6 +343,16 @@ def test_manifest_load_rejects_malformed_keys(tmp_path, edit):
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     with pytest.raises(ValueError, match="manifest.json"):
         DatasetManifest.load(tmp_path)
+
+
+def test_manifest_without_frame_rate_loads(tmp_path):
+    """The frame rate is recorded only when the writer gives one."""
+    make_dataset(tmp_path, n=1)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(_drop("frame_rate")(json.loads(path.read_text()))))
+    manifest = DatasetManifest.load(tmp_path)
+    assert manifest.frame_rate is None
+    assert manifest.seed == 0
 
 
 def test_manifest_load_ignores_old_provenance_key(tmp_path):

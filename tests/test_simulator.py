@@ -16,7 +16,6 @@ from gridtrack.simulator import (
     DynamicObject,
     Rect,
     SequenceBatch,
-    Velocity2,
     WorldScene,
     _cast_all,
     moving_straight,
@@ -154,13 +153,13 @@ def test_shape_validation():
 
 
 def test_scene_rejects_object_outside_bounds():
-    obj = DynamicObject(shape=Disc(radius=1.0, cx=9.0, cy=0.0), velocity=Velocity2(1, 0))
+    obj = DynamicObject(shape=Disc(radius=1.0, cx=9.0, cy=0.0), velocity=(1, 0))
     with pytest.raises(ValueError):
         WorldScene(static_shapes=(), dynamic_objects=(obj,), bounds=Bounds(-5, 5, -5, 5))
 
 
 def test_trajectory_poses_straight():
-    poses = sensor_poses(4, 4.0, speed=2.0)
+    poses = sensor_poses(4, speed=0.5)
     assert len(poses) == 4
     assert poses[0] == Pose2.identity()
     assert poses[3].x == pytest.approx(1.5)
@@ -169,12 +168,12 @@ def test_trajectory_poses_straight():
 
 
 def test_trajectory_poses_turning_heading_accumulates():
-    poses = sensor_poses(5, 5.0, speed=1.0, yaw_rate=0.5)
-    assert poses[4].theta == pytest.approx(4 * 0.5 / 5.0)
+    poses = sensor_poses(5, speed=0.2, yaw_rate=0.1)
+    assert poses[4].theta == pytest.approx(4 * 0.1)
 
 
 def test_sensor_poses_still_sensor_is_identity():
-    poses = sensor_poses(6, 8.0)
+    poses = sensor_poses(6)
     assert len(poses) == 6
     assert all(p == Pose2.identity() for p in poses)
 
@@ -182,7 +181,7 @@ def test_sensor_poses_still_sensor_is_identity():
 @pytest.mark.parametrize("frames", [0, -3])
 def test_sensor_poses_rejects_fewer_than_one_frame(frames):
     with pytest.raises(ValueError, match=f"frames must be at least 1, got {frames}"):
-        sensor_poses(frames, 8.0)
+        sensor_poses(frames)
 
 
 def test_batch_validation():
@@ -221,7 +220,7 @@ def walled_scene(extent=4.0):
             Rect(half_w=extent, half_h=0.1, cx=0.0, cy=-extent),
         ),
         dynamic_objects=(
-            DynamicObject(shape=Disc(radius=0.6, cx=1.0, cy=-2.0), velocity=Velocity2(0.0, 2.0)),
+            DynamicObject(shape=Disc(radius=0.6, cx=1.0, cy=-2.0), velocity=(0.0, 0.5)),
         ),
         bounds=Bounds(-extent, extent, -extent, extent),
     )
@@ -229,12 +228,12 @@ def walled_scene(extent=4.0):
 
 def test_simulate_deterministic_per_seed():
     spec = GridSpec(size_cells=21, cell_size=0.4)
-    poses = sensor_poses(5, 5.0)
+    poses = sensor_poses(5)
     a = simulate_sequence(
-        walled_scene(), poses, 5.0, spec, n_beams=90, seed=7, noise_half_width=0.05
+        walled_scene(), poses, spec, n_beams=90, seed=7, noise_half_width=0.05
     )
     b = simulate_sequence(
-        walled_scene(), poses, 5.0, spec, n_beams=90, seed=7, noise_half_width=0.05
+        walled_scene(), poses, spec, n_beams=90, seed=7, noise_half_width=0.05
     )
     for oa, ob, ta, tb in zip(a.observations, b.observations, a.truth_occ, b.truth_occ):
         assert np.array_equal(oa.vis, ob.vis)
@@ -245,12 +244,12 @@ def test_simulate_deterministic_per_seed():
 
 def test_simulate_seed_changes_noise():
     spec = GridSpec(size_cells=21, cell_size=0.4)
-    poses = sensor_poses(5, 5.0)
+    poses = sensor_poses(5)
     a = simulate_sequence(
-        walled_scene(), poses, 5.0, spec, n_beams=90, seed=1, noise_half_width=0.2
+        walled_scene(), poses, spec, n_beams=90, seed=1, noise_half_width=0.2
     )
     b = simulate_sequence(
-        walled_scene(), poses, 5.0, spec, n_beams=90, seed=2, noise_half_width=0.2
+        walled_scene(), poses, spec, n_beams=90, seed=2, noise_half_width=0.2
     )
     diff = any(
         not np.array_equal(oa.occ, ob.occ) for oa, ob in zip(a.observations, b.observations)
@@ -261,25 +260,19 @@ def test_simulate_seed_changes_noise():
 def test_simulate_rejects_empty_scene_and_short_runs():
     spec = GridSpec(size_cells=11, cell_size=0.5)
     empty = WorldScene(static_shapes=(), dynamic_objects=(), bounds=Bounds(-1, 1, -1, 1))
-    poses = sensor_poses(5, 5.0)
+    poses = sensor_poses(5)
     with pytest.raises(ValueError):
-        simulate_sequence(empty, poses, 5.0, spec, n_beams=10, seed=0)
+        simulate_sequence(empty, poses, spec, n_beams=10, seed=0)
     with pytest.raises(ValueError):
-        simulate_sequence(walled_scene(), poses[:1], 5.0, spec, n_beams=10, seed=0)
+        simulate_sequence(walled_scene(), poses[:1], spec, n_beams=10, seed=0)
     with pytest.raises(ValueError):
-        simulate_sequence(walled_scene(), poses, 5.0, spec, n_beams=0, seed=0)
+        simulate_sequence(walled_scene(), poses, spec, n_beams=0, seed=0)
 
 
 def test_simulate_rejects_short_pose_lists_and_bad_rates():
     spec = GridSpec(size_cells=11, cell_size=0.5)
-    poses = sensor_poses(3, 5.0, speed=1.0)
     with pytest.raises(ValueError, match="at least 2 frames"):
-        simulate_sequence(walled_scene(), [], 5.0, spec, n_beams=10, seed=0)
-    for rate in (0.0, -5.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="frame_rate must be positive"):
-            simulate_sequence(walled_scene(), poses, rate, spec, n_beams=10, seed=0)
-        with pytest.raises(ValueError, match="frame_rate must be positive"):
-            sensor_poses(3, rate)
+        simulate_sequence(walled_scene(), [], spec, n_beams=10, seed=0)
 
 
 def test_occupied_cells_lie_near_shape_boundaries():
@@ -287,8 +280,8 @@ def test_occupied_cells_lie_near_shape_boundaries():
     within one cell diagonal of the cell center."""
     spec = GridSpec(size_cells=25, cell_size=0.3)
     scene = walled_scene(extent=3.0)
-    batch = simulate_sequence(scene, sensor_poses(4, 4.0), 4.0, spec, n_beams=180, seed=3)
-    # dynamic disc position per frame: starts at (1, -2), vy=2, dt=0.25
+    batch = simulate_sequence(scene, sensor_poses(4), spec, n_beams=180, seed=3)
+    # dynamic disc position per frame: starts at (1, -2), 0.5 m per frame
     for f, obs in enumerate(batch.observations):
         shapes = list(scene.static_shapes)
         cy = -2.0 + 0.5 * f
@@ -303,7 +296,7 @@ def test_occupied_cells_lie_near_shape_boundaries():
 def test_truth_matches_direct_inside_test():
     spec = GridSpec(size_cells=25, cell_size=0.3)
     scene = walled_scene(extent=3.0)
-    batch = simulate_sequence(scene, sensor_poses(2, 4.0), 4.0, spec, n_beams=60, seed=0)
+    batch = simulate_sequence(scene, sensor_poses(2), spec, n_beams=60, seed=0)
     ax = spec.axis_centers()
     for f in range(batch.frames):
         cy = -2.0 + 0.5 * f
@@ -327,11 +320,11 @@ def test_dynamic_object_reflects_at_bounds():
     scene = WorldScene(
         static_shapes=(),
         dynamic_objects=(
-            DynamicObject(shape=Disc(radius=0.3, cx=0.0, cy=0.0), velocity=Velocity2(0.0, 3.0)),
+            DynamicObject(shape=Disc(radius=0.3, cx=0.0, cy=0.0), velocity=(0.0, 0.6)),
         ),
         bounds=Bounds(-1.0, 1.0, -1.0, 1.0),
     )
-    batch = simulate_sequence(scene, sensor_poses(20, 5.0), 5.0, spec, n_beams=40, seed=0)
+    batch = simulate_sequence(scene, sensor_poses(20), spec, n_beams=40, seed=0)
     # the disc must stay inside the grid's truth footprint the whole time
     for t in batch.truth_occ:
         assert t.sum() > 0
@@ -344,7 +337,7 @@ def test_truth_shifts_one_cell_under_unit_sensor_motion():
     """Moving straight at one cell per frame over a static world, each truth
     frame is the previous one shifted by one cell toward the sensor."""
     spec = GridSpec(size_cells=25, cell_size=0.25)
-    batch = moving_straight(seed=5, spec=spec, frames=8, frame_rate=8.0)
+    batch = moving_straight(seed=5, spec=spec, frames=8)
     for f in range(1, batch.frames):
         cur = batch.truth_occ[f]
         prev = batch.truth_occ[f - 1]

@@ -696,7 +696,7 @@ def all_free_batch(spec, frames):
     scene = WorldScene(
         static_shapes=(far,), dynamic_objects=(), bounds=Bounds(-200, 200, -200, 200)
     )
-    return simulate_sequence(scene, sensor_poses(frames, 8.0), 8.0, spec, n_beams=180, seed=0)
+    return simulate_sequence(scene, sensor_poses(frames), spec, n_beams=180, seed=0)
 
 
 def test_train_learns_all_free_world():
