@@ -289,7 +289,6 @@ def import_scans(
     scan_file,
     odom_file,
     spec: GridSpec,
-    frame_period: float | None = None,
     tolerance: float | None = None,
 ) -> SequenceBatch:
     """Build a sequence from planar scan and odometry logs.
@@ -298,15 +297,13 @@ def import_scans(
     timestamp means a frame with no returns); odometry rows are ``timestamp x
     y theta`` in a fixed world frame. Timestamps must be finite and strictly
     increasing. Each scan is paired with the odometry pose nearest in time;
-    pairs further apart than the tolerance (half the frame period unless
-    given) are an error. A given ``frame_period`` must be positive and
-    finite, a given ``tolerance`` positive (inf accepts any pairing); both
-    are checked before the files are read. Egomotion transforms come from
+    pairs further apart than the tolerance are an error. The tolerance
+    defaults to half the median scan period, or any pairing for a single
+    scan; a given one must be positive (inf accepts any pairing) and is
+    checked before the files are read. Egomotion transforms come from
     consecutive paired poses; no ground truth is attached. Every error in a
     row is a ValueError naming its file and line.
     """
-    if frame_period is not None and not 0.0 < frame_period < math.inf:
-        raise ValueError(f"frame_period must be positive and finite, got {frame_period}")
     if tolerance is not None and not tolerance > 0.0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     scan_rows = _parse_rows(scan_file)
@@ -332,10 +329,8 @@ def import_scans(
     scan_t = [vals[0] for _, vals in scan_rows]
     odom_t = np.asarray([vals[0] for _, vals in odom_rows])
 
-    if frame_period is None and len(scan_t) >= 2:
-        frame_period = float(np.median(np.diff(scan_t)))
     if tolerance is None:
-        tolerance = math.inf if frame_period is None else frame_period / 2.0
+        tolerance = float(np.median(np.diff(scan_t))) / 2.0 if len(scan_t) >= 2 else math.inf
 
     matched = []
     for (lineno, _), t in zip(scan_rows, scan_t):

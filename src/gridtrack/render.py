@@ -125,6 +125,21 @@ def overlay_rgb(pred_occupied: np.ndarray, truth_occupied: np.ndarray, scale: in
     return _scale(img, scale)
 
 
+def _join(images, gap: int, axis: int) -> np.ndarray:
+    """Images side by side (axis 1) or top to bottom (axis 0) with ``gap``
+    pixels of separator grey between them; a shorter image is padded with
+    the background on its far side."""
+    parts = [np.moveaxis(img, axis, 0) for img in images]
+    length = sum(len(p) for p in parts) + gap * (len(parts) - 1)
+    out = np.full((length, max(p.shape[1] for p in parts), 3), 90, dtype=np.uint8)
+    at = 0
+    for p in parts:
+        out[at : at + len(p)] = _BG
+        out[at : at + len(p), : p.shape[1]] = p
+        at += len(p) + gap
+    return np.moveaxis(out, 0, axis)
+
+
 def frame_panel(obs, prediction, truth=None, threshold: float = 0.5, scale: int = 4) -> np.ndarray:
     """Side-by-side panels for one frame: visibility, observed occupancy,
     predicted probability, and (with truth) the overlay of the cells at or
@@ -138,14 +153,7 @@ def frame_panel(obs, prediction, truth=None, threshold: float = 0.5, scale: int 
     ]
     if truth is not None:
         panels.append(overlay_rgb(np.asarray(prediction) >= threshold, truth, scale=scale))
-    h = panels[0].shape[0]
-    sep = np.full((h, 2, 3), 90, dtype=np.uint8)
-    row = []
-    for i, p in enumerate(panels):
-        if i:
-            row.append(sep)
-        row.append(p)
-    return np.concatenate(row, axis=1)
+    return _join(panels, 2, axis=1)
 
 
 def hidden_tiles(layer_maps) -> np.ndarray:
@@ -153,30 +161,12 @@ def hidden_tiles(layer_maps) -> np.ndarray:
     row per layer: at most the first 16 maps of each layer, each cell drawn
     2x2 pixels."""
     rows = []
-    width = None
     for maps in layer_maps:
         maps = np.asarray(maps)[:16]
         v = ((np.clip(maps, -1.0, 1.0) + 1.0) * 127.5).astype(np.uint8)
         tiles = [np.stack([t, t, t], axis=-1) for t in v]
-        h = tiles[0].shape[0]
-        sep = np.full((h, 1, 3), 90, dtype=np.uint8)
-        row = []
-        for i, t in enumerate(tiles):
-            if i:
-                row.append(sep)
-            row.append(t)
-        row = np.concatenate(row, axis=1)
-        rows.append(_scale(row, 2))
-        width = max(width or 0, rows[-1].shape[1])
-    padded = []
-    for r in rows:
-        if r.shape[1] < width:
-            pad = np.zeros((r.shape[0], width - r.shape[1], 3), dtype=np.uint8)
-            pad[:] = _BG
-            r = np.concatenate([r, pad], axis=1)
-        padded.append(r)
-        padded.append(np.full((2, width, 3), 90, dtype=np.uint8))
-    return np.concatenate(padded[:-1], axis=0)
+        rows.append(_scale(_join(tiles, 1, axis=1), 2))
+    return _join(rows, 2, axis=0)
 
 
 def _draw_text(img: np.ndarray, x: int, y: int, text: str, color=_FG) -> int:

@@ -12,7 +12,7 @@ rate radians per frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,8 +70,9 @@ class Rect:
 
 @dataclass(frozen=True)
 class DynamicObject:
-    """A shape moving at a constant ``(vx, vy)`` velocity in meters per
-    frame."""
+    """A disc or rect moving at a constant ``(vx, vy)`` velocity in meters
+    per frame. The simulator advances the shape itself, so a moving rect
+    works as a moving disc does."""
 
     shape: Disc | Rect
     velocity: tuple[float, float]
@@ -113,10 +114,6 @@ class WorldScene:
                 raise ValueError("dynamic object starts outside bounds")
             if not (b.y_min + ry <= obj.shape.cy <= b.y_max - ry):
                 raise ValueError("dynamic object starts outside bounds")
-
-    @property
-    def shape_count(self) -> int:
-        return len(self.static_shapes) + len(self.dynamic_objects)
 
 
 def sensor_poses(frames: int, speed: float = 0.0, yaw_rate: float = 0.0) -> list[Pose2]:
@@ -225,16 +222,6 @@ def _cast_all(bearings_world: np.ndarray, ox: float, oy: float, shapes) -> np.nd
     return best
 
 
-def _shapes_at(scene: WorldScene, dyn_centers: list[tuple[float, float]]):
-    shapes = list(scene.static_shapes)
-    for obj, (cx, cy) in zip(scene.dynamic_objects, dyn_centers):
-        if isinstance(obj.shape, Disc):
-            shapes.append(Disc(radius=obj.shape.radius, cx=cx, cy=cy))
-        else:
-            shapes.append(Rect(half_w=obj.shape.half_w, half_h=obj.shape.half_h, cx=cx, cy=cy))
-    return shapes
-
-
 def _truth_grid(shapes, pose: Pose2, spec: GridSpec) -> np.ndarray:
     """Cell is occupied iff its center (in the sensor frame at pose) lies
     inside any shape."""
@@ -254,8 +241,10 @@ def _truth_grid(shapes, pose: Pose2, spec: GridSpec) -> np.ndarray:
     return occ.astype(np.uint8)
 
 
-def _advance_with_reflection(center, vel, radii, bounds: Bounds):
-    (cx, cy), (vx, vy), (rx, ry) = center, vel, radii
+def _advance(obj: DynamicObject, bounds: Bounds) -> DynamicObject:
+    """The object one frame later, reflected off the bounds."""
+    (vx, vy), (rx, ry) = obj.velocity, _bound_radii(obj.shape)
+    cx, cy = obj.shape.cx, obj.shape.cy
     lo_x, hi_x = bounds.x_min + rx, bounds.x_max - rx
     lo_y, hi_y = bounds.y_min + ry, bounds.y_max - ry
     cx += vx
@@ -268,7 +257,7 @@ def _advance_with_reflection(center, vel, radii, bounds: Bounds):
         cy, vy = 2 * hi_y - cy, -vy
     elif cy < lo_y:
         cy, vy = 2 * lo_y - cy, -vy
-    return (cx, cy), (vx, vy)
+    return DynamicObject(replace(obj.shape, cx=cx, cy=cy), (vx, vy))
 
 
 def simulate_sequence(
@@ -284,36 +273,29 @@ def simulate_sequence(
     from the sensor (nearest shape intersection wins), encode the scan,
     record the relative egomotion transform, and rasterize unoccluded truth.
 
-    The first frame uses the initial configuration; each dynamic object
-    moves by its velocity before each later frame. ``noise_half_width``
-    adds zero-mean uniform range noise to returning beams.
+    The first frame uses the initial configuration; before each later
+    frame every dynamic object's shape, disc or rect alike, moves by its
+    velocity and reflects off the scene bounds. ``noise_half_width`` adds
+    zero-mean uniform range noise to returning beams.
     """
     if n_beams < 1:
         raise ValueError("n_beams must be >= 1")
-    if scene.shape_count == 0:
+    if not scene.static_shapes and not scene.dynamic_objects:
         raise ValueError("scene has no shapes")
-    frames = len(poses)
-    if frames < 2:
+    if len(poses) < 2:
         raise ValueError("sequence needs at least 2 frames")
 
     rng = np.random.default_rng(seed)
     bearings = -math.pi + 2.0 * math.pi * np.arange(n_beams) / n_beams
 
-    centers = [(o.shape.cx, o.shape.cy) for o in scene.dynamic_objects]
-    vels = [o.velocity for o in scene.dynamic_objects]
-    radii = [_bound_radii(o.shape) for o in scene.dynamic_objects]
-
+    moving = scene.dynamic_objects
     observations = []
     rel_transforms = []
     truth = []
-    for f in range(frames):
+    for f, pose in enumerate(poses):
         if f > 0:
-            for i in range(len(centers)):
-                centers[i], vels[i] = _advance_with_reflection(
-                    centers[i], vels[i], radii[i], scene.bounds
-                )
-        pose = poses[f]
-        shapes = _shapes_at(scene, centers)
+            moving = [_advance(o, scene.bounds) for o in moving]
+        shapes = [*scene.static_shapes, *(o.shape for o in moving)]
         ranges = _cast_all(bearings + pose.theta, pose.x, pose.y, shapes)
         if noise_half_width > 0.0:
             noise = rng.uniform(-noise_half_width, noise_half_width, size=n_beams)

@@ -1,5 +1,7 @@
 """Pixmap rendering: P6 encoding, overlays, panels, and curve plots."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,32 @@ def test_hidden_tiles_caps_map_count():
     maps = np.zeros((40, 4, 4))
     img = hidden_tiles([maps])
     assert img.shape[1] == (16 * 4 + 15) * 2
+
+
+# sha256 over the shape and bytes of every image below
+PANEL_AND_TILES_DIGEST = "0759ad4bf02fbbc2d4bf5e466af573ba0f0d8f899d08c684f8e5ceda88ac2872"
+
+
+def test_frame_panel_and_hidden_tiles_match_recorded_digest():
+    rng = np.random.default_rng(11)
+    vis = (rng.random((7, 7)) < 0.6).astype(np.uint8)
+    obs = ObservationGrid(vis=vis, occ=vis * (rng.random((7, 7)) < 0.3))
+    pred = rng.random((7, 7))
+    truth = rng.random((7, 7)) < 0.3
+    images = [
+        frame_panel(obs, pred, truth=t, scale=scale)
+        for scale in (1, 3)
+        for t in (None, truth)
+    ]
+    # 3 maps pad to the 16-map row; 40 maps are capped at 16
+    images.append(
+        hidden_tiles([rng.uniform(-1.5, 1.5, size=(n, 5, 5)) for n in (3, 16, 40)])
+    )
+    h = hashlib.sha256()
+    for img in images:
+        h.update(repr(img.shape).encode())
+        h.update(np.ascontiguousarray(img).tobytes())
+    assert h.hexdigest() == PANEL_AND_TILES_DIGEST
 
 
 def test_plot_curves_deterministic(tmp_path):

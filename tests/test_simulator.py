@@ -400,6 +400,28 @@ def test_builders_match_recorded_digests():
     assert got == BUILDER_DIGESTS
 
 
+# sha256 of the scene below; in its 30 frames the disc reflects 5 times off
+# the x bounds and 4 off the y bounds, the rect 4 and 6 times
+BOUNCING_DIGEST = "9826003018e9e6111812ba67951112a0106210c7a4166fbfa5bd00ad8ade0510"
+
+
+def test_moving_disc_and_rect_reflect_to_recorded_digest():
+    scene = WorldScene(
+        static_shapes=(Rect(half_w=0.2, half_h=0.8, cx=1.8, cy=0.3),),
+        dynamic_objects=(
+            DynamicObject(shape=Disc(radius=0.3, cx=0.1, cy=-0.2), velocity=(0.37, 0.23)),
+            DynamicObject(
+                shape=Rect(half_w=0.4, half_h=0.25, cx=-0.3, cy=0.4), velocity=(-0.29, 0.41)
+            ),
+        ),
+        bounds=Bounds(-1.5, 1.5, -1.2, 1.2),
+    )
+    spec = GridSpec(size_cells=21, cell_size=0.2)
+    poses = sensor_poses(30, speed=0.02, yaw_rate=0.03)
+    batch = simulate_sequence(scene, poses, spec, n_beams=120, seed=4, noise_half_width=0.02)
+    assert _batch_digest(batch) == BOUNCING_DIGEST
+
+
 def test_static_crossing_is_static_and_has_motion_in_truth():
     spec = GridSpec(size_cells=33, cell_size=0.3)
     batch = static_crossing(seed=2, spec=spec, frames=10)
